@@ -1,0 +1,159 @@
+"""Operator timelines and the midpoint march against independent per-node oracles.
+
+The timeline must reproduce, node by node, what each assembly kit builds on
+its own; the march must reproduce a plain SuperLU march of the same step
+matrices; and a point that is constant in time must factorize its step
+matrix once.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+
+import waveinv as wi
+
+from conftest import modal_source, smooth_direction, varied_point
+
+SIZES = {"wave1d": 12, "elastic2d": 3, "maxwell1d": 12}
+SLOTS = ("A", "B", "C", "Q")
+
+
+@pytest.fixture(scope="module")
+def discs():
+    return {problem: wi.build_grid(problem, n) for problem, n in SIZES.items()}
+
+
+def time_grid():
+    return np.linspace(0.0, 1.0, 21)
+
+
+def kit_slots(disc, means, n, base_means=None):
+    """Slot matrices at node ``n`` straight from the kits.
+
+    ``means`` maps field names to (time x element) coefficient means; with
+    ``base_means`` given, the maxwell1d A slot is linearized at that base.
+    """
+    kits = disc.kits
+    zero = 0 * disc.M
+    if disc.problem == "wave1d":
+        return {
+            "A": kits["stiffness"].assemble(means["a"][n]),
+            "B": kits["mass"].assemble(means["b"][n]),
+            "C": kits["mass"].assemble(means["rho"][n]),
+            "Q": kits["mass"].assemble(means["q"][n]),
+        }
+    if disc.problem == "elastic2d":
+        return {
+            "A": kits["eps"].assemble(means["mu"][n]) + kits["div"].assemble(means["lam"][n]),
+            "B": zero,
+            "C": kits["vmass"].assemble(means["rho"][n]),
+            "Q": zero,
+        }
+    if base_means is None:
+        stiff = 1.0 / means["mu"][n]
+    else:
+        stiff = -means["mu"][n] / base_means["mu"][n] ** 2
+    return {
+        "A": kits["stiffness"].assemble(stiff),
+        "B": zero,
+        "C": kits["mass"].assemble(means["eps"][n]),
+        "Q": zero,
+    }
+
+
+def assert_slots_match(tl, expected_at, n_time):
+    for n in range(n_time):
+        expected = expected_at(n)
+        for slot in SLOTS:
+            want = expected[slot].toarray()
+            got = getattr(tl, slot)[n].toarray()
+            scale = max(np.abs(want).max(), 1e-300)
+            assert np.abs(got - want).max() <= 1e-14 * scale, (slot, n)
+
+
+@pytest.mark.parametrize("problem", sorted(SIZES))
+def test_timeline_matches_per_node_assembly(discs, problem):
+    disc = discs[problem]
+    tg = time_grid()
+    point = varied_point(disc, tg)
+    means = {name: disc.element_means(f.values) for name, f in point.fields.items()}
+    tl = wi.assemble_operators(disc, point)
+    assert_slots_match(tl, lambda n: kit_slots(disc, means, n), tg.size)
+
+
+@pytest.mark.parametrize("problem", sorted(SIZES))
+def test_direction_timeline_matches_per_node_assembly(discs, problem):
+    disc = discs[problem]
+    tg = time_grid()
+    point = varied_point(disc, tg)
+    names = wi.FIELD_NAMES[problem]
+    direction = smooth_direction(disc, tg, names, shift=1)
+    base_means = {name: disc.element_means(f.values) for name, f in point.fields.items()}
+    h_means = {name: disc.element_means(direction[name]) for name in names}
+    tlh = wi.assemble_direction(disc, point, direction)
+    assert_slots_match(tlh, lambda n: kit_slots(disc, h_means, n, base_means), tg.size)
+
+
+def splu_march(tl, f, u0, p0):
+    """Midpoint march in momentum form with one SuperLU factorization per step."""
+    dt = tl.dt
+    n_time = tl.time_grid.size
+    u = np.zeros((n_time, u0.size))
+    p = np.zeros_like(u)
+    u[0], p[0] = u0, p0
+    for n in range(n_time - 1):
+        ch = (tl.C[n] + tl.C[n + 1]) * 0.5
+        bh = (tl.B[n] + tl.B[n + 1]) * 0.5
+        aq = (tl.A[n] + tl.A[n + 1] + tl.Q[n] + tl.Q[n + 1]) * (dt / 4.0)
+        s_mat = ch * (2.0 / dt) + bh + aq
+        t_mat = ch * (2.0 / dt) + bh - aq
+        rhs = t_mat @ u[n] + 2.0 * p[n] + 0.5 * dt * (f.values[n] + f.values[n + 1])
+        u[n + 1] = spla.splu(s_mat.tocsc()).solve(rhs)
+        p[n + 1] = (2.0 / dt) * (ch @ (u[n + 1] - u[n])) - p[n]
+    du = np.array([spla.splu(tl.C[n].tocsc()).solve(p[n]) for n in range(n_time)])
+    return u, du
+
+
+@pytest.mark.parametrize("problem", ["wave1d", "maxwell1d"])
+def test_march_matches_splu_oracle(discs, problem):
+    disc = discs[problem]
+    tg = time_grid()
+    point = varied_point(disc, tg)
+    tl = wi.assemble_operators(disc, point)
+    f = modal_source(disc, tg)
+    x = disc.nodes[disc.free_nodes]
+    u0 = np.sin(np.pi * x)
+    p0 = wi.momentum_from_velocity(tl, x * (1.0 - x))
+    traj = wi.solve_forward(tl, f, u0=u0, u1=p0)
+    u, du = splu_march(tl, f, u0, p0)
+    assert np.abs(traj.u - u).max() <= 1e-12 * np.abs(u).max()
+    assert np.abs(traj.du - du).max() <= 1e-12 * np.abs(du).max()
+
+
+@pytest.mark.parametrize("problem", sorted(SIZES))
+def test_constant_point_factorizes_once(discs, problem):
+    disc = discs[problem]
+    tg = time_grid()
+    constants = {"a": 1.0, "b": 0.2, "q": 0.5, "rho": 1.0, "lam": 1.0, "mu": 1.0, "eps": 1.0}
+    point = wi.ParameterPoint.from_constants(
+        problem, tg, disc.n_nodes, **{name: constants[name] for name in wi.FIELD_NAMES[problem]}
+    )
+    traj = wi.forward_map(disc, point, modal_source(disc, tg))
+    scheme = traj.meta["scheme"]
+    assert len(scheme["factors"]) == tg.size - 1
+    assert len({id(factor) for factor in scheme["factors"]}) == 1
+    assert len({id(factor) for factor in scheme["c_factors"]}) == 1
+
+
+def test_node_subset_discrete_dot_test_maxwell(discs):
+    disc = discs["maxwell1d"]
+    tg = time_grid()
+    point = varied_point(disc, tg)
+    base = wi.forward_map(disc, point, modal_source(disc, tg))
+    spec = wi.ObservationSpec(
+        kind="node-subset", indices=[1, 4, 7, 10], weights=[1.0, 0.5, 2.0, 1.5]
+    )
+    rng = np.random.default_rng(7)
+    v = wi.DataVector(rng.standard_normal((tg.size, 4)), tg, spec)
+    direction = smooth_direction(disc, tg, ("eps", "mu"))
+    assert wi.dot_test(disc, point, direction, v, mode="discrete", base=base) <= 1e-12
