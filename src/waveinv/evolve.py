@@ -8,10 +8,16 @@ first-order system
 and advanced by the implicit midpoint rule with half-node operators obtained
 by averaging adjacent node samples.  The initial momentum (not the velocity)
 is the second initial datum, so a time-dependent C never needs to be
-differentiated inside the stepper.  Per-step sparse LU factorizations are
-kept, and reused verbatim when consecutive step matrices are identical (which
-covers constant-in-time coefficients and localized-in-time perturbations);
-they also power the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
+differentiated inside the stepper.
+
+Operators are value arrays on the problem's fixed sparsity pattern (see
+:class:`.galerkin.OperatorTimeline`), so the half-node averages and the step
+matrices S_n, T_n of all steps come out of a few array operations.  Each
+distinct step matrix and each distinct C(t_n) is factorized once: with
+LAPACK's tridiagonal LU (``dgttrf``) when the pattern is tridiagonal, as on
+the 1D problems, and with SuperLU otherwise.  Both factor kinds solve with
+``.solve(rhs, trans=...)``; the factors are kept on the trajectory and power
+the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import RegularityError, ResolutionError, SolverFailureError
-from .galerkin import OperatorTimeline, _csr_equal, matrix_time_derivative
+from .galerkin import OperatorTimeline, combine
 
 
 @dataclass
@@ -77,19 +84,16 @@ def make_source(disc, time_grid, fn):
     the mass rows so boundary-adjacent couplings are kept.
     """
     tg = np.asarray(time_grid, dtype=float)
-    vals = np.empty((tg.size, disc.n_free))
-    nodal = np.zeros(disc.n_dofs)
+    nodal = np.zeros((tg.size, disc.n_dofs))
     for i, t in enumerate(tg):
         if disc.dim == 1:
-            nodal[:] = fn(t, disc.nodes)
+            nodal[i] = fn(t, disc.nodes)
         else:
             comp = np.asarray(fn(t, disc.nodes[:, 0], disc.nodes[:, 1]))
             if comp.shape == (2, disc.n_nodes):
                 comp = comp.T
-            nodal[0::2] = comp[:, 0]
-            nodal[1::2] = comp[:, 1]
-        vals[i] = disc.M_load @ nodal
-    return SourceTerm(vals)
+            nodal[i] = comp.ravel()  # x and y components interleaved per node
+    return SourceTerm((disc.M_load @ nodal.T).T)
 
 
 def momentum_from_velocity(timeline, velocity):
@@ -97,23 +101,72 @@ def momentum_from_velocity(timeline, velocity):
     return timeline.C[0] @ np.asarray(velocity, dtype=float)
 
 
-class _FactorCache:
-    """splu factorizations with verbatim-reuse for repeated step matrices."""
+class _TridiagonalLU:
+    """LAPACK ``dgttrf`` factors of a tridiagonal matrix."""
 
-    def __init__(self):
-        self._mat = None
-        self._factor = None
+    def __init__(self, lower, diag, upper, node):
+        *self._lu, info = lapack.dgttrf(lower, diag, upper)
+        if info != 0:
+            raise SolverFailureError(node, f"factorization failed (dgttrf info {info})")
 
-    def factorize(self, mat, node):
-        if self._mat is not None and _csr_equal(mat, self._mat):
-            return self._factor
-        try:
-            factor = spla.splu(mat.tocsc())
-        except RuntimeError as exc:
-            raise SolverFailureError(node, f"factorization failed ({exc})") from exc
-        self._mat = mat
-        self._factor = factor
-        return factor
+    def solve(self, rhs, trans="N"):
+        return lapack.dgttrs(*self._lu, rhs, trans=trans)[0]
+
+
+def factorize(pattern, values, node):
+    """Factors of the matrix with ``values`` on ``pattern``, solved by ``.solve(rhs, trans=)``."""
+    if pattern.bands is not None:
+        return _TridiagonalLU(*(values[band] for band in pattern.bands), node)
+    # the pattern is symmetric, so the CSC arrays are the CSR ones with transposed values
+    csc = sp.csc_matrix(
+        (values[pattern.transpose], pattern.indices, pattern.indptr), shape=pattern.shape
+    )
+    try:
+        return spla.splu(csc)
+    except RuntimeError as exc:
+        raise SolverFailureError(node, f"factorization failed ({exc})") from exc
+
+
+def factorize_rows(pattern, rows):
+    """One factor per row of values; equal rows share a single factorization."""
+    seen = {}
+    factors = []
+    for n, row in enumerate(rows):
+        key = row.tobytes()
+        if key not in seen:
+            seen[key] = factorize(pattern, row, n)
+        factors.append(seen[key])
+    return factors
+
+
+def solve_each(factors, rhs):
+    """Solve factors[n] x[n] = rhs[n] with one multi-column solve per distinct factor."""
+    groups = {}
+    for n, factor in enumerate(factors):
+        groups.setdefault(id(factor), (factor, []))[1].append(n)
+    out = np.empty_like(rhs)
+    for factor, nodes in groups.values():
+        out[nodes] = factor.solve(rhs[nodes].T).T
+    return out
+
+
+def step_values(timeline):
+    """Values of the midpoint step matrices of every step, (step x nnz) each.
+
+    Returns (S, T, C_half) with S = (2/dt) C_h + B_h + (dt/2) (A_h + Q_h) and
+    T = (2/dt) C_h + B_h - (dt/2) (A_h + Q_h), where X_h averages X over the
+    two ends of a step; a part that vanishes is None.
+    """
+    dt = timeline.dt
+    v = timeline.values
+
+    def half(x):
+        return None if x is None else 0.5 * (x[:-1] + x[1:])
+
+    c_half = half(v["C"])
+    mass = combine((2.0 / dt, c_half), (1.0, half(v["B"])))
+    stiff = combine((dt / 2.0, half(v["A"])), (dt / 2.0, half(v["Q"])))
+    return combine((1.0, mass), (1.0, stiff)), combine((1.0, mass), (-1.0, stiff)), c_half
 
 
 def solve_forward(timeline, f, u0=None, u1=None):
@@ -135,71 +188,52 @@ def solve_forward(timeline, f, u0=None, u1=None):
     Trajectory
         With velocity ``du`` recovered from C(t_n) du = p_n and acceleration
         ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du.
+        ``meta["scheme"]`` keeps the timeline, the per-step and per-node
+        factors (``factors``, ``c_factors``) and the (step x nnz) values of
+        T_n and C_h (``t_mats``, ``c_half``).
     """
     tg = timeline.time_grid
     n_steps = tg.size - 1
     dt = timeline.dt
-    n_free = timeline.n_free
+    pattern = timeline.pattern
     fv = f.values
-    if fv.shape != (tg.size, n_free):
-        raise ValueError(f"source shape {fv.shape} does not match ({tg.size}, {n_free})")
+    if fv.shape != (tg.size, pattern.n):
+        raise ResolutionError(
+            f"source shape {fv.shape} does not match ({tg.size}, {pattern.n})"
+        )
 
-    u = np.zeros((tg.size, n_free))
-    p = np.zeros((tg.size, n_free))
+    u = np.zeros((tg.size, pattern.n))
+    p = np.zeros((tg.size, pattern.n))
     if u0 is not None:
         u[0] = np.asarray(u0, dtype=float)
     if u1 is not None:
         p[0] = np.asarray(u1, dtype=float)
 
-    factors = []
-    t_mats = []
-    c_half = []
-    cache = _FactorCache()
+    s_vals, t_vals, c_half = step_values(timeline)
+    factors = factorize_rows(pattern, s_vals)
+    loads = dt * 0.5 * (fv[:-1] + fv[1:])
     two_dt = 2.0 / dt
     for n in range(n_steps):
-        ah = (timeline.A[n] + timeline.A[n + 1]) * 0.5
-        bh = (timeline.B[n] + timeline.B[n + 1]) * 0.5
-        ch = (timeline.C[n] + timeline.C[n + 1]) * 0.5
-        qh = (timeline.Q[n] + timeline.Q[n + 1]) * 0.5
-        aq = (ah + qh) * (dt / 2.0)
-        s_mat = (ch * two_dt + bh + aq).tocsr()
-        t_mat = (ch * two_dt + bh - aq).tocsr()
-        factor = cache.factorize(s_mat, n)
-        rhs = t_mat @ u[n] + 2.0 * p[n] + dt * 0.5 * (fv[n] + fv[n + 1])
-        u[n + 1] = factor.solve(rhs)
-        if not np.all(np.isfinite(u[n + 1])):
-            raise SolverFailureError(n, "midpoint solve produced non-finite values")
-        p[n + 1] = two_dt * (ch @ (u[n + 1] - u[n])) - p[n]
-        factors.append(factor)
-        t_mats.append(t_mat)
-        c_half.append(ch.tocsr())
+        rhs = pattern.matvec(t_vals[n], u[n]) + 2.0 * p[n] + loads[n]
+        u[n + 1] = factors[n].solve(rhs)
+        p[n + 1] = two_dt * pattern.matvec(c_half[n], u[n + 1] - u[n]) - p[n]
+    bad = ~np.all(np.isfinite(u[1:]), axis=1)
+    if bad.any():
+        raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")
 
-    du = np.empty_like(u)
-    ddu = np.empty_like(u)
-    c_cache = _FactorCache()
-    c_factors = []
-    for n in range(tg.size):
-        cf = c_cache.factorize(timeline.C[n].tocsr(), n)
-        du[n] = cf.solve(p[n])
-        c_factors.append(cf)
-    for n in range(tg.size):
-        resid = (
-            fv[n]
-            - timeline.B[n] @ du[n]
-            - (timeline.A[n] + timeline.Q[n]) @ u[n]
-            - timeline.dC[n] @ du[n]
-        )
-        ddu[n] = c_factors[n].solve(resid)
+    v = timeline.values
+    c_factors = factorize_rows(pattern, v["C"])
+    du = solve_each(c_factors, p)
+    resid = fv - pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
+    ddu = solve_each(c_factors, resid)
 
     traj = Trajectory(u=u, du=du, ddu=ddu, time_grid=tg, dt=dt)
     traj.meta["scheme"] = {
         "timeline": timeline,
         "factors": factors,
-        "t_mats": t_mats,
+        "t_mats": t_vals,
         "c_half": c_half,
         "c_factors": c_factors,
-        "momentum": p,
-        "source": f,
     }
     return traj
 
@@ -216,16 +250,20 @@ def reverse_timeline(timeline):
 
     where dB keeps the orientation of the original time axis.
     """
-    rev = slice(None, None, -1)
-    a_r = timeline.A[rev]
-    c_r = timeline.C[rev]
-    b_r = [m.T.tocsr() for m in timeline.B][rev]
-    q_r = [
-        (timeline.Q[n].T - timeline.dB[n].T).tocsr() for n in range(timeline.time_grid.size)
-    ][rev]
-    return OperatorTimeline.from_matrices(
-        timeline.problem, timeline.time_grid, a_r, b_r, c_r, q_r
-    )
+    v = timeline.values
+    transpose = timeline.pattern.transpose
+
+    def flip(values, perm=slice(None)):
+        return None if values is None else values[::-1, perm]
+
+    q_t = combine((1.0, v["Q"]), (-1.0, timeline.rate("B")))
+    values = {
+        "A": flip(v["A"]),
+        "B": flip(v["B"], transpose),
+        "C": flip(v["C"]),
+        "Q": flip(q_t, transpose),
+    }
+    return OperatorTimeline(timeline.problem, timeline.time_grid, timeline.pattern, values)
 
 
 def solve_backward(timeline, v):
@@ -236,15 +274,9 @@ def solve_backward(timeline, v):
     :func:`solve_forward`, and the output is flipped back; velocities change
     sign under the reversal.
     """
-    tl_rev = reverse_timeline(timeline)
-    src = SourceTerm(v.values[::-1].copy())
-    back = solve_forward(tl_rev, src)
-    w = back.u[::-1].copy()
-    dw = -back.du[::-1].copy()
-    ddw = back.ddu[::-1].copy()
-    traj = Trajectory(w, dw, ddw, timeline.time_grid, timeline.dt)
-    traj.meta["reversed"] = back
-    return traj
+    back = solve_forward(reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()))
+    w, dw, ddw = back.u[::-1].copy(), -back.du[::-1], back.ddu[::-1].copy()
+    return Trajectory(w, dw, ddw, timeline.time_grid, timeline.dt)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +300,8 @@ def compatibility_check(f, u0, u1, k, timeline=None):
     """Check the data conditions for solution smoothness level ``k``.
 
     Level 0 imposes nothing.  Levels >= 1 require homogeneous initial data,
-    and vanishing source traces d^j f / dt^j (0) for j <= k - 2 (tolerance
-    1e-8 relative to the largest load).  For k >= 2 with a timeline supplied,
+    and level 2 a vanishing source trace f(0) (tolerance 1e-8 relative to
+    the largest load).  For k >= 2 with a timeline supplied,
     the report carries the induced second time-derivative at t = 0, solving
     C(0) u2 = f(0) - [dC(0) + B(0)] v1 - [A(0) + Q(0)] u0 with v1 the initial
     velocity.
@@ -287,46 +319,28 @@ def compatibility_check(f, u0, u1, k, timeline=None):
             val = 0.0 if data is None else float(np.max(np.abs(data)))
             conditions.append({"name": name, "value": val, "tol": ztol, "ok": val <= ztol})
 
-    n_time = fv.shape[0]
-    dt = None
-    trace = fv
-    for j in range(max(0, k - 1)):
-        if j > 0:
-            if dt is None:
-                raise ResolutionError("source traces beyond order 0 need the time step")
-            trace = _one_sided_derivative(trace, dt)
-        val = float(np.max(np.abs(trace[0]))) if n_time else 0.0
+    if k >= 2:
+        val = float(np.max(np.abs(fv[0]))) if fv.shape[0] else 0.0
         tol = 1e-8 * scale if scale > 0 else 1e-8
-        conditions.append(
-            {"name": f"f^({j})(0) = 0", "value": val, "tol": tol, "ok": val <= tol}
-        )
+        conditions.append({"name": "f^(0)(0) = 0", "value": val, "tol": tol, "ok": val <= tol})
 
     u2 = None
     if k >= 2 and timeline is not None:
         n_free = timeline.n_free
         u0v = np.zeros(n_free) if u0 is None else np.asarray(u0, dtype=float)
         p0 = np.zeros(n_free) if u1 is None else np.asarray(u1, dtype=float)
-        v1 = spla.spsolve(timeline.C[0].tocsc(), p0)
+        c0 = factorize(timeline.pattern, timeline.values["C"][0], 0)
+        v1 = c0.solve(p0)
         rhs = (
             fv[0]
             - (timeline.dC[0] + timeline.B[0]) @ v1
             - (timeline.A[0] + timeline.Q[0]) @ u0v
         )
-        u2 = spla.spsolve(timeline.C[0].tocsc(), rhs)
+        u2 = c0.solve(rhs)
 
     return CompatibilityReport(
         k=k, passed=all(c["ok"] for c in conditions), conditions=conditions, u2=u2
     )
-
-
-def _one_sided_derivative(values, dt):
-    if values.shape[0] < 3:
-        raise ResolutionError("one-sided derivative needs at least three nodes")
-    out = np.empty_like(values)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    out[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    return out
 
 
 @dataclass
@@ -352,12 +366,10 @@ def energy_monitor(trajectory, timeline, f=None, disc=None):
     u = trajectory.u
     du = trajectory.du
     n_time = u.shape[0]
-    energies = np.empty(n_time)
-    for n in range(n_time):
-        energies[n] = 0.5 * (
-            du[n] @ (timeline.C[n] @ du[n])
-            + u[n] @ ((timeline.A[n] + timeline.Q[n]) @ u[n])
-        )
+    v = timeline.values
+    c_du = timeline.pattern.matvec(v["C"], du)
+    aq_u = timeline.pattern.apply((v["A"], u), (v["Q"], u))
+    energies = 0.5 * (np.einsum("ni,ni->n", du, c_du) + np.einsum("ni,ni->n", u, aq_u))
     steps = np.diff(energies)
     peak = float(energies.max()) if n_time else 0.0
     ref = peak if peak > 0 else 1.0
@@ -367,9 +379,7 @@ def energy_monitor(trajectory, timeline, f=None, disc=None):
 
         wts = trapezoid_weights(trajectory.time_grid)
         minv = spla.splu(disc.M.tocsc())
-        total = 0.0
-        for n in range(n_time):
-            total += wts[n] * float(f.values[n] @ minv.solve(f.values[n]))
+        total = float(wts @ np.einsum("ni,in->n", f.values, minv.solve(f.values.T)))
         if total > 0:
             lam = peak / total
     return EnergyReport(

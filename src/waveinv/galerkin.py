@@ -23,11 +23,18 @@ Coefficients are nodal space-time tables; each element uses the mean of its
 vertex values (midpoint sampling of the piecewise-linear interpolant), so
 every parameter-to-operator map is a smooth function of per-element values and
 its linearization is available in closed form.
+
+All operators of a problem share one CSR sparsity pattern on the free degrees
+of freedom.  An operator timeline stores each slot as a (time node x nnz)
+array of values on that pattern, filled for all nodes at once by one sparse
+product per form term; :data:`FORMS` says which kit and coefficient map feed
+each slot.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -53,17 +60,78 @@ FIELD_NAMES = {
 }
 
 
+class SparsityPattern:
+    """The CSR sparsity pattern on the free DOFs shared by a problem's operators.
+
+    Operators live as value arrays ``(..., nnz)`` on this pattern.  The
+    pattern is structurally symmetric, so ``transpose`` permutes the values of
+    a matrix into those of its transpose.  ``bands`` holds the value positions
+    of the sub-, main and super-diagonal when the pattern is tridiagonal with
+    at least three rows (the smallest LAPACK's tridiagonal routines take),
+    else None.
+    """
+
+    def __init__(self, rows, cols, n):
+        self.n = int(n)
+        self.shape = (self.n, self.n)
+        self._keys = np.unique(np.asarray(rows) * self.n + np.asarray(cols))
+        row_of = self._keys // self.n
+        self.indices = self._keys % self.n
+        self.indptr = np.searchsorted(row_of, np.arange(self.n + 1))
+        self.nnz = self._keys.size
+        self.transpose = self.locate(self.indices, row_of)
+        self.bands = None
+        if self.n >= 3 and np.all(np.abs(row_of - self.indices) <= 1):
+            i = np.arange(self.n)
+            self.bands = (
+                self.locate(i[1:], i[:-1]), self.locate(i, i), self.locate(i[:-1], i[1:])
+            )
+
+    def locate(self, rows, cols):
+        """Value positions of the entries (rows, cols), which must be in the pattern."""
+        keys = np.asarray(rows) * self.n + np.asarray(cols)
+        pos = np.minimum(np.searchsorted(self._keys, keys), self.nnz - 1)
+        if not np.array_equal(self._keys[pos], keys):
+            raise ValueError("entries outside the sparsity pattern")
+        return pos
+
+    def matrix(self, values):
+        """A CSR matrix (owning its arrays) with the given (nnz,) values."""
+        return sp.csr_matrix((values, self.indices, self.indptr), shape=self.shape, copy=True)
+
+    def matvec(self, values, x):
+        """Row-wise products: (..., nnz) values times (..., n) vectors."""
+        return np.add.reduceat(values * x[..., self.indices], self.indptr[:-1], axis=-1)
+
+    def apply(self, *terms):
+        """Sum of ``matvec(values, x)`` over (values, x) terms; None values add nothing."""
+        out = np.zeros(np.shape(terms[0][1]))
+        for values, x in terms:
+            if values is not None:
+                out += self.matvec(values, x)
+        return out
+
+
+def combine(*terms):
+    """Sum of c * values over (c, values) terms, skipping None; None if all are."""
+    out = None
+    for c, values in terms:
+        if values is not None:
+            out = c * values if out is None else out + c * values
+    return out
+
+
 class AssemblyKit:
     """Precomputed element data for one bilinear form.
 
-    Holds the unit-coefficient local matrices and the scatter pattern
-    restricted to free degrees of freedom, so that assembling the global
-    matrix for a per-element coefficient vector is a single sparse
-    construction, and element-level bilinear values x_e^T L_e y_e come out of
-    one einsum.
+    Holds the unit-coefficient local matrices, the scatter pattern restricted
+    to free degrees of freedom, and a sparse map from per-element
+    coefficients to values on the problem's :class:`SparsityPattern`, so that
+    the operator values at every time node come out of one sparse product.
+    Element-level bilinear values x_e^T L_e y_e come out of one einsum.
     """
 
-    def __init__(self, local, dof_map, n_dofs, free_dofs):
+    def __init__(self, local, dof_map, n_dofs, free_dofs, pattern=None):
         self.local = np.ascontiguousarray(local)  # (n_el, k, k)
         self.dof_map = np.ascontiguousarray(dof_map)  # (n_el, k)
         self.n_dofs = int(n_dofs)
@@ -81,6 +149,19 @@ class AssemblyKit:
         self._vals = self.local.ravel()[keep]
         self._elem = np.repeat(np.arange(n_el), k * k)[keep]
         self._shape = (self.free_dofs.size, self.free_dofs.size)
+        if pattern is None:
+            pattern = SparsityPattern(self._rows, self._cols, self._shape[0])
+        self.pattern = pattern
+        # (nnz, n_el): pattern values of the matrix for unit element coefficients
+        self._scatter = sp.csr_matrix(
+            (self._vals, (pattern.locate(self._rows, self._cols), self._elem)),
+            shape=(pattern.nnz, n_el),
+        )
+
+    def values(self, coeff_elem):
+        """Pattern values for per-element coefficients: (..., n_el) -> (..., nnz)."""
+        coeff = np.asarray(coeff_elem, dtype=float)
+        return np.ascontiguousarray((self._scatter @ coeff.T).T)
 
     def assemble(self, coeff_elem):
         """Global matrix on free DOFs for per-element coefficients."""
@@ -101,12 +182,6 @@ class AssemblyKit:
         full = np.zeros(x_free.shape[:-1] + (self.n_dofs,))
         full[..., self.free_dofs] = x_free
         return full[..., self.dof_map]  # (..., n_el, k)
-
-    def element_bilinear(self, x_free, y_free):
-        """Per-element values x_e^T L_e y_e for free-DOF vectors x, y."""
-        xg = self._gather(x_free)
-        yg = self._gather(y_free)
-        return np.einsum("eij,ei,ej->e", self.local, xg, yg)
 
     def element_bilinear_many(self, X_free, Y_free):
         """Batched variant: (T, n_free) x (T, n_free) -> (T, n_el)."""
@@ -149,6 +224,11 @@ class Discretization:
     @property
     def n_free(self):
         return self.free_dofs.size
+
+    @property
+    def pattern(self):
+        """The sparsity pattern shared by every kit of this mesh."""
+        return next(iter(self.kits.values())).pattern
 
     def element_means(self, nodal_values):
         """Vertex-mean (midpoint sample) of nodal values, per element.
@@ -246,9 +326,10 @@ def build_grid(problem, n, extent=None):
         boundary = np.array([0, n])
         free_nodes = np.arange(1, n)
         free_dofs = free_nodes
+        stiffness = AssemblyKit(k_loc, elements, n_nodes, free_dofs)
         kits = {
-            "stiffness": AssemblyKit(k_loc, elements, n_nodes, free_dofs),
-            "mass": AssemblyKit(m_loc, elements, n_nodes, free_dofs),
+            "stiffness": stiffness,
+            "mass": AssemblyKit(m_loc, elements, n_nodes, free_dofs, stiffness.pattern),
         }
         ones = np.ones(elements.shape[0])
         M = kits["mass"].assemble(ones)
@@ -324,11 +405,12 @@ def build_grid(problem, n, extent=None):
         k_vstiff[:, 0::2, 0::2] = k_scalar
         k_vstiff[:, 1::2, 1::2] = k_scalar
 
+        eps = AssemblyKit(k_eps, dof_vec, n_dofs, free_dofs)
         kits = {
-            "eps": AssemblyKit(k_eps, dof_vec, n_dofs, free_dofs),
-            "div": AssemblyKit(k_div, dof_vec, n_dofs, free_dofs),
-            "vmass": AssemblyKit(m_vec, dof_vec, n_dofs, free_dofs),
-            "vstiff": AssemblyKit(k_vstiff, dof_vec, n_dofs, free_dofs),
+            "eps": eps,
+            "div": AssemblyKit(k_div, dof_vec, n_dofs, free_dofs, eps.pattern),
+            "vmass": AssemblyKit(m_vec, dof_vec, n_dofs, free_dofs, eps.pattern),
+            "vstiff": AssemblyKit(k_vstiff, dof_vec, n_dofs, free_dofs, eps.pattern),
         }
         ones = np.ones(n_el)
         M = kits["vmass"].assemble(ones)
@@ -387,6 +469,15 @@ class ParameterField:
             )
         if not np.all(np.isfinite(self.values)):
             raise DirectionShapeError("field contains non-finite entries")
+        steps = np.diff(self.time_grid)
+        if steps.size and not (
+            np.all(steps > 0) and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])
+        ):
+            raise ResolutionError(
+                "time grid must increase with uniform steps (all within 1e-9 "
+                f"relative of the first), got steps from {steps.min():.6g} "
+                f"to {steps.max():.6g}"
+            )
 
     @classmethod
     def constant(cls, value, time_grid, n_space):
@@ -573,68 +664,123 @@ def project_point(point):
 # operator timelines
 
 
-@dataclass
-class OperatorTimeline:
-    """Time-sampled operator quadruple (A, B, C, Q) plus time derivatives."""
+SLOTS = ("A", "B", "C", "Q")
 
-    problem: str
-    time_grid: np.ndarray
-    A: list
-    B: list
-    C: list
-    Q: list
-    dA: list
-    dB: list
-    dC: list
-    dQ: list
-    coercivity_margins: object = None
+#: coefficient maps from element means m to operator coefficients, each with
+#: its linearization h -> map'(m) h; being pointwise, that is its own transpose
+LINEAR = (lambda m: m, lambda m, h: h)
+RECIPROCAL = (lambda m: 1.0 / m, lambda m, h: -h / m**2)
+
+#: problem -> form terms (slot, kit, field, coefficient map), in field order;
+#: a slot is the sum of its terms and vanishes when it has none
+FORMS = {
+    "wave1d": (
+        ("A", "stiffness", "a", LINEAR),
+        ("B", "mass", "b", LINEAR),
+        ("Q", "mass", "q", LINEAR),
+        ("C", "mass", "rho", LINEAR),
+    ),
+    "elastic2d": (
+        ("A", "div", "lam", LINEAR),
+        ("A", "eps", "mu", LINEAR),
+        ("C", "vmass", "rho", LINEAR),
+    ),
+    "maxwell1d": (
+        ("C", "mass", "eps", LINEAR),
+        ("A", "stiffness", "mu", RECIPROCAL),
+    ),
+}
+
+
+class _SlotView(Sequence):
+    """Read-only sequence of the CSR matrices of one slot, built on access."""
+
+    def __init__(self, pattern, values, n_time):
+        self.pattern = pattern
+        self.values = values
+        self._n_time = n_time
+
+    def __len__(self):
+        return self._n_time
+
+    def __getitem__(self, n):
+        n = range(self._n_time)[n]
+        if isinstance(n, range):
+            return [self[i] for i in n]
+        if self.values is None:
+            return sp.csr_matrix(self.pattern.shape)
+        return self.pattern.matrix(self.values[n])
+
+
+class OperatorTimeline:
+    """Time-sampled operator quadruple (A, B, C, Q) on one sparsity pattern.
+
+    ``values[slot]`` is a (time node x nnz) array of pattern values, or None
+    for a slot that vanishes identically; ``rate(slot)`` is its second-order
+    time derivative.  ``A[n]`` ... ``Q[n]`` and ``dA[n]`` ... ``dQ[n]`` build
+    the CSR matrix of one node on access.
+    """
+
+    def __init__(self, problem, time_grid, pattern, values):
+        self.problem = problem
+        self.time_grid = np.asarray(time_grid, dtype=float)
+        self.pattern = pattern
+        self.values = {slot: values.get(slot) for slot in SLOTS}
+        self._rates = {}
 
     @property
     def n_free(self):
-        return self.A[0].shape[0]
+        return self.pattern.n
 
     @property
     def dt(self):
         return float(self.time_grid[1] - self.time_grid[0])
 
-    @classmethod
-    def from_matrices(cls, problem, time_grid, A, B, C, Q):
-        """Build a timeline from node-sampled matrices, differencing in time."""
-        tg = np.asarray(time_grid, dtype=float)
-        dt = tg[1] - tg[0]
-        if len(A) >= 3:
-            dA = matrix_time_derivative(A, dt)
-            dB = matrix_time_derivative(B, dt)
-            dC = matrix_time_derivative(C, dt)
-            dQ = matrix_time_derivative(Q, dt)
-        else:
-            zero = sp.csr_matrix(A[0].shape)
-            dA = [zero] * len(A)
-            dB = [zero] * len(A)
-            dC = [zero] * len(A)
-            dQ = [zero] * len(A)
-        return cls(problem, tg, list(A), list(B), list(C), list(Q), dA, dB, dC, dQ)
+    def rate(self, slot):
+        if slot not in self._rates:
+            vals = self.values[slot]
+            self._rates[slot] = None if vals is None else time_difference(vals, self.dt)
+        return self._rates[slot]
+
+    def _view(self, values):
+        return _SlotView(self.pattern, values, self.time_grid.size)
+
+    A = property(lambda self: self._view(self.values["A"]))
+    B = property(lambda self: self._view(self.values["B"]))
+    C = property(lambda self: self._view(self.values["C"]))
+    Q = property(lambda self: self._view(self.values["Q"]))
+    dA = property(lambda self: self._view(self.rate("A")))
+    dB = property(lambda self: self._view(self.rate("B")))
+    dC = property(lambda self: self._view(self.rate("C")))
+    dQ = property(lambda self: self._view(self.rate("Q")))
 
 
 def matrix_time_derivative(mats, dt):
-    """Second-order time derivatives of matrix samples.
+    """Time derivatives of the matrices of a timeline slot (see :func:`time_difference`)."""
+    values = None if mats.values is None else time_difference(mats.values, dt)
+    return _SlotView(mats.pattern, values, len(mats))
 
-    Central differences at interior nodes, one-sided three-point stencils at
-    the ends; all stencils are exact for quadratic-in-time entries.
+
+def _assemble(disc, time_grid, coefficient):
+    """Timeline whose slots sum the kit values of the problem's form terms.
+
+    ``coefficient(field, fmap)`` gives a term's (time x element) coefficients,
+    or None for a term that vanishes.
     """
-    n_last = len(mats) - 1
-    if n_last < 2:
-        raise ResolutionError("matrix time derivative needs at least three samples")
-    inv = 1.0 / (2.0 * dt)
-    out = [(-3.0 * mats[0] + 4.0 * mats[1] - mats[2]) * inv]
-    for n in range(1, n_last):
-        out.append((mats[n + 1] - mats[n - 1]) * inv)
-    out.append((3.0 * mats[n_last] - 4.0 * mats[n_last - 1] + mats[n_last - 2]) * inv)
-    return [m.tocsr() for m in out]
+    values = {}
+    for slot, kit, field, fmap in FORMS[disc.problem]:
+        coeff = coefficient(field, fmap)
+        if coeff is not None:
+            part = disc.kits[kit].values(coeff)
+            values[slot] = values[slot] + part if slot in values else part
+    return OperatorTimeline(disc.problem, time_grid, disc.pattern, values)
 
 
-def _zero_like(disc):
-    return sp.csr_matrix((disc.n_free, disc.n_free))
+def _check_problem(disc, point):
+    if point.problem != disc.problem:
+        raise DirectionShapeError(
+            f"point is for '{point.problem}' but the mesh is for '{disc.problem}'"
+        )
 
 
 def assemble_operators(disc, point, check=True):
@@ -644,124 +790,49 @@ def assemble_operators(disc, point, check=True):
     (skipped with ``check=False``, used by perturbation studies that validate
     separately).
     """
-    if point.problem != disc.problem:
-        raise DirectionShapeError(
-            f"point is for '{point.problem}' but the mesh is for '{disc.problem}'"
-        )
+    _check_problem(disc, point)
     if check:
         point.check_admissible()
     tg = point.time_grid
     if tg.size < 3:
         raise ResolutionError("timelines need at least three time nodes")
-    n_t = tg.size
-    zero = _zero_like(disc)
-    A = []
-    B = []
-    C = []
-    Q = []
-    if disc.problem == "wave1d":
-        a_e = disc.element_means(point.fields["a"].values)
-        b_e = disc.element_means(point.fields["b"].values)
-        q_e = disc.element_means(point.fields["q"].values)
-        rho_e = disc.element_means(point.fields["rho"].values)
-        for n in range(n_t):
-            A.append(disc.kits["stiffness"].assemble(a_e[n]))
-            B.append(disc.kits["mass"].assemble(b_e[n]))
-            C.append(disc.kits["mass"].assemble(rho_e[n]))
-            Q.append(disc.kits["mass"].assemble(q_e[n]))
-    elif disc.problem == "elastic2d":
-        lam_e = disc.element_means(point.fields["lam"].values)
-        mu_e = disc.element_means(point.fields["mu"].values)
-        rho_e = disc.element_means(point.fields["rho"].values)
-        for n in range(n_t):
-            A.append(
-                disc.kits["eps"].assemble(mu_e[n]) + disc.kits["div"].assemble(lam_e[n])
-            )
-            B.append(zero)
-            C.append(disc.kits["vmass"].assemble(rho_e[n]))
-            Q.append(zero)
-    else:  # maxwell1d
-        eps_e = disc.element_means(point.fields["eps"].values)
-        mu_e = disc.element_means(point.fields["mu"].values)
-        for n in range(n_t):
-            A.append(disc.kits["stiffness"].assemble(1.0 / mu_e[n]))
-            B.append(zero)
-            C.append(disc.kits["mass"].assemble(eps_e[n]))
-            Q.append(zero)
-    return OperatorTimeline.from_matrices(disc.problem, tg, A, B, C, Q)
+    return _assemble(
+        disc, tg, lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values))
+    )
 
 
 def assemble_direction(disc, point, direction):
     """Linearization of the parameter-to-operator map in a given direction.
 
-    ``direction`` maps field names to ParameterFields (missing names are
-    treated as zero).  Returns the operator quadruple of the derivative:
-
-    - wave1d:    (stiffness(a_bar), mass(b_bar), mass(rho_bar), mass(q_bar))
-    - elastic2d: (A_{lam_bar, mu_bar}, 0, C_{rho_bar}, 0)
-    - maxwell1d: (-stiffness(mu_bar / mu^2), 0, C_{eps_bar}, 0)
+    ``direction`` maps field names to ParameterFields or arrays (missing
+    names are treated as zero).  Each form term contributes its kit with the
+    linearized coefficient map, e.g. for maxwell1d
+    (-stiffness(mu_bar / mu^2), 0, mass(eps_bar), 0).
     """
-    if point.problem != disc.problem:
-        raise DirectionShapeError(
-            f"point is for '{point.problem}' but the mesh is for '{disc.problem}'"
-        )
-    tg = point.time_grid
-    n_t = tg.size
-    n_nodes = disc.n_nodes
-    arrs = {}
-    for name in FIELD_NAMES[disc.problem]:
-        f = direction.get(name)
-        if f is None:
-            arrs[name] = np.zeros((n_t, n_nodes))
-        else:
-            vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
-            if vals.shape != (n_t, n_nodes):
-                raise DirectionShapeError(
-                    f"direction field '{name}' has shape {vals.shape}, expected {(n_t, n_nodes)}"
-                )
-            arrs[name] = vals
+    _check_problem(disc, point)
+    shape = (point.time_grid.size, disc.n_nodes)
     unknown = set(direction) - set(FIELD_NAMES[disc.problem])
     if unknown:
         raise DirectionShapeError(
             f"direction has fields {sorted(unknown)} unknown to problem '{disc.problem}'"
         )
-
-    zero = _zero_like(disc)
-    A = []
-    B = []
-    C = []
-    Q = []
-    if disc.problem == "wave1d":
-        a_e = disc.element_means(arrs["a"])
-        b_e = disc.element_means(arrs["b"])
-        q_e = disc.element_means(arrs["q"])
-        rho_e = disc.element_means(arrs["rho"])
-        for n in range(n_t):
-            A.append(disc.kits["stiffness"].assemble(a_e[n]))
-            B.append(disc.kits["mass"].assemble(b_e[n]))
-            C.append(disc.kits["mass"].assemble(rho_e[n]))
-            Q.append(disc.kits["mass"].assemble(q_e[n]))
-    elif disc.problem == "elastic2d":
-        lam_e = disc.element_means(arrs["lam"])
-        mu_e = disc.element_means(arrs["mu"])
-        rho_e = disc.element_means(arrs["rho"])
-        for n in range(n_t):
-            A.append(
-                disc.kits["eps"].assemble(mu_e[n]) + disc.kits["div"].assemble(lam_e[n])
+    means = {}
+    for name, f in direction.items():
+        if f is None:
+            continue
+        vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
+        if vals.shape != shape:
+            raise DirectionShapeError(
+                f"direction field '{name}' has shape {vals.shape}, expected {shape}"
             )
-            B.append(zero)
-            C.append(disc.kits["vmass"].assemble(rho_e[n]))
-            Q.append(zero)
-    else:  # maxwell1d
-        mu_base = disc.element_means(point.fields["mu"].values)
-        mu_bar = disc.element_means(arrs["mu"])
-        eps_bar = disc.element_means(arrs["eps"])
-        for n in range(n_t):
-            A.append(disc.kits["stiffness"].assemble(-mu_bar[n] / mu_base[n] ** 2))
-            B.append(zero)
-            C.append(disc.kits["mass"].assemble(eps_bar[n]))
-            Q.append(zero)
-    return OperatorTimeline.from_matrices(disc.problem, tg, A, B, C, Q)
+        means[name] = disc.element_means(vals)
+
+    def coefficient(name, fmap):
+        if name not in means:
+            return None
+        return fmap[1](disc.element_means(point.fields[name].values), means[name])
+
+    return _assemble(disc, point.time_grid, coefficient)
 
 
 # ---------------------------------------------------------------------------
@@ -782,14 +853,13 @@ class CoercivityReport:
     passed: bool
 
 
-def _check_symmetric(mat, label, node):
-    dense_max = np.abs(mat.data).max() if mat.nnz else 0.0
-    asym = mat - mat.T
-    asym_max = np.abs(asym.data).max() if asym.nnz else 0.0
-    if dense_max > 0 and asym_max > 1e-12 * dense_max:
+def _check_symmetric(values, pattern, label, node):
+    scale = np.abs(values).max()
+    asym = np.abs(values - values[pattern.transpose]).max()
+    if scale > 0 and asym > 1e-12 * scale:
         raise SymmetryViolationError(
             f"operator {label} at node {node} is not symmetric: "
-            f"max asymmetry {asym_max:.3e} vs scale {dense_max:.3e}"
+            f"max asymmetry {asym:.3e} vs scale {scale:.3e}"
         )
 
 
@@ -803,16 +873,6 @@ def _smallest_generalized_eig(mat, gram):
     return float(vals[0])
 
 
-def _csr_equal(a, b):
-    return (
-        a.shape == b.shape
-        and a.nnz == b.nnz
-        and np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
-
-
 def check_coercivity(timeline, disc, threshold_A=0.0, threshold_C=0.0, slack=1e-8):
     """Smallest generalized eigenvalues of (A(t_n), K_V) and (C(t_n), M).
 
@@ -822,19 +882,15 @@ def check_coercivity(timeline, disc, threshold_A=0.0, threshold_C=0.0, slack=1e-
     """
     margins_A = np.empty(timeline.time_grid.size)
     margins_C = np.empty(timeline.time_grid.size)
-    for name, mats, gram, out in (
-        ("A", timeline.A, disc.K_V, margins_A),
-        ("C", timeline.C, disc.M, margins_C),
-    ):
-        prev = None
-        for n, mat in enumerate(mats):
-            _check_symmetric(mat.tocsr(), name, n)
-            if prev is not None and _csr_equal(mat, mats[n - 1]):
+    for name, gram, out in (("A", disc.K_V, margins_A), ("C", disc.M, margins_C)):
+        rows = timeline.values[name]
+        for n, row in enumerate(rows):
+            _check_symmetric(row, timeline.pattern, name, n)
+            if n and np.array_equal(row, rows[n - 1]):
                 out[n] = out[n - 1]
             else:
-                out[n] = _smallest_generalized_eig(mat, gram)
-            prev = mat
-    report = CoercivityReport(
+                out[n] = _smallest_generalized_eig(timeline.pattern.matrix(row), gram)
+    return CoercivityReport(
         margins_A=margins_A,
         margins_C=margins_C,
         min_A=float(margins_A.min()),
@@ -846,8 +902,6 @@ def check_coercivity(timeline, disc, threshold_A=0.0, threshold_C=0.0, slack=1e-
             margins_A.min() > threshold_A + slack and margins_C.min() > threshold_C + slack
         ),
     )
-    timeline.coercivity_margins = report
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -37,12 +37,11 @@ import numpy as np
 
 from .errors import (
     DegenerateTestError,
-    DirectionShapeError,
     ObservationError,
     RegularityError,
     RequiresForwardSolveError,
 )
-from .evolve import SourceTerm, Trajectory, solve_backward
+from .evolve import SourceTerm, Trajectory, solve_backward, solve_each, step_values
 from .forward import (
     DataVector,
     data_inner,
@@ -50,7 +49,7 @@ from .forward import (
     observe,
     trapezoid_weights,
 )
-from .galerkin import FIELD_NAMES, ParameterField, ParameterPoint, assemble_direction
+from .galerkin import FORMS, ParameterField, assemble_direction
 
 
 @dataclass
@@ -71,29 +70,6 @@ def _require_scheme(base):
     return scheme
 
 
-def _direction_fields(disc, point, direction):
-    """Normalize a direction dict to full (time x node) arrays."""
-    tg = point.time_grid
-    out = {}
-    for name in FIELD_NAMES[disc.problem]:
-        f = direction.get(name)
-        if f is None:
-            continue
-        vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
-        if vals.shape != (tg.size, disc.n_nodes):
-            raise DirectionShapeError(
-                f"direction field '{name}' has shape {vals.shape}, "
-                f"expected {(tg.size, disc.n_nodes)}"
-            )
-        out[name] = vals
-    unknown = set(direction) - set(FIELD_NAMES[disc.problem])
-    if unknown:
-        raise DirectionShapeError(
-            f"direction has fields {sorted(unknown)} unknown to '{disc.problem}'"
-        )
-    return out
-
-
 def shift_point(point, direction, s):
     """The parameter point with fields moved by s times the direction."""
     out = point.copy()
@@ -111,27 +87,18 @@ def linearized_rhs(symbol, u, h_timeline):
     -Bbar du (slot B) and -(Cbar du)' = -(dCbar) du - Cbar ddu (slot C);
     the last needs the acceleration samples.
     """
-    n_time = u.time_grid.size
-    vals = np.empty((n_time, h_timeline.n_free))
-    if symbol == "A":
-        for n in range(n_time):
-            vals[n] = -(h_timeline.A[n] @ u.u[n])
-    elif symbol == "Q":
-        for n in range(n_time):
-            vals[n] = -(h_timeline.Q[n] @ u.u[n])
-    elif symbol == "B":
-        for n in range(n_time):
-            vals[n] = -(h_timeline.B[n] @ u.du[n])
-    elif symbol == "C":
-        if u.ddu is None:
-            raise RegularityError(
-                "the C-slot source needs acceleration samples (second derivatives)"
-            )
-        for n in range(n_time):
-            vals[n] = -(h_timeline.dC[n] @ u.du[n]) - (h_timeline.C[n] @ u.ddu[n])
-    else:
+    v = h_timeline.values
+    terms = {
+        "A": [(v["A"], u.u)],
+        "B": [(v["B"], u.du)],
+        "C": [(h_timeline.rate("C"), u.du), (v["C"], u.ddu)],
+        "Q": [(v["Q"], u.u)],
+    }
+    if symbol not in terms:
         raise ValueError(f"operator slot must be one of A, B, C, Q; got {symbol!r}")
-    return SourceTerm(vals)
+    if symbol == "C" and u.ddu is None:
+        raise RegularityError("the C-slot source needs acceleration samples (second derivatives)")
+    return SourceTerm(-h_timeline.pattern.apply(*terms[symbol]))
 
 
 def derivative_apply(disc, point, direction, base):
@@ -144,55 +111,38 @@ def derivative_apply(disc, point, direction, base):
     """
     scheme = _require_scheme(base)
     timeline = scheme["timeline"]
+    pattern = timeline.pattern
     tlh = assemble_direction(disc, point, direction)
     tg = timeline.time_grid
     n_steps = tg.size - 1
     dt = timeline.dt
     two_dt = 2.0 / dt
     factors = scheme["factors"]
-    t_mats = scheme["t_mats"]
+    t_vals = scheme["t_mats"]
     c_half = scheme["c_half"]
     u = base.u
 
+    # the base trajectory's share of the recursion, for all steps at once
+    s_dot, t_dot, c_dot = step_values(tlh)
+    b = pattern.apply((t_dot, u[:-1])) - pattern.apply((s_dot, u[1:]))
+    c = two_dt * pattern.apply((c_dot, u[1:] - u[:-1]))
     eta = np.zeros_like(u)
     pi = np.zeros_like(u)
     for n in range(n_steps):
-        abar = (tlh.A[n] + tlh.A[n + 1]) * 0.5
-        bbar = (tlh.B[n] + tlh.B[n + 1]) * 0.5
-        cbar = (tlh.C[n] + tlh.C[n + 1]) * 0.5
-        qbar = (tlh.Q[n] + tlh.Q[n + 1]) * 0.5
-        aqbar = (abar + qbar) * (dt / 2.0)
-        s_dot = cbar * two_dt + bbar + aqbar
-        t_dot = cbar * two_dt + bbar - aqbar
-        b_n = t_dot @ u[n] - s_dot @ u[n + 1]
-        eta[n + 1] = factors[n].solve(t_mats[n] @ eta[n] + 2.0 * pi[n] + b_n)
-        pi[n + 1] = (
-            two_dt * (c_half[n] @ (eta[n + 1] - eta[n]))
-            - pi[n]
-            + two_dt * (cbar @ (u[n + 1] - u[n]))
-        )
+        eta[n + 1] = factors[n].solve(pattern.matvec(t_vals[n], eta[n]) + 2.0 * pi[n] + b[n])
+        pi[n + 1] = two_dt * pattern.matvec(c_half[n], eta[n + 1] - eta[n]) - pi[n] + c[n]
 
     c_factors = scheme["c_factors"]
-    deta = np.empty_like(eta)
-    ddeta = np.empty_like(eta)
-    for n in range(tg.size):
-        deta[n] = c_factors[n].solve(pi[n] - tlh.C[n] @ base.du[n])
-    for n in range(tg.size):
-        resid = (
-            -(tlh.B[n] @ base.du[n])
-            - timeline.B[n] @ deta[n]
-            - (tlh.A[n] + tlh.Q[n]) @ base.u[n]
-            - (timeline.A[n] + timeline.Q[n]) @ eta[n]
-            - (tlh.dC[n] @ base.du[n])
-            - timeline.dC[n] @ deta[n]
-            - (tlh.C[n] @ base.ddu[n] if base.ddu is not None else 0.0)
-        )
-        ddeta[n] = c_factors[n].solve(resid)
+    vb, vh = timeline.values, tlh.values
+    deta = solve_each(c_factors, pi - pattern.apply((vh["C"], base.du)))
+    resid = -pattern.apply(
+        (vh["A"], base.u), (vh["B"], base.du), (vh["Q"], base.u), (vh["C"], base.ddu),
+        (vb["A"], eta), (vb["B"], deta), (vb["Q"], eta),
+        (tlh.rate("C"), base.du), (timeline.rate("C"), deta),
+    )
+    ddeta = solve_each(c_factors, resid)
 
-    traj = Trajectory(eta, deta, ddeta, tg, dt)
-    traj.meta["direction_timeline"] = tlh
-    traj.meta["base"] = base
-    return traj
+    return Trajectory(eta, deta, ddeta, tg, dt)
 
 
 def _adjoint_seeds(disc, v, time_grid):
@@ -201,8 +151,14 @@ def _adjoint_seeds(disc, v, time_grid):
     seeds = np.zeros((time_grid.size, disc.n_free))
     if v.spec.kind == "full-field":
         seeds[:] = w[:, None] * (disc.M @ v.values.T).T
-    else:
-        seeds[:, v.spec.indices] = w[:, None] * (v.values * v.spec.weights)
+        return seeds
+    idx = v.spec.indices
+    if np.any(idx < 0) or np.any(idx >= disc.n_free):
+        raise ObservationError(
+            f"observation indices {idx.tolist()} out of range for {disc.n_free} free DOFs"
+        )
+    # a repeated index observes its DOF twice, so its seeds add up
+    np.add.at(seeds, (slice(None), idx), w[:, None] * (v.values * v.spec.weights))
     return seeds
 
 
@@ -225,13 +181,14 @@ def adjoint_apply_discrete(disc, point, v, base):
     """
     scheme = _require_scheme(base)
     timeline = scheme["timeline"]
+    pattern = timeline.pattern
     tg = timeline.time_grid
     n_steps = tg.size - 1
     dt = timeline.dt
     two_dt = 2.0 / dt
     factors = scheme["factors"]
-    t_mats = scheme["t_mats"]
-    c_half = scheme["c_half"]
+    t_tr = scheme["t_mats"][:, pattern.transpose]
+    c_tr = two_dt * scheme["c_half"][:, pattern.transpose]
     u = base.u
 
     seeds = _adjoint_seeds(disc, v, tg)
@@ -240,58 +197,33 @@ def adjoint_apply_discrete(disc, point, v, base):
     beta = np.empty((n_steps, disc.n_free))
     gamma = np.empty((n_steps, disc.n_free))
     for n in range(n_steps - 1, -1, -1):
-        a = p + two_dt * (c_half[n].T @ q)
-        r = factors[n].solve(a, trans="T")
+        cq = pattern.matvec(c_tr[n], q)
+        r = factors[n].solve(p + cq, trans="T")
         beta[n] = r
         gamma[n] = q
-        p = seeds[n] + t_mats[n].T @ r - two_dt * (c_half[n].T @ q)
+        p = seeds[n] + pattern.matvec(t_tr[n], r) - cq
         q = 2.0 * r - q
 
     du_step = u[1:] - u[:-1]
     su_step = u[:-1] + u[1:]
-    # collected coefficients of the direction operators inside the recursion:
-    # C-slot pairs with the step difference through both b_n and c_n, the
-    # B-slot pairs with the step difference through T - S, and the A/Q slots
-    # pair with the step sum through the midpoint average.
-    x_c = two_dt * (gamma - beta)
-    x_b = -beta
-    x_aq = -(dt / 2.0) * beta
-
+    # how each direction operator enters the recursion: the C slot pairs with
+    # the step difference through both b_n and the momentum update, the B
+    # slot with the step difference through T - S, and the A/Q slots with
+    # the step sum through the midpoint average.
+    pairs = {
+        "A": (-(dt / 2.0) * beta, su_step),
+        "Q": (-(dt / 2.0) * beta, su_step),
+        "B": (-beta, du_step),
+        "C": (two_dt * (gamma - beta), du_step),
+    }
     w = trapezoid_weights(tg)
     scale = 1.0 / (w[:, None] * disc.element_sizes[None, :])
-
-    fields = {}
-    if disc.problem == "wave1d":
-        acc_a = _steps_to_nodes(disc.kits["stiffness"].element_bilinear_many(x_aq, su_step))
-        acc_b = _steps_to_nodes(disc.kits["mass"].element_bilinear_many(x_b, du_step))
-        acc_q = _steps_to_nodes(disc.kits["mass"].element_bilinear_many(x_aq, su_step))
-        acc_c = _steps_to_nodes(disc.kits["mass"].element_bilinear_many(x_c, du_step))
-        fields = {
-            "a": acc_a * scale,
-            "b": acc_b * scale,
-            "q": acc_q * scale,
-            "rho": acc_c * scale,
-        }
-    elif disc.problem == "elastic2d":
-        acc_mu = _steps_to_nodes(disc.kits["eps"].element_bilinear_many(x_aq, su_step))
-        acc_lam = _steps_to_nodes(disc.kits["div"].element_bilinear_many(x_aq, su_step))
-        acc_c = _steps_to_nodes(disc.kits["vmass"].element_bilinear_many(x_c, du_step))
-        fields = {
-            "lam": acc_lam * scale,
-            "mu": acc_mu * scale,
-            "rho": acc_c * scale,
-        }
-    else:  # maxwell1d
-        acc_stiff = _steps_to_nodes(
-            disc.kits["stiffness"].element_bilinear_many(x_aq, su_step)
-        )
-        acc_c = _steps_to_nodes(disc.kits["mass"].element_bilinear_many(x_c, du_step))
-        mu_e = disc.element_means(point.fields["mu"].values)
-        fields = {
-            "eps": acc_c * scale,
-            "mu": -acc_stiff * scale / mu_e**2,
-        }
-    return GradientFields(problem=disc.problem, fields=fields, time_grid=tg)
+    return _gradient(
+        disc,
+        point,
+        tg,
+        lambda kit, slot: _steps_to_nodes(kit.element_bilinear_many(*pairs[slot])) * scale,
+    )
 
 
 def adjoint_apply_continuous(disc, point, v, base):
@@ -308,34 +240,36 @@ def adjoint_apply_continuous(disc, point, v, base):
         )
     scheme = _require_scheme(base)
     timeline = scheme["timeline"]
-    tg = timeline.time_grid
     load = SourceTerm((disc.M @ v.values.T).T)
     w = solve_backward(timeline, load)
-
+    # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
+    pairs = {
+        "A": (-base.u, w.u),
+        "Q": (-base.u, w.u),
+        "B": (-base.du, w.u),
+        "C": (base.du, w.du),
+    }
     inv_sizes = 1.0 / disc.element_sizes[None, :]
+    return _gradient(
+        disc,
+        point,
+        timeline.time_grid,
+        lambda kit, slot: kit.element_bilinear_many(*pairs[slot]) * inv_sizes,
+    )
+
+
+def _gradient(disc, point, time_grid, density):
+    """Gradient fields from slot densities through each form term's map.
+
+    ``density(kit, slot)`` is the (time x element) density of a slot with
+    respect to the element coefficients of ``kit``; the linearized
+    coefficient map of the term carries it to the field.
+    """
     fields = {}
-    if disc.problem == "wave1d":
-        fields = {
-            "a": -disc.kits["stiffness"].element_bilinear_many(base.u, w.u) * inv_sizes,
-            "b": -disc.kits["mass"].element_bilinear_many(base.du, w.u) * inv_sizes,
-            "q": -disc.kits["mass"].element_bilinear_many(base.u, w.u) * inv_sizes,
-            "rho": disc.kits["mass"].element_bilinear_many(base.du, w.du) * inv_sizes,
-        }
-    elif disc.problem == "elastic2d":
-        fields = {
-            "lam": -disc.kits["div"].element_bilinear_many(base.u, w.u) * inv_sizes,
-            "mu": -disc.kits["eps"].element_bilinear_many(base.u, w.u) * inv_sizes,
-            "rho": disc.kits["vmass"].element_bilinear_many(base.du, w.du) * inv_sizes,
-        }
-    else:  # maxwell1d
-        mu_e = disc.element_means(point.fields["mu"].values)
-        fields = {
-            "eps": disc.kits["mass"].element_bilinear_many(base.du, w.du) * inv_sizes,
-            "mu": disc.kits["stiffness"].element_bilinear_many(base.u, w.u)
-            * inv_sizes
-            / mu_e**2,
-        }
-    return GradientFields(problem=disc.problem, fields=fields, time_grid=tg)
+    for slot, kit, name, fmap in FORMS[disc.problem]:
+        g = fmap[1](disc.element_means(point.fields[name].values), density(disc.kits[kit], slot))
+        fields[name] = fields[name] + g if name in fields else g
+    return GradientFields(problem=disc.problem, fields=fields, time_grid=time_grid)
 
 
 # ---------------------------------------------------------------------------

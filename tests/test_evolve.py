@@ -394,3 +394,10 @@ def test_source_validation():
         wi.SourceTerm(np.zeros(5))
     with pytest.raises(ValueError):
         wi.SourceTerm(np.full((4, 3), np.nan))
+
+
+def test_source_rows_must_match_the_time_grid(wave_disc, time_grid, wave_point):
+    tl = wi.assemble_operators(wave_disc, wave_point)
+    for rows in (time_grid.size - 1, time_grid.size + 1):
+        with pytest.raises(wi.ResolutionError):
+            wi.solve_forward(tl, wi.SourceTerm.zero(rows, wave_disc.n_free))

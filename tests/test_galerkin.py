@@ -162,6 +162,28 @@ def test_timeline_derivative_matches_stencil(wave_disc, time_grid):
     assert np.allclose(dC[n].toarray(), expected)
 
 
+BAD_GRIDS = {
+    "sorted-random": np.sort(np.random.default_rng(5).uniform(0.0, 1.0, 41)),
+    "decreasing": np.linspace(1.0, 0.0, 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GRIDS))
+def test_bad_time_grids_rejected(wave_disc, name):
+    grid = BAD_GRIDS[name]
+    with pytest.raises(ResolutionError):
+        wi.ParameterField.constant(1.0, grid, wave_disc.n_nodes)
+    with pytest.raises(ResolutionError):
+        wi.ParameterPoint.from_constants(
+            "wave1d", grid, wave_disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0
+        )
+
+
+def test_uniform_time_grids_accepted(wave_disc):
+    for grid in (np.linspace(0.0, 2.0, 41), np.arange(0.0, 1.0 + 1e-12, 0.05), np.array([0.3])):
+        wi.ParameterField.constant(1.0, grid, wave_disc.n_nodes)
+
+
 # ---------------------------------------------------------------------------
 # coercivity
 

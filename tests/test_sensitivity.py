@@ -242,6 +242,25 @@ def test_dot_test_discrete_subset_observation(wave_disc, time_grid):
     assert dot_test(wave_disc, point, direction, v, base=base) <= 1e-12
 
 
+@pytest.mark.parametrize("indices", [[2, 50], [2, -1]])
+def test_subset_indices_checked_against_the_mesh(time_grid, indices):
+    disc = wi.build_grid("wave1d", 10)  # 9 free DOFs
+    point, f, base = wave_base(disc, time_grid)
+    spec = wi.ObservationSpec(kind="node-subset", indices=indices)
+    v = wi.DataVector(np.ones((time_grid.size, 2)), time_grid, spec)
+    with pytest.raises(ObservationError):
+        adjoint_apply_discrete(disc, point, v, base)
+
+
+def test_dot_test_discrete_repeated_subset_index(wave_disc, time_grid):
+    point, f, base = wave_base(wave_disc, time_grid)
+    direction = smooth_direction(wave_disc, time_grid, ("a", "q"))
+    spec = wi.ObservationSpec(kind="node-subset", indices=[4, 4, 9], weights=[1.0, 2.0, 0.5])
+    rng = np.random.default_rng(12)
+    v = wi.DataVector(rng.standard_normal((time_grid.size, 3)), time_grid, spec)
+    assert dot_test(wave_disc, point, direction, v, base=base) <= 1e-12
+
+
 def test_dot_test_continuous_converges():
     mismatches = []
     for n in (40, 80, 160):
