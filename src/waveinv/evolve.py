@@ -10,14 +10,12 @@ by averaging adjacent node samples.  The initial momentum (not the velocity)
 is the second initial datum, so a time-dependent C never needs to be
 differentiated inside the stepper.
 
-Operators are value arrays on the problem's fixed sparsity pattern (see
-:class:`.galerkin.OperatorTimeline`), so the half-node averages and the step
-matrices S_n, T_n of all steps come out of a few array operations.  Each
-distinct step matrix and each distinct C(t_n) is factorized once: with
-LAPACK's tridiagonal LU (``dgttrf``) when the pattern is tridiagonal, as on
-the 1D problems, and with SuperLU otherwise.  Both factor kinds solve with
-``.solve(rhs, trans=...)``; the factors are kept on the trajectory and power
-the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
+Operators are value arrays on one sparsity pattern, so the step matrices
+S_n, T_n of all steps come out of a few array operations.  Each distinct step
+matrix and each distinct C(t_n) is factorized once, with LAPACK's tridiagonal
+LU on tridiagonal patterns (the 1D problems) and with SuperLU otherwise; both
+solve with ``.solve(rhs, trans=...)``.  The factors are kept on the
+trajectory for the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
 """
 
 from __future__ import annotations
@@ -84,16 +82,19 @@ def make_source(disc, time_grid, fn):
     the mass rows so boundary-adjacent couplings are kept.
     """
     tg = np.asarray(time_grid, dtype=float)
-    nodal = np.zeros((tg.size, disc.n_dofs))
+    vals = np.empty((tg.size, disc.n_free))
+    nodal = np.zeros(disc.n_dofs)
     for i, t in enumerate(tg):
         if disc.dim == 1:
-            nodal[i] = fn(t, disc.nodes)
+            nodal[:] = fn(t, disc.nodes)
         else:
             comp = np.asarray(fn(t, disc.nodes[:, 0], disc.nodes[:, 1]))
             if comp.shape == (2, disc.n_nodes):
                 comp = comp.T
-            nodal[i] = comp.ravel()  # x and y components interleaved per node
-    return SourceTerm((disc.M_load @ nodal.T).T)
+            nodal[0::2] = comp[:, 0]
+            nodal[1::2] = comp[:, 1]
+        vals[i] = disc.M_load @ nodal
+    return SourceTerm(vals)
 
 
 def momentum_from_velocity(timeline, velocity):
@@ -188,9 +189,8 @@ def solve_forward(timeline, f, u0=None, u1=None):
     Trajectory
         With velocity ``du`` recovered from C(t_n) du = p_n and acceleration
         ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du.
-        ``meta["scheme"]`` keeps the timeline, the per-step and per-node
-        factors (``factors``, ``c_factors``) and the (step x nnz) values of
-        T_n and C_h (``t_mats``, ``c_half``).
+        ``meta["scheme"]`` keeps the timeline, the step and node factors
+        (``factors``, ``c_factors``) and the values of T_n and C_h.
     """
     tg = timeline.time_grid
     n_steps = tg.size - 1

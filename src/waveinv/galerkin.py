@@ -737,6 +737,7 @@ class OperatorTimeline:
         return float(self.time_grid[1] - self.time_grid[0])
 
     def rate(self, slot):
+        """Time derivative of a slot's values, computed once (None for an absent slot)."""
         if slot not in self._rates:
             vals = self.values[slot]
             self._rates[slot] = None if vals is None else time_difference(vals, self.dt)

@@ -210,12 +210,8 @@ def adjoint_apply_discrete(disc, point, v, base):
     # the step difference through both b_n and the momentum update, the B
     # slot with the step difference through T - S, and the A/Q slots with
     # the step sum through the midpoint average.
-    pairs = {
-        "A": (-(dt / 2.0) * beta, su_step),
-        "Q": (-(dt / 2.0) * beta, su_step),
-        "B": (-beta, du_step),
-        "C": (two_dt * (gamma - beta), du_step),
-    }
+    aq = (-(dt / 2.0) * beta, su_step)
+    pairs = {"A": aq, "Q": aq, "B": (-beta, du_step), "C": (two_dt * (gamma - beta), du_step)}
     w = trapezoid_weights(tg)
     scale = 1.0 / (w[:, None] * disc.element_sizes[None, :])
     return _gradient(
@@ -243,12 +239,8 @@ def adjoint_apply_continuous(disc, point, v, base):
     load = SourceTerm((disc.M @ v.values.T).T)
     w = solve_backward(timeline, load)
     # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
-    pairs = {
-        "A": (-base.u, w.u),
-        "Q": (-base.u, w.u),
-        "B": (-base.du, w.u),
-        "C": (base.du, w.du),
-    }
+    aq = (-base.u, w.u)
+    pairs = {"A": aq, "Q": aq, "B": (-base.du, w.u), "C": (base.du, w.du)}
     inv_sizes = 1.0 / disc.element_sizes[None, :]
     return _gradient(
         disc,
