@@ -1,40 +1,21 @@
 """Identification of time- and space-dependent coefficients in second-order
 evolution equations: Galerkin discretizations, exact discrete adjoints,
 constructive ill-posedness experiments, and iterative regularized inversion.
+
+The names below are the package's front door; everything else is reached
+through its module (``waveinv.galerkin``, ``waveinv.errors``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CGBreakdownError,
-    CompatibilityError,
-    ConfigError,
-    ConstraintViolationError,
-    DegenerateTestError,
-    DirectionShapeError,
-    InvalidMeshError,
-    ObservationError,
-    RegularityError,
-    RequiresForwardSolveError,
-    ResolutionError,
-    SlackError,
-    SolverFailureError,
-    SpectralError,
-    StepSizeError,
-    SymmetryViolationError,
-    TooLargeError,
-    WaveinvError,
-)
+from .errors import ResolutionError
 from .evolve import (
-    CompatibilityReport,
-    EnergyReport,
     SourceTerm,
     Trajectory,
     compatibility_check,
     energy_monitor,
     make_source,
     momentum_from_velocity,
-    reverse_timeline,
     solve_backward,
     solve_forward,
     y_norm,
@@ -48,61 +29,18 @@ from .forward import (
     forward_map,
     observe,
     trapezoid_weights,
-    zero_data,
 )
 from .galerkin import (
     FIELD_NAMES,
-    AdmissibleSet,
-    AssemblyKit,
-    CoercivityReport,
-    Discretization,
-    OperatorTimeline,
     ParameterField,
     ParameterPoint,
     assemble_direction,
     assemble_operators,
     build_grid,
-    check_coercivity,
-    discretization_to_json,
-    load_field_csv,
     parameter_norm,
     project_point,
-    save_discretization,
-    time_difference,
 )
-from .illposed import (
-    BumpSequence,
-    IllposedResult,
-    MotherBump,
-    RankOneSequence,
-    SvdReport,
-    bump_sequence,
-    illposed_experiment,
-    mother_bump,
-    rank_one_sequence,
-    svd_probe,
-)
-from .inversion import (
-    InversionConfig,
-    IterateHistory,
-    add_noise,
-    cgne,
-    landweber,
-)
-from .sensitivity import (
-    GradientFields,
-    TaylorReport,
-    adjoint_apply_continuous,
-    adjoint_apply_discrete,
-    derivative_apply,
-    direction_norm,
-    dot_test,
-    gradient_norm,
-    linearized_rhs,
-    nodal_gradient,
-    parameter_pairing,
-    shift_point,
-    taylor_test,
-)
+from .inversion import InversionConfig, add_noise, cgne, landweber
+from .sensitivity import GradientFields, dot_test
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -3,12 +3,14 @@
 Every experiment of the package is reachable through a JSON config and two
 subcommands::
 
-    waveinv run --config cfg.json [--out DIR] [--seed N] [--threads N]
+    waveinv run --config cfg.json [--out DIR] [--seed N]
     waveinv validate --config cfg.json
 
 ``run`` dispatches to the owning module and writes plot-ready CSV artifacts
-plus ``manifest.json`` (config hash, package versions, wall time, one content
-hash per artifact).  ``validate`` performs schema, admissibility and source
+plus ``manifest.json`` (config hash, package versions, the BLAS/OpenMP thread
+variables as the process saw them, wall time, one content hash per artifact).
+Thread counts are fixed when numpy loads, so set those variables before
+launching ``waveinv``.  ``validate`` performs schema, admissibility and source
 compatibility checks without running any solve.  Exit codes: 0 success,
 1 numerical/validation failure, 2 malformed config (message names the
 offending field path).
@@ -152,6 +154,19 @@ def _resolve(base_dir, path):
     return path if os.path.isabs(path) else os.path.join(base_dir, path)
 
 
+def _read_csv(where, spec, base_dir):
+    """The 2-D numeric table at ``spec["path"]`` (relative to the config)."""
+    if "path" not in spec:
+        raise ConfigError(where, "csv kind needs 'path'")
+    path = _resolve(base_dir, spec["path"])
+    if not os.path.exists(path):
+        raise ConfigError(where, f"referenced CSV does not exist: {path}")
+    try:
+        return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+    except ValueError as exc:
+        raise ConfigError(where, f"cannot read CSV {path}: {exc}") from exc
+
+
 def _build_field(name, fdef, disc, tg, t_end, base_dir):
     kind = fdef["kind"]
     where = f"fields/{name}"
@@ -160,12 +175,7 @@ def _build_field(name, fdef, disc, tg, t_end, base_dir):
             raise ConfigError(where, "constant field needs 'value'")
         return ParameterField.constant(fdef["value"], tg, disc.n_nodes)
     if kind == "csv":
-        if "path" not in fdef:
-            raise ConfigError(where, "csv field needs 'path'")
-        path = _resolve(base_dir, fdef["path"])
-        if not os.path.exists(path):
-            raise ConfigError(where, f"referenced CSV does not exist: {path}")
-        vals = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+        vals = _read_csv(where, fdef, base_dir)
         if vals.shape == (1, disc.n_nodes) and tg.size > 1:
             vals = np.repeat(vals, tg.size, axis=0)
         if vals.shape != (tg.size, disc.n_nodes):
@@ -253,12 +263,7 @@ def _build_source(cfg, disc, tg, base_dir):
 
         return make_source(disc, tg, fn)
     if kind == "csv":
-        if "path" not in sdef:
-            raise ConfigError("source", "csv source needs 'path'")
-        path = _resolve(base_dir, sdef["path"])
-        if not os.path.exists(path):
-            raise ConfigError("source", f"referenced CSV does not exist: {path}")
-        vals = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
+        vals = _read_csv("source", sdef, base_dir)
         if vals.shape != (tg.size, disc.n_free):
             raise ConfigError(
                 "source",
@@ -501,7 +506,7 @@ def _manufactured_error(n_elements, n_steps, t_end):
     )
     timeline = assemble_operators(disc, point)
     free = disc.free_nodes
-    u1 = timeline.C[0] @ np.sin(np.pi * disc.nodes[free])
+    u1 = timeline.matrix("C", 0) @ np.sin(np.pi * disc.nodes[free])
     traj = forward_map(disc, point, f, u1=u1)
     exact = np.sin(np.pi * disc.nodes[free])[None, :] * np.sin(tg)[:, None]
     diff = traj.u - exact
@@ -553,6 +558,15 @@ def write_artifacts(out_dir, artifacts):
     return hashes
 
 
+#: thread-count variables of the BLAS/OpenMP runtimes numpy may load
+THREAD_VARIABLES = (
+    "OMP_NUM_THREADS",
+    "OPENBLAS_NUM_THREADS",
+    "MKL_NUM_THREADS",
+    "NUMEXPR_NUM_THREADS",
+)
+
+
 def _versions():
     import scipy
 
@@ -601,6 +615,7 @@ def run_experiment(cfg, base_dir, out_dir, seed):
         "problem": cfg["problem"],
         "seed": seed,
         "versions": _versions(),
+        "threads": {var: os.environ.get(var) for var in THREAD_VARIABLES},
         "wall_time_s": time.time() - started,
         "artifacts": hashes,
     }
@@ -635,18 +650,6 @@ def validate_config(cfg, base_dir):
     return report
 
 
-def _set_threads(n):
-    if n is None:
-        return
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        os.environ[var] = str(int(n))
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="waveinv",
@@ -659,15 +662,8 @@ def main(argv=None):
     for p in (p_run, p_val):
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help="cap BLAS/OpenMP threads (best effort, via environment)",
-        )
     p_run.add_argument("--out", default=None, help="artifact directory")
     args = parser.parse_args(argv)
-    _set_threads(args.threads)
 
     try:
         cfg = load_config(args.config)

@@ -49,11 +49,7 @@ class SlackError(ConstraintViolationError):
 
 
 class DirectionShapeError(WaveinvError, ValueError):
-    """A derivative direction does not match the parameter layout."""
-
-
-class SymmetryViolationError(WaveinvError, ValueError):
-    """An operator expected to be symmetric is not (beyond tolerance)."""
+    """A direction, field or source table has the wrong layout or non-finite entries."""
 
 
 class ResolutionError(WaveinvError, ValueError):

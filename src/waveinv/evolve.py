@@ -27,7 +27,7 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import RegularityError, ResolutionError, SolverFailureError
+from .errors import DirectionShapeError, RegularityError, ResolutionError, SolverFailureError
 from .galerkin import OperatorTimeline, combine
 
 
@@ -40,9 +40,11 @@ class SourceTerm:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
-            raise ValueError(f"source must be 2-D (time x dof), got {self.values.shape}")
+            raise DirectionShapeError(
+                f"source must be 2-D (time x dof), got {self.values.shape}"
+            )
         if not np.all(np.isfinite(self.values)):
-            raise ValueError("source contains non-finite entries")
+            raise DirectionShapeError("source contains non-finite entries")
 
     @classmethod
     def zero(cls, n_time, n_free):
@@ -62,16 +64,13 @@ class Trajectory:
     ddu: np.ndarray | None
     time_grid: np.ndarray
     dt: float
-    mode: str = "midpoint"
     meta: dict = dataclass_field(default_factory=dict)
 
     def __sub__(self, other):
         ddu = None
         if self.ddu is not None and other.ddu is not None:
             ddu = self.ddu - other.ddu
-        return Trajectory(
-            self.u - other.u, self.du - other.du, ddu, self.time_grid, self.dt, self.mode
-        )
+        return Trajectory(self.u - other.u, self.du - other.du, ddu, self.time_grid, self.dt)
 
 
 def make_source(disc, time_grid, fn):
@@ -99,7 +98,7 @@ def make_source(disc, time_grid, fn):
 
 def momentum_from_velocity(timeline, velocity):
     """Initial momentum datum p(0) = C(0) v for a velocity coefficient vector."""
-    return timeline.C[0] @ np.asarray(velocity, dtype=float)
+    return timeline.matrix("C", 0) @ np.asarray(velocity, dtype=float)
 
 
 class _TridiagonalLU:
@@ -331,10 +330,11 @@ def compatibility_check(f, u0, u1, k, timeline=None):
         p0 = np.zeros(n_free) if u1 is None else np.asarray(u1, dtype=float)
         c0 = factorize(timeline.pattern, timeline.values["C"][0], 0)
         v1 = c0.solve(p0)
+        d_c0 = timeline.pattern.matrix(timeline.rate("C")[0])
         rhs = (
             fv[0]
-            - (timeline.dC[0] + timeline.B[0]) @ v1
-            - (timeline.A[0] + timeline.Q[0]) @ u0v
+            - (d_c0 + timeline.matrix("B", 0)) @ v1
+            - (timeline.matrix("A", 0) + timeline.matrix("Q", 0)) @ u0v
         )
         u2 = c0.solve(rhs)
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CompatibilityError, ObservationError
-from .evolve import SourceTerm, compatibility_check, solve_forward
-from .galerkin import assemble_operators
+from .evolve import compatibility_check, solve_forward
+from .galerkin import assemble_operators, check_time_grid
 
 
 @dataclass
@@ -66,6 +66,7 @@ class DataVector:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.time_grid = np.asarray(self.time_grid, dtype=float)
+        check_time_grid(self.time_grid)
         if self.spec is None:
             self.spec = ObservationSpec()
 
@@ -88,8 +89,8 @@ def forward_map(disc, point, f, u0=None, u1=None, k=None):
     Assembles the operator timeline (validating admissibility), optionally
     enforces the compatibility conditions at smoothness level ``k`` (skipped
     when ``k`` is None; experiment configurations own the default), and runs
-    the midpoint solver.  The trajectory's ``meta`` keeps the timeline, the
-    factorizations, the mesh and the point for reuse.
+    the midpoint solver.  The trajectory's ``meta`` keeps the timeline and
+    the factorizations for reuse.
     """
     timeline = assemble_operators(disc, point)
     if k is not None:
@@ -102,10 +103,7 @@ def forward_map(disc, point, f, u0=None, u1=None, k=None):
             raise CompatibilityError(
                 f"data fail the smoothness-{k} compatibility conditions: {fails}"
             )
-    traj = solve_forward(timeline, f, u0=u0, u1=u1)
-    traj.meta["disc"] = disc
-    traj.meta["point"] = point
-    return traj
+    return solve_forward(timeline, f, u0=u0, u1=u1)
 
 
 def observe(trajectory, spec=None):
@@ -154,8 +152,3 @@ def data_distance(d1, d2, disc):
         raise ObservationError("data vectors carry different observation specs")
     return data_norm(diff, disc)
 
-
-def zero_data(disc, time_grid, spec=None):
-    spec = spec or ObservationSpec()
-    n_cols = disc.n_free if spec.kind == "full-field" else spec.indices.size
-    return DataVector(np.zeros((np.asarray(time_grid).size, n_cols)), time_grid, spec)

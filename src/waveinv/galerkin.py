@@ -33,12 +33,9 @@ each slot.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import (
@@ -46,8 +43,6 @@ from .errors import (
     DirectionShapeError,
     InvalidMeshError,
     ResolutionError,
-    SpectralError,
-    SymmetryViolationError,
 )
 
 PROBLEMS = ("wave1d", "elastic2d", "maxwell1d")
@@ -448,6 +443,21 @@ def build_grid(problem, n, extent=None):
 # parameter fields and admissibility
 
 
+def check_time_grid(time_grid):
+    """Raise ResolutionError unless the grid increases with uniform steps.
+
+    Every step must lie within 1e-9 relative of the first, because time
+    differences and trapezoid weights take ``tg[1] - tg[0]`` as the step.
+    """
+    steps = np.diff(time_grid)
+    if steps.size and not (steps[0] > 0 and np.abs(steps - steps[0]).max() <= 1e-9 * steps[0]):
+        raise ResolutionError(
+            "time grid must increase with uniform steps (all within 1e-9 "
+            f"relative of the first), got steps from {steps.min():.6g} "
+            f"to {steps.max():.6g}"
+        )
+
+
 @dataclass
 class ParameterField:
     """A scalar coefficient tabulated on (time node x mesh node)."""
@@ -469,32 +479,12 @@ class ParameterField:
             )
         if not np.all(np.isfinite(self.values)):
             raise DirectionShapeError("field contains non-finite entries")
-        steps = np.diff(self.time_grid)
-        if steps.size and not (
-            np.all(steps > 0) and np.all(np.abs(steps - steps[0]) <= 1e-9 * steps[0])
-        ):
-            raise ResolutionError(
-                "time grid must increase with uniform steps (all within 1e-9 "
-                f"relative of the first), got steps from {steps.min():.6g} "
-                f"to {steps.max():.6g}"
-            )
+        check_time_grid(self.time_grid)
 
     @classmethod
     def constant(cls, value, time_grid, n_space):
         vals = np.full((np.asarray(time_grid).size, n_space), float(value))
         return cls(vals, time_grid)
-
-    @classmethod
-    def from_callable(cls, fn, time_grid, disc):
-        """Sample fn(t, x) (1D) or fn(t, x, y) (2D) at grid points."""
-        tg = np.asarray(time_grid, dtype=float)
-        vals = np.empty((tg.size, disc.n_nodes))
-        for i, t in enumerate(tg):
-            if disc.dim == 1:
-                vals[i] = fn(t, disc.nodes)
-            else:
-                vals[i] = fn(t, disc.nodes[:, 0], disc.nodes[:, 1])
-        return cls(vals, tg)
 
     def copy(self):
         return ParameterField(self.values.copy(), self.time_grid.copy())
@@ -624,9 +614,6 @@ class ParameterPoint:
         if bad:
             raise ConstraintViolationError(*bad[0])
 
-    def is_admissible(self):
-        return not self.bounds.violations(self.fields)
-
 
 def project_point(point):
     """Clip a parameter point back into the admissible box (with slack).
@@ -692,33 +679,12 @@ FORMS = {
 }
 
 
-class _SlotView(Sequence):
-    """Read-only sequence of the CSR matrices of one slot, built on access."""
-
-    def __init__(self, pattern, values, n_time):
-        self.pattern = pattern
-        self.values = values
-        self._n_time = n_time
-
-    def __len__(self):
-        return self._n_time
-
-    def __getitem__(self, n):
-        n = range(self._n_time)[n]
-        if isinstance(n, range):
-            return [self[i] for i in n]
-        if self.values is None:
-            return sp.csr_matrix(self.pattern.shape)
-        return self.pattern.matrix(self.values[n])
-
-
 class OperatorTimeline:
     """Time-sampled operator quadruple (A, B, C, Q) on one sparsity pattern.
 
     ``values[slot]`` is a (time node x nnz) array of pattern values, or None
     for a slot that vanishes identically; ``rate(slot)`` is its second-order
-    time derivative.  ``A[n]`` ... ``Q[n]`` and ``dA[n]`` ... ``dQ[n]`` build
-    the CSR matrix of one node on access.
+    time derivative, and ``matrix(slot, n)`` builds the CSR matrix of one node.
     """
 
     def __init__(self, problem, time_grid, pattern, values):
@@ -743,23 +709,12 @@ class OperatorTimeline:
             self._rates[slot] = None if vals is None else time_difference(vals, self.dt)
         return self._rates[slot]
 
-    def _view(self, values):
-        return _SlotView(self.pattern, values, self.time_grid.size)
-
-    A = property(lambda self: self._view(self.values["A"]))
-    B = property(lambda self: self._view(self.values["B"]))
-    C = property(lambda self: self._view(self.values["C"]))
-    Q = property(lambda self: self._view(self.values["Q"]))
-    dA = property(lambda self: self._view(self.rate("A")))
-    dB = property(lambda self: self._view(self.rate("B")))
-    dC = property(lambda self: self._view(self.rate("C")))
-    dQ = property(lambda self: self._view(self.rate("Q")))
-
-
-def matrix_time_derivative(mats, dt):
-    """Time derivatives of the matrices of a timeline slot (see :func:`time_difference`)."""
-    values = None if mats.values is None else time_difference(mats.values, dt)
-    return _SlotView(mats.pattern, values, len(mats))
+    def matrix(self, slot, n):
+        """CSR matrix of a slot at time node n (all zeros for an absent slot)."""
+        values = self.values[slot]
+        if values is None:
+            return sp.csr_matrix(self.pattern.shape)
+        return self.pattern.matrix(values[n])
 
 
 def _assemble(disc, time_grid, coefficient):
@@ -837,75 +792,6 @@ def assemble_direction(disc, point, direction):
 
 
 # ---------------------------------------------------------------------------
-# coercivity
-
-
-@dataclass
-class CoercivityReport:
-    """Per-node coercivity margins of (A, K_V) and (C, M)."""
-
-    margins_A: np.ndarray
-    margins_C: np.ndarray
-    min_A: float
-    min_C: float
-    threshold_A: float
-    threshold_C: float
-    slack: float
-    passed: bool
-
-
-def _check_symmetric(values, pattern, label, node):
-    scale = np.abs(values).max()
-    asym = np.abs(values - values[pattern.transpose]).max()
-    if scale > 0 and asym > 1e-12 * scale:
-        raise SymmetryViolationError(
-            f"operator {label} at node {node} is not symmetric: "
-            f"max asymmetry {asym:.3e} vs scale {scale:.3e}"
-        )
-
-
-def _smallest_generalized_eig(mat, gram):
-    try:
-        vals = scipy.linalg.eigh(
-            mat.toarray(), gram.toarray(), eigvals_only=True, subset_by_index=[0, 0]
-        )
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - hard to trigger
-        raise SpectralError(f"generalized eigensolve failed: {exc}") from exc
-    return float(vals[0])
-
-
-def check_coercivity(timeline, disc, threshold_A=0.0, threshold_C=0.0, slack=1e-8):
-    """Smallest generalized eigenvalues of (A(t_n), K_V) and (C(t_n), M).
-
-    The report records per-node margins, their minima, and whether both
-    minima exceed the configured thresholds by the strict slack (interior
-    membership).  Consecutive identical operator samples share one solve.
-    """
-    margins_A = np.empty(timeline.time_grid.size)
-    margins_C = np.empty(timeline.time_grid.size)
-    for name, gram, out in (("A", disc.K_V, margins_A), ("C", disc.M, margins_C)):
-        rows = timeline.values[name]
-        for n, row in enumerate(rows):
-            _check_symmetric(row, timeline.pattern, name, n)
-            if n and np.array_equal(row, rows[n - 1]):
-                out[n] = out[n - 1]
-            else:
-                out[n] = _smallest_generalized_eig(timeline.pattern.matrix(row), gram)
-    return CoercivityReport(
-        margins_A=margins_A,
-        margins_C=margins_C,
-        min_A=float(margins_A.min()),
-        min_C=float(margins_C.min()),
-        threshold_A=threshold_A,
-        threshold_C=threshold_C,
-        slack=slack,
-        passed=bool(
-            margins_A.min() > threshold_A + slack and margins_C.min() > threshold_C + slack
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
 # discrete parameter norms
 
 
@@ -942,47 +828,3 @@ def parameter_norm(field, k):
         if order < k + 1:
             cur = time_difference(cur, dt)
     return best
-
-
-# ---------------------------------------------------------------------------
-# external interfaces
-
-
-def _triplets(mat):
-    coo = mat.tocoo()
-    return {
-        "shape": list(coo.shape),
-        "rows": coo.row.tolist(),
-        "cols": coo.col.tolist(),
-        "values": coo.data.tolist(),
-    }
-
-
-def discretization_to_json(disc):
-    """JSON-serializable dump: nodes, connectivity, inner-product triplets."""
-    return {
-        "problem": disc.problem,
-        "dim": disc.dim,
-        "n_components": disc.n_components,
-        "nodes": np.asarray(disc.nodes).tolist(),
-        "elements": disc.elements.tolist(),
-        "free_dofs": disc.free_dofs.tolist(),
-        "M": _triplets(disc.M),
-        "K_V": _triplets(disc.K_V),
-    }
-
-
-def save_discretization(disc, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(discretization_to_json(disc), fh)
-
-
-def load_field_csv(path, time_grid, n_space):
-    """Read a coefficient table (time rows x space columns) from CSV."""
-    vals = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-    tg = np.asarray(time_grid, dtype=float)
-    if vals.shape != (tg.size, n_space):
-        raise DirectionShapeError(
-            f"CSV table {path} has shape {vals.shape}, expected {(tg.size, n_space)}"
-        )
-    return ParameterField(vals, tg)

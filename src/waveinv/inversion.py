@@ -60,7 +60,6 @@ class IterateHistory:
 
     residuals: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
-    accepted: list = field(default_factory=list)
     stopping_reason: str = ""
     n_iterations: int = 0
     step_size: float | None = None
@@ -182,7 +181,6 @@ def landweber(disc, x0, data, f, config, u0=None, u1=None):
         for name in targets:
             x.fields[name].values = x.fields[name].values - omega * grad[name]
         x = project_point(x)
-        history.accepted.append(True)
 
     history.n_iterations = len(history.residuals) - 1
     history.final_point = x
@@ -244,7 +242,6 @@ def cgne(disc, x0, data, f, config, u0=None, u1=None):
             beta = gamma_new / gamma
             p = {name: s_new[name] + beta * p[name] for name in targets}
             gamma = gamma_new
-            history.accepted.append(True)
         history.stopping_reason = stopped
         for name in targets:
             x.fields[name].values = x.fields[name].values + h[name]

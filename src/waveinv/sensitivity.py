@@ -38,7 +38,6 @@ import numpy as np
 from .errors import (
     DegenerateTestError,
     ObservationError,
-    RegularityError,
     RequiresForwardSolveError,
 )
 from .evolve import SourceTerm, Trajectory, solve_backward, solve_each, step_values
@@ -77,28 +76,6 @@ def shift_point(point, direction, s):
         vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
         out.fields[name].values = out.fields[name].values + s * vals
     return out
-
-
-def linearized_rhs(symbol, u, h_timeline):
-    """Node-sampled source of the linearized equation for one operator slot.
-
-    For a direction quadruple (Abar, Bbar, Cbar, Qbar) the linearized
-    equation is driven by  -Abar u  (slot A), -Qbar u (slot Q),
-    -Bbar du (slot B) and -(Cbar du)' = -(dCbar) du - Cbar ddu (slot C);
-    the last needs the acceleration samples.
-    """
-    v = h_timeline.values
-    terms = {
-        "A": [(v["A"], u.u)],
-        "B": [(v["B"], u.du)],
-        "C": [(h_timeline.rate("C"), u.du), (v["C"], u.ddu)],
-        "Q": [(v["Q"], u.u)],
-    }
-    if symbol not in terms:
-        raise ValueError(f"operator slot must be one of A, B, C, Q; got {symbol!r}")
-    if symbol == "C" and u.ddu is None:
-        raise RegularityError("the C-slot source needs acceleration samples (second derivatives)")
-    return SourceTerm(-h_timeline.pattern.apply(*terms[symbol]))
 
 
 def derivative_apply(disc, point, direction, base):

@@ -157,7 +157,7 @@ def _wave_mms_error(n_elements, n_steps):
         disc, tg, lambda t, x: (np.pi**2 - 1.0) * np.sin(np.pi * x) * np.sin(t)
     )
     tl = wi.assemble_operators(disc, point)
-    u1 = tl.C[0] @ np.sin(np.pi * disc.nodes[disc.free_nodes])
+    u1 = tl.matrix("C", 0) @ np.sin(np.pi * disc.nodes[disc.free_nodes])
     traj = wi.forward_map(disc, point, f, u1=u1)
     exact = np.outer(np.sin(tg), np.sin(np.pi * disc.nodes[disc.free_nodes]))
     diff = traj.u - exact

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from waveinv.cli import main
+from waveinv.cli import THREAD_VARIABLES, build_setup, main
 
 
 def base_config(**overrides):
@@ -98,6 +98,58 @@ def test_missing_parameter_field_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# tabulated fields and sources
+
+
+def test_csv_field_full_table_and_broadcast_row(tmp_path, capsys):
+    table = 1.0 + 0.1 * np.outer(np.linspace(0.0, 1.0, 21), np.linspace(0.0, 1.0, 7))
+    np.savetxt(tmp_path / "full.csv", table, delimiter=",")
+    np.savetxt(tmp_path / "row.csv", table[:1], delimiter=",")
+    for name, expected in (("full.csv", table), ("row.csv", np.repeat(table[:1], 21, axis=0))):
+        cfg = base_config()
+        cfg["fields"]["a"] = {"kind": "csv", "path": name}
+        _, point, _, _ = build_setup(cfg, str(tmp_path))
+        assert np.array_equal(point.fields["a"].values, expected), name
+        path = write_config(tmp_path, cfg)
+        assert main(["run", "--config", path, "--out", str(tmp_path / name[:-4])]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [(np.ones((21, 6)), "shape (21, 6)"), (None, "does not exist"), ("1,x\n", "cannot read")],
+    ids=["wrong-shape", "missing-file", "not-numeric"],
+)
+def test_bad_csv_field_exits_2(tmp_path, capsys, table, message):
+    if isinstance(table, str):
+        (tmp_path / "a.csv").write_text(table)
+    elif table is not None:
+        np.savetxt(tmp_path / "a.csv", table, delimiter=",")
+    cfg = base_config()
+    cfg["fields"]["a"] = {"kind": "csv", "path": "a.csv"}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "fields/a" in err and message in err
+
+
+def test_csv_source_shape(tmp_path, capsys):
+    loads = np.outer(np.linspace(0.0, 1.0, 21) ** 2, np.arange(1.0, 6.0))
+    np.savetxt(tmp_path / "f.csv", loads, delimiter=",")
+    cfg = base_config(source={"kind": "csv", "path": "f.csv"})
+    _, _, _, f = build_setup(cfg, str(tmp_path))
+    assert np.array_equal(f.values, loads)
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+
+    np.savetxt(tmp_path / "f.csv", np.ones((21, 7)), delimiter=",")
+    assert main(["validate", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert "source" in err and "shape (21, 7)" in err
+
+
+# ---------------------------------------------------------------------------
 # forward experiment and artifact plumbing
 
 
@@ -121,6 +173,22 @@ def test_forward_run_writes_artifacts_and_manifest(tmp_path, capsys):
     for name, digest in manifest["artifacts"].items():
         payload = (out / name).read_bytes()
         assert hashlib.sha256(payload).hexdigest() == digest, name
+
+
+def test_manifest_records_thread_variables(tmp_path, capsys, monkeypatch):
+    for var in THREAD_VARIABLES:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    path = write_config(tmp_path, base_config())
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["threads"] == {
+        "OMP_NUM_THREADS": "3",
+        "OPENBLAS_NUM_THREADS": None,
+        "MKL_NUM_THREADS": None,
+        "NUMEXPR_NUM_THREADS": None,
+    }
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
@@ -275,15 +343,7 @@ def test_convergence_run_and_wrong_problem(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# flags and packaging
-
-
-def test_threads_flag_sets_environment(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "4")
-    path = write_config(tmp_path, base_config())
-    assert main(["validate", "--config", path, "--threads", "1"]) == 0
-    capsys.readouterr()
-    assert os.environ["OMP_NUM_THREADS"] == "1"
+# packaging
 
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveinv as wi
+from waveinv.errors import DirectionShapeError
 from waveinv.evolve import reverse_timeline
 
 from conftest import varied_point
@@ -159,18 +160,18 @@ def dense_midpoint_oracle(tl, f, u0, p0):
     operators, independently of the sparse factorized recursion.
     """
     n_time = tl.time_grid.size
-    m = tl.C[0].shape[0]
+    m = tl.matrix("C", 0).shape[0]
     dt = tl.dt
     eye = np.eye(m)
     u = np.empty((n_time, m))
     p = np.empty((n_time, m))
     u[0], p[0] = u0, p0
     for n in range(n_time - 1):
-        ch = (tl.C[n].toarray() + tl.C[n + 1].toarray()) / 2.0
-        bh = (tl.B[n].toarray() + tl.B[n + 1].toarray()) / 2.0
+        ch = (tl.matrix("C", n).toarray() + tl.matrix("C", n + 1).toarray()) / 2.0
+        bh = (tl.matrix("B", n).toarray() + tl.matrix("B", n + 1).toarray()) / 2.0
         aqh = (
-            tl.A[n].toarray() + tl.Q[n].toarray()
-            + tl.A[n + 1].toarray() + tl.Q[n + 1].toarray()
+            tl.matrix("A", n).toarray() + tl.matrix("Q", n).toarray()
+            + tl.matrix("A", n + 1).toarray() + tl.matrix("Q", n + 1).toarray()
         ) / 2.0
         fbar = (f.values[n] + f.values[n + 1]) / 2.0
         block = np.block([[ch / dt, -eye / 2.0], [bh / dt + aqh / 2.0, eye / dt]])
@@ -312,8 +313,8 @@ def test_reverse_timeline_involution_without_damping(wave_disc, time_grid):
     tl = wi.assemble_operators(wave_disc, point)
     twice = reverse_timeline(reverse_timeline(tl))
     for n in (0, time_grid.size // 2, time_grid.size - 1):
-        assert np.allclose(twice.A[n].toarray(), tl.A[n].toarray())
-        assert np.allclose(twice.Q[n].toarray(), tl.Q[n].toarray())
+        assert np.allclose(twice.matrix("A", n).toarray(), tl.matrix("A", n).toarray())
+        assert np.allclose(twice.matrix("Q", n).toarray(), tl.matrix("Q", n).toarray())
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +391,10 @@ def test_y_norm_levels_and_homogeneity(wave_disc, time_grid, wave_point):
 
 
 def test_source_validation():
-    with pytest.raises(ValueError):
-        wi.SourceTerm(np.zeros(5))
-    with pytest.raises(ValueError):
-        wi.SourceTerm(np.full((4, 3), np.nan))
+    for bad in (np.zeros(5), np.full((4, 3), np.nan)):
+        with pytest.raises(DirectionShapeError):
+            wi.SourceTerm(bad)
+    assert issubclass(DirectionShapeError, ValueError)
 
 
 def test_source_rows_must_match_the_time_grid(wave_disc, time_grid, wave_point):

@@ -11,11 +11,7 @@ from waveinv.errors import (
     InvalidMeshError,
     ResolutionError,
 )
-from waveinv.galerkin import (
-    check_coercivity,
-    matrix_time_derivative,
-    time_difference,
-)
+from waveinv.galerkin import time_difference
 
 from conftest import varied_point
 
@@ -87,8 +83,8 @@ def test_wave_mass_and_stiffness_entries():
     tg = np.linspace(0.0, 1.0, 3)
     point = wi.ParameterPoint.from_constants("wave1d", tg, d.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0)
     tl = wi.assemble_operators(d, point)
-    C = tl.C[0].toarray()
-    A = tl.A[0].toarray()
+    C = tl.matrix("C", 0).toarray()
+    A = tl.matrix("A", 0).toarray()
     assert np.allclose(np.diag(C), 2.0 * h / 3.0)
     assert np.allclose(np.diag(C, 1), h / 6.0)
     assert np.allclose(np.diag(A), 2.0 / h)
@@ -108,7 +104,7 @@ def test_assembly_linear_in_coefficients(wave_disc, time_grid):
             "wave1d", time_grid, wave_disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0
         )
         point.fields["a"].values = vals
-        return wi.assemble_operators(wave_disc, point).A[n].toarray()
+        return wi.assemble_operators(wave_disc, point).matrix("A", n).toarray()
 
     combo = stiffness_at(0.25 * f1 + 0.75 * f2, 7)
     parts = 0.25 * stiffness_at(f1, 7) + 0.75 * stiffness_at(f2, 7)
@@ -117,14 +113,14 @@ def test_assembly_linear_in_coefficients(wave_disc, time_grid):
 
 def test_elastic_operator_symmetric_positive(elastic_disc, elastic_point):
     tl = wi.assemble_operators(elastic_disc, elastic_point)
-    A = tl.A[0].toarray()
-    C = tl.C[0].toarray()
+    A = tl.matrix("A", 0).toarray()
+    C = tl.matrix("C", 0).toarray()
     assert np.allclose(A, A.T)
     assert np.allclose(C, C.T)
     assert np.linalg.eigvalsh(A).min() > 0
     assert np.linalg.eigvalsh(C).min() > 0
-    assert tl.B is None or all(b.nnz == 0 for b in tl.B)
-    assert tl.Q is None or all(q.nnz == 0 for q in tl.Q)
+    assert tl.values["B"] is None and tl.values["Q"] is None
+    assert tl.matrix("B", 0).nnz == 0
 
 
 def test_maxwell_reciprocal_sampling(maxwell_disc, time_grid):
@@ -133,14 +129,14 @@ def test_maxwell_reciprocal_sampling(maxwell_disc, time_grid):
         "maxwell1d", time_grid, maxwell_disc.n_nodes, eps=1.0, mu=2.0
     )
     tl = wi.assemble_operators(maxwell_disc, point)
-    assert np.allclose(tl.A[0].toarray(), 0.5 * maxwell_disc.K_V.toarray())
+    assert np.allclose(tl.matrix("A", 0).toarray(), 0.5 * maxwell_disc.K_V.toarray())
     # and the element sample is the vertex mean of mu, taken before inverting
     nodal_mu = np.linspace(1.0, 2.0, maxwell_disc.n_nodes)
     point.fields["mu"].values = np.tile(nodal_mu, (time_grid.size, 1))
     tl = wi.assemble_operators(maxwell_disc, point)
     mu_e = maxwell_disc.element_means(nodal_mu)
     kit = maxwell_disc.kits["stiffness"]
-    assert np.allclose(tl.A[0].toarray(), kit.assemble(1.0 / mu_e).toarray())
+    assert np.allclose(tl.matrix("A", 0).toarray(), kit.assemble(1.0 / mu_e).toarray())
 
 
 def test_assemble_operators_rejects_inadmissible(wave_disc, time_grid):
@@ -156,10 +152,9 @@ def test_timeline_derivative_matches_stencil(wave_disc, time_grid):
     point = varied_point(wave_disc, time_grid)
     tl = wi.assemble_operators(wave_disc, point)
     dt = time_grid[1] - time_grid[0]
-    dC = matrix_time_derivative(tl.C, dt)
     n = 17
-    expected = (tl.C[n + 1].toarray() - tl.C[n - 1].toarray()) / (2 * dt)
-    assert np.allclose(dC[n].toarray(), expected)
+    expected = (tl.matrix("C", n + 1).toarray() - tl.matrix("C", n - 1).toarray()) / (2 * dt)
+    assert np.allclose(tl.pattern.matrix(tl.rate("C")[n]).toarray(), expected)
 
 
 BAD_GRIDS = {
@@ -177,37 +172,14 @@ def test_bad_time_grids_rejected(wave_disc, name):
         wi.ParameterPoint.from_constants(
             "wave1d", grid, wave_disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0
         )
+    with pytest.raises(ResolutionError):
+        wi.DataVector(np.ones((grid.size, wave_disc.n_free)), grid)
 
 
 def test_uniform_time_grids_accepted(wave_disc):
     for grid in (np.linspace(0.0, 2.0, 41), np.arange(0.0, 1.0 + 1e-12, 0.05), np.array([0.3])):
         wi.ParameterField.constant(1.0, grid, wave_disc.n_nodes)
-
-
-# ---------------------------------------------------------------------------
-# coercivity
-
-
-def test_coercivity_margin_tracks_coefficient(wave_disc, time_grid):
-    point = wi.ParameterPoint.from_constants(
-        "wave1d", time_grid, wave_disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=2.0
-    )
-    point.fields["a"].values = np.tile(1.0 + time_grid[:, None], (1, wave_disc.n_nodes))
-    tl = wi.assemble_operators(wave_disc, point)
-    report = check_coercivity(tl, wave_disc)
-    assert np.allclose(report.margins_A, 1.0 + time_grid, atol=1e-10)
-    assert np.allclose(report.margins_C, 2.0, atol=1e-10)
-    assert report.min_A == pytest.approx(1.0)
-    assert report.passed
-
-
-def test_coercivity_threshold_failure(wave_disc, time_grid):
-    point = wi.ParameterPoint.from_constants(
-        "wave1d", time_grid, wave_disc.n_nodes, a=0.2, b=0.0, q=0.0, rho=1.0
-    )
-    tl = wi.assemble_operators(wave_disc, point)
-    report = check_coercivity(tl, wave_disc, threshold_A=0.5)
-    assert not report.passed
+        wi.DataVector(np.ones((grid.size, wave_disc.n_free)), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -331,26 +303,3 @@ def test_parameter_norm_monotone_in_smoothness_order(seed, k):
     field = wi.ParameterField.constant(0.0, tg, 3)
     field.values = rng.standard_normal(field.values.shape)
     assert wi.parameter_norm(field, k) <= wi.parameter_norm(field, k + 1) + 1e-12
-
-
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def test_field_csv_round_trip(tmp_path, time_grid):
-    rng = np.random.default_rng(4)
-    values = rng.uniform(0.5, 1.5, (time_grid.size, 7))
-    path = tmp_path / "field.csv"
-    np.savetxt(path, values, delimiter=",")
-    field = wi.load_field_csv(path, time_grid, 7)
-    assert np.allclose(field.values, values)
-    with pytest.raises(ValueError):
-        wi.load_field_csv(path, time_grid, 9)
-
-
-def test_discretization_json_summary(wave_disc, tmp_path):
-    blob = wi.discretization_to_json(wave_disc)
-    assert blob["problem"] == "wave1d"
-    assert len(blob["free_dofs"]) == wave_disc.n_free
-    wi.save_discretization(wave_disc, tmp_path / "disc.json")
-    assert (tmp_path / "disc.json").stat().st_size > 0

@@ -1,0 +1,41 @@
+"""Smoke tests: each study script runs end to end on a tiny instance."""
+
+import importlib.util
+import pathlib
+import re
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_adjoint_checks_script(capsys):
+    script = load_script("run_adjoint_checks")
+    assert script.main(["--elements", "6", "--steps", "12", "--pairs", "1"]) == 0
+    out = capsys.readouterr().out
+    mismatches = re.findall(r"(\w+): discrete adjoint mismatch (\S+)", out)
+    assert [problem for problem, _ in mismatches] == ["wave1d", "elastic2d", "maxwell1d"]
+    assert all(float(value) < 1e-12 for _, value in mismatches)
+    orders = [float(v) for v in re.findall(r"Taylor order in '\w+' = (\S+)", out)]
+    assert len(orders) == 9 and all(o == pytest.approx(2.0, abs=0.05) for o in orders)
+
+
+def test_instability_demo_script(capsys):
+    script = load_script("run_instability_demo")
+    assert script.main(["--elements", "6", "--steps", "48", "--j", "4", "8"]) == 0
+    assert "outputs strictly decreasing: True" in capsys.readouterr().out
+
+
+def test_reconstruction_demo_script(capsys):
+    script = load_script("run_reconstruction_demo")
+    args = ["--elements", "6", "--steps", "16", "--max-iterations", "5"]
+    assert script.main(args) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("landweber: ") and "\ncgne: " in out

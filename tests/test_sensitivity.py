@@ -10,7 +10,6 @@ from waveinv.errors import (
     DegenerateTestError,
     DirectionShapeError,
     ObservationError,
-    RegularityError,
     RequiresForwardSolveError,
 )
 from waveinv.sensitivity import (
@@ -20,7 +19,6 @@ from waveinv.sensitivity import (
     direction_norm,
     dot_test,
     gradient_norm,
-    linearized_rhs,
     nodal_gradient,
     parameter_pairing,
     shift_point,
@@ -79,7 +77,7 @@ def test_derivative_initial_velocity_term(wave_disc, time_grid):
     deriv = derivative_apply(wave_disc, point, direction, base)
     cbar = wi.assemble_direction(wave_disc, point, direction)
     expected = -np.linalg.solve(
-        tl.C[0].toarray(), cbar.C[0] @ base.du[0]
+        tl.matrix("C", 0).toarray(), cbar.matrix("C", 0) @ base.du[0]
     )
     assert np.abs(deriv.du[0] - expected).max() <= 1e-10
     assert np.abs(deriv.u[0]).max() == 0.0  # the state datum is fixed
@@ -102,26 +100,6 @@ def test_derivative_requires_cached_solve(wave_disc, time_grid):
         derivative_apply(
             wave_disc, point, smooth_direction(wave_disc, time_grid, ("a",)), bare
         )
-
-
-def test_linearized_rhs_slot_semantics(wave_disc, time_grid):
-    point, f, base = wave_base(wave_disc, time_grid)
-    direction = smooth_direction(wave_disc, time_grid, ("a", "b", "rho", "q"))
-    h_tl = wi.assemble_direction(wave_disc, point, direction)
-    n = 11
-    assert np.allclose(
-        linearized_rhs("A", base, h_tl).values[n], -(h_tl.A[n] @ base.u[n])
-    )
-    assert np.allclose(
-        linearized_rhs("B", base, h_tl).values[n], -(h_tl.B[n] @ base.du[n])
-    )
-    expected_c = -(h_tl.dC[n] @ base.du[n]) - (h_tl.C[n] @ base.ddu[n])
-    assert np.allclose(linearized_rhs("C", base, h_tl).values[n], expected_c)
-    with pytest.raises(ValueError):
-        linearized_rhs("Z", base, h_tl)
-    no_acc = wi.Trajectory(base.u, base.du, None, base.time_grid, base.dt)
-    with pytest.raises(RegularityError):
-        linearized_rhs("C", no_acc, h_tl)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def assert_slots_match(tl, expected_at, n_time):
         expected = expected_at(n)
         for slot in SLOTS:
             want = expected[slot].toarray()
-            got = getattr(tl, slot)[n].toarray()
+            got = tl.matrix(slot, n).toarray()
             scale = max(np.abs(want).max(), 1e-300)
             assert np.abs(got - want).max() <= 1e-14 * scale, (slot, n)
 
@@ -102,15 +102,15 @@ def splu_march(tl, f, u0, p0):
     p = np.zeros_like(u)
     u[0], p[0] = u0, p0
     for n in range(n_time - 1):
-        ch = (tl.C[n] + tl.C[n + 1]) * 0.5
-        bh = (tl.B[n] + tl.B[n + 1]) * 0.5
-        aq = (tl.A[n] + tl.A[n + 1] + tl.Q[n] + tl.Q[n + 1]) * (dt / 4.0)
+        ch = (tl.matrix("C", n) + tl.matrix("C", n + 1)) * 0.5
+        bh = (tl.matrix("B", n) + tl.matrix("B", n + 1)) * 0.5
+        aq = (tl.matrix("A", n) + tl.matrix("A", n + 1) + tl.matrix("Q", n) + tl.matrix("Q", n + 1)) * (dt / 4.0)
         s_mat = ch * (2.0 / dt) + bh + aq
         t_mat = ch * (2.0 / dt) + bh - aq
         rhs = t_mat @ u[n] + 2.0 * p[n] + 0.5 * dt * (f.values[n] + f.values[n + 1])
         u[n + 1] = spla.splu(s_mat.tocsc()).solve(rhs)
         p[n + 1] = (2.0 / dt) * (ch @ (u[n + 1] - u[n])) - p[n]
-    du = np.array([spla.splu(tl.C[n].tocsc()).solve(p[n]) for n in range(n_time)])
+    du = np.array([spla.splu(tl.matrix("C", n).tocsc()).solve(p[n]) for n in range(n_time)])
     return u, du
 
 
