@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ConstraintViolationError, WaveinvError
+from .errors import ConfigError, ConstraintViolationError, ResolutionError, WaveinvError
 from .evolve import SourceTerm, compatibility_check, make_source
 from .forward import DataVector, data_norm, forward_map, observe
 from .galerkin import (
@@ -191,7 +191,10 @@ def _build_field(name, fdef, disc, tg, t_end, base_dir):
                 raise ConfigError(where, f"bump field needs '{key}'")
         r = int(fdef.get("r", 3))
         t0 = float(fdef.get("t0", 0.5 * t_end))
-        seq = bump_sequence(r, t0, t_end, tg, [int(fdef["j"])])
+        try:
+            seq = bump_sequence(r, t0, t_end, tg, [int(fdef["j"])])
+        except ResolutionError as exc:
+            raise ConfigError(where, str(exc)) from exc
         shift = 0.5 * float(fdef["delta"]) * seq.samples[int(fdef["j"])]
         vals = float(fdef["base"]) + np.repeat(shift[:, None], disc.n_nodes, axis=1)
         return ParameterField(vals, tg)
@@ -628,10 +631,7 @@ def run_experiment(cfg, base_dir, out_dir, seed):
 def validate_config(cfg, base_dir):
     """Schema, admissibility and compatibility checks without solving."""
     report = {"schema": "ok", "admissible": True, "violations": [], "passed": True}
-    try:
-        disc, point, tg, f = build_setup(cfg, base_dir)
-    except ConfigError:
-        raise
+    disc, point, tg, f = build_setup(cfg, base_dir)
     try:
         point.check_admissible()
     except ConstraintViolationError as exc:

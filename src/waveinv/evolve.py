@@ -12,10 +12,9 @@ differentiated inside the stepper.
 
 Operators are value arrays on one sparsity pattern, so the step matrices
 S_n, T_n of all steps come out of a few array operations.  Each distinct step
-matrix and each distinct C(t_n) is factorized once, with LAPACK's tridiagonal
-LU on tridiagonal patterns (the 1D problems) and with SuperLU otherwise; both
-solve with ``.solve(rhs, trans=...)``.  The factors are kept on the
-trajectory for the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
+matrix and each distinct C(t_n) is factorized once by LAPACK band LU
+(:class:`BandLU`), which solves with ``.solve(rhs, trans=...)``.  The factors
+are kept on the trajectory for the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.linalg.lapack as lapack
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DirectionShapeError, RegularityError, ResolutionError, SolverFailureError
@@ -101,30 +99,30 @@ def momentum_from_velocity(timeline, velocity):
     return timeline.matrix("C", 0) @ np.asarray(velocity, dtype=float)
 
 
-class _TridiagonalLU:
-    """LAPACK ``dgttrf`` factors of a tridiagonal matrix."""
+class BandLU:
+    """LAPACK LU factors of the matrix with ``values`` on a banded ``pattern``.
 
-    def __init__(self, lower, diag, upper, node):
-        *self._lu, info = lapack.dgttrf(lower, diag, upper)
+    Tridiagonal matrices of at least three rows use ``dgttrf``/``dgttrs`` (the
+    1D problems), all others general band ``dgbtrf``/``dgbtrs``.
+    """
+
+    def __init__(self, pattern, values, node):
+        kd = pattern.kd
+        ab = pattern.band(values)
+        if kd == 1 and pattern.n >= 3:  # band rows 3, 2, 1: sub-, main and super-diagonal
+            *lu, info = lapack.dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
+            self._solve = lambda rhs, trans: lapack.dgttrs(*lu, rhs, trans=trans)[0]
+        else:
+            lu, piv, info = lapack.dgbtrf(ab, kd, kd, overwrite_ab=True)
+            self._solve = lambda rhs, trans: lapack.dgbtrs(
+                lu, kd, kd, rhs, piv, trans="NT".index(trans)
+            )[0]
         if info != 0:
-            raise SolverFailureError(node, f"factorization failed (dgttrf info {info})")
+            raise SolverFailureError(node, f"factorization failed (LAPACK info {info})")
 
     def solve(self, rhs, trans="N"):
-        return lapack.dgttrs(*self._lu, rhs, trans=trans)[0]
-
-
-def factorize(pattern, values, node):
-    """Factors of the matrix with ``values`` on ``pattern``, solved by ``.solve(rhs, trans=)``."""
-    if pattern.bands is not None:
-        return _TridiagonalLU(*(values[band] for band in pattern.bands), node)
-    # the pattern is symmetric, so the CSC arrays are the CSR ones with transposed values
-    csc = sp.csc_matrix(
-        (values[pattern.transpose], pattern.indices, pattern.indptr), shape=pattern.shape
-    )
-    try:
-        return spla.splu(csc)
-    except RuntimeError as exc:
-        raise SolverFailureError(node, f"factorization failed ({exc})") from exc
+        """Solve with the matrix (``trans="N"``) or its transpose (``"T"``)."""
+        return self._solve(rhs, trans)
 
 
 def factorize_rows(pattern, rows):
@@ -134,7 +132,7 @@ def factorize_rows(pattern, rows):
     for n, row in enumerate(rows):
         key = row.tobytes()
         if key not in seen:
-            seen[key] = factorize(pattern, row, n)
+            seen[key] = BandLU(pattern, row, n)
         factors.append(seen[key])
     return factors
 
@@ -247,21 +245,17 @@ def reverse_timeline(timeline):
         A -> A reversed,  C -> C reversed,  B -> +B^T reversed,
         Q -> (Q^T - (dB)^T) reversed,
 
-    where dB keeps the orientation of the original time axis.
+    where dB keeps the orientation of the original time axis.  Every operator
+    is symmetric (see :class:`~.galerkin.AssemblyKit`), so the transposes
+    are the values as they are.
     """
     v = timeline.values
-    transpose = timeline.pattern.transpose
 
-    def flip(values, perm=slice(None)):
-        return None if values is None else values[::-1, perm]
+    def flip(values):
+        return None if values is None else values[::-1]
 
     q_t = combine((1.0, v["Q"]), (-1.0, timeline.rate("B")))
-    values = {
-        "A": flip(v["A"]),
-        "B": flip(v["B"], transpose),
-        "C": flip(v["C"]),
-        "Q": flip(q_t, transpose),
-    }
+    values = {"A": flip(v["A"]), "B": flip(v["B"]), "C": flip(v["C"]), "Q": flip(q_t)}
     return OperatorTimeline(timeline.problem, timeline.time_grid, timeline.pattern, values)
 
 
@@ -307,7 +301,7 @@ def compatibility_check(f, u0, u1, k, timeline=None):
     """
     k = int(k)
     if k not in (0, 1, 2):
-        raise ValueError(f"smoothness level must be 0, 1 or 2, got {k}")
+        raise RegularityError(f"smoothness level must be 0, 1 or 2, got {k}")
     fv = f.values
     scale = float(np.max(np.abs(fv))) if fv.size else 0.0
     ztol = 1e-12 * max(1.0, scale)
@@ -328,7 +322,7 @@ def compatibility_check(f, u0, u1, k, timeline=None):
         n_free = timeline.n_free
         u0v = np.zeros(n_free) if u0 is None else np.asarray(u0, dtype=float)
         p0 = np.zeros(n_free) if u1 is None else np.asarray(u1, dtype=float)
-        c0 = factorize(timeline.pattern, timeline.values["C"][0], 0)
+        c0 = BandLU(timeline.pattern, timeline.values["C"][0], 0)
         v1 = c0.solve(p0)
         d_c0 = timeline.pattern.matrix(timeline.rate("C")[0])
         rhs = (
@@ -398,7 +392,7 @@ def y_norm(trajectory, disc, k=0):
     max_n |ddu|_H.  Requires the acceleration for k = 1.
     """
     if k not in (0, 1):
-        raise ValueError(f"norm level must be 0 or 1, got {k}")
+        raise RegularityError(f"norm level must be 0 or 1, got {k}")
 
     def sup_norm(rows, gram):
         if rows is None:

@@ -58,12 +58,10 @@ FIELD_NAMES = {
 class SparsityPattern:
     """The CSR sparsity pattern on the free DOFs shared by a problem's operators.
 
-    Operators live as value arrays ``(..., nnz)`` on this pattern.  The
-    pattern is structurally symmetric, so ``transpose`` permutes the values of
-    a matrix into those of its transpose.  ``bands`` holds the value positions
-    of the sub-, main and super-diagonal when the pattern is tridiagonal with
-    at least three rows (the smallest LAPACK's tridiagonal routines take),
-    else None.
+    Operators live as value arrays ``(..., nnz)`` on this pattern.  Every
+    operator is symmetric, so its values are also those of its transpose.
+    ``kd`` is the half-bandwidth of the DOF numbering, and :meth:`band` lays
+    values out in LAPACK's ``(3 kd + 1, n)`` band storage for LU factors.
     """
 
     def __init__(self, rows, cols, n):
@@ -74,13 +72,10 @@ class SparsityPattern:
         self.indices = self._keys % self.n
         self.indptr = np.searchsorted(row_of, np.arange(self.n + 1))
         self.nnz = self._keys.size
-        self.transpose = self.locate(self.indices, row_of)
-        self.bands = None
-        if self.n >= 3 and np.all(np.abs(row_of - self.indices) <= 1):
-            i = np.arange(self.n)
-            self.bands = (
-                self.locate(i[1:], i[:-1]), self.locate(i, i), self.locate(i[:-1], i[1:])
-            )
+        self.kd = int(np.abs(row_of - self.indices).max(initial=0))
+        # entry (i, j) goes to band row 2 kd + i - j of column j, gathered column-major
+        self._band_gather = np.full((self.n, 3 * self.kd + 1), self.nnz)
+        self._band_gather[self.indices, 2 * self.kd + row_of - self.indices] = np.arange(self.nnz)
 
     def locate(self, rows, cols):
         """Value positions of the entries (rows, cols), which must be in the pattern."""
@@ -89,6 +84,10 @@ class SparsityPattern:
         if not np.array_equal(self._keys[pos], keys):
             raise ValueError("entries outside the sparsity pattern")
         return pos
+
+    def band(self, values):
+        """The (3 kd + 1, n) LAPACK band storage of the matrix with (nnz,) values."""
+        return np.append(values, 0.0)[self._band_gather].T
 
     def matrix(self, values):
         """A CSR matrix (owning its arrays) with the given (nnz,) values."""
@@ -123,7 +122,9 @@ class AssemblyKit:
     to free degrees of freedom, and a sparse map from per-element
     coefficients to values on the problem's :class:`SparsityPattern`, so that
     the operator values at every time node come out of one sparse product.
-    Element-level bilinear values x_e^T L_e y_e come out of one einsum.
+    Element-level bilinear values x_e^T L_e y_e come out of one einsum.  The
+    local matrices must be exactly symmetric: the adjoint sweeps use the
+    assembled values for the transposed operators as they are.
     """
 
     def __init__(self, local, dof_map, n_dofs, free_dofs, pattern=None):
@@ -131,6 +132,8 @@ class AssemblyKit:
         self.dof_map = np.ascontiguousarray(dof_map)  # (n_el, k)
         self.n_dofs = int(n_dofs)
         self.free_dofs = np.asarray(free_dofs)
+        if not np.array_equal(self.local, self.local.transpose(0, 2, 1)):
+            raise InvalidMeshError("local element matrices are not exactly symmetric")
         n_el, k, _ = self.local.shape
         rows = np.broadcast_to(self.dof_map[:, :, None], (n_el, k, k)).ravel()
         cols = np.broadcast_to(self.dof_map[:, None, :], (n_el, k, k)).ravel()

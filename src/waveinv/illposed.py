@@ -154,12 +154,12 @@ def bump_sequence(r, t0, t_end, time_grid, j_list):
     t0 = float(t0)
     t_end = float(t_end)
     if not 0.0 < t0 < t_end:
-        raise ValueError(f"bump center must lie inside (0, {t_end}); got {t0}")
+        raise ResolutionError(f"bump center must lie inside (0, {t_end}); got {t0}")
     j_list = [int(j) for j in j_list]
     j_min_admissible = max(1.0 / t0, 1.0 / (t_end - t0))
     for j in j_list:
         if j <= j_min_admissible:
-            raise ValueError(
+            raise ResolutionError(
                 f"index j={j} places the bump support outside (0, {t_end}); "
                 f"need j > {j_min_admissible:g}"
             )

@@ -164,8 +164,9 @@ def adjoint_apply_discrete(disc, point, v, base):
     dt = timeline.dt
     two_dt = 2.0 / dt
     factors = scheme["factors"]
-    t_tr = scheme["t_mats"][:, pattern.transpose]
-    c_tr = two_dt * scheme["c_half"][:, pattern.transpose]
+    # the step matrices are symmetric, so T_n and C_h are their own transposes
+    t_vals = scheme["t_mats"]
+    c_vals = two_dt * scheme["c_half"]
     u = base.u
 
     seeds = _adjoint_seeds(disc, v, tg)
@@ -174,11 +175,11 @@ def adjoint_apply_discrete(disc, point, v, base):
     beta = np.empty((n_steps, disc.n_free))
     gamma = np.empty((n_steps, disc.n_free))
     for n in range(n_steps - 1, -1, -1):
-        cq = pattern.matvec(c_tr[n], q)
+        cq = pattern.matvec(c_vals[n], q)
         r = factors[n].solve(p + cq, trans="T")
         beta[n] = r
         gamma[n] = q
-        p = seeds[n] + pattern.matvec(t_tr[n], r) - cq
+        p = seeds[n] + pattern.matvec(t_vals[n], r) - cq
         q = 2.0 * r - q
 
     du_step = u[1:] - u[:-1]

@@ -97,6 +97,28 @@ def test_missing_parameter_field_exits_2(tmp_path, capsys):
     assert "fields/rho" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("j", [1, 2, 16])
+def test_bump_field_outside_the_grid_exits_2(tmp_path, capsys, j):
+    # j <= 2 puts the support outside (0, 1); j = 16 covers three of the 21 nodes
+    cfg = base_config()
+    cfg["fields"]["q"] = {"kind": "bump", "base": 0.5, "delta": 0.2, "j": j}
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert "fields/q" in capsys.readouterr().err
+
+
+def test_illposed_run_with_bad_bump_index_exits_1(tmp_path, capsys):
+    cfg = base_config(
+        time={"t_end": 1.0, "n_steps": 64},
+        experiment={"kind": "illposed", "target": "q", "delta": 0.2, "j_list": [1, 4]},
+    )
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # tabulated fields and sources
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveinv as wi
-from waveinv.errors import DirectionShapeError
+from waveinv.errors import DirectionShapeError, RegularityError
 from waveinv.evolve import reverse_timeline
 
 from conftest import varied_point
@@ -373,6 +373,13 @@ def test_compatibility_reports_induced_acceleration(wave_disc, time_grid, wave_p
     assert np.abs(report.u2).max() <= 1e-10  # f(0) = 0 and zero data
 
 
+def test_compatibility_rejects_unknown_level(wave_disc, time_grid):
+    f = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
+    with pytest.raises(RegularityError, match="smoothness level"):
+        wi.compatibility_check(f, None, None, 3)
+    assert issubclass(RegularityError, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # trajectory norms
 
@@ -388,6 +395,13 @@ def test_y_norm_levels_and_homogeneity(wave_disc, time_grid, wave_point):
         2 * traj.u, 2 * traj.du, 2 * traj.ddu, traj.time_grid, traj.dt
     )
     assert wi.y_norm(doubled, wave_disc, k=1) == pytest.approx(2 * n1, rel=1e-12)
+
+
+def test_y_norm_rejects_unknown_level(wave_disc, time_grid, wave_point):
+    tl = wi.assemble_operators(wave_disc, wave_point)
+    traj = wi.solve_forward(tl, wi.SourceTerm.zero(time_grid.size, wave_disc.n_free))
+    with pytest.raises(RegularityError, match="norm level"):
+        wi.y_norm(traj, wave_disc, k=2)
 
 
 def test_source_validation():

@@ -11,7 +11,7 @@ from waveinv.errors import (
     InvalidMeshError,
     ResolutionError,
 )
-from waveinv.galerkin import time_difference
+from waveinv.galerkin import AssemblyKit, time_difference
 
 from conftest import varied_point
 
@@ -55,6 +55,12 @@ def test_bad_meshes_rejected():
         wi.build_grid("wave1d", 10, extent=-1.0)
     with pytest.raises(InvalidMeshError):
         wi.build_grid("plate3d", 10)
+
+
+def test_non_symmetric_local_matrix_rejected():
+    local = np.array([[[1.0, 2.0], [0.0, 1.0]]])
+    with pytest.raises(InvalidMeshError, match="symmetric"):
+        AssemblyKit(local, np.array([[0, 1]]), 2, np.array([0, 1]))
 
 
 def test_element_mean_accumulate_adjoint(wave_disc, elastic_disc):

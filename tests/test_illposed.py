@@ -91,9 +91,9 @@ def test_bump_sequence_certified_norm_sandwich():
 
 def test_bump_sequence_preconditions():
     tg = np.linspace(0.0, 1.0, 513)
-    with pytest.raises(ValueError):
+    with pytest.raises(ResolutionError):
         bump_sequence(3, 1.5, 1.0, tg, [4])  # center outside the interval
-    with pytest.raises(ValueError):
+    with pytest.raises(ResolutionError):
         bump_sequence(3, 0.5, 1.0, tg, [0])  # nonpositive index
     with pytest.raises(ValueError):
         bump_sequence(-1, 0.5, 1.0, tg, [4])  # negative smoothness order

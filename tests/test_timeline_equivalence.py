@@ -1,9 +1,10 @@
 """Operator timelines and the midpoint march against independent per-node oracles.
 
 The timeline must reproduce, node by node, what each assembly kit builds on
-its own; the march must reproduce a plain SuperLU march of the same step
-matrices; and a point that is constant in time must factorize its step
-matrix once.
+its own, with exactly symmetric values; the march must reproduce a plain
+SuperLU march of the same step matrices, down to meshes with one or two free
+DOFs; and a point that is constant in time must factorize its step matrix
+once.
 """
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import waveinv as wi
+from waveinv.errors import SolverFailureError
+from waveinv.evolve import factorize_rows
 
 from conftest import modal_source, smooth_direction, varied_point
 
@@ -114,20 +117,73 @@ def splu_march(tl, f, u0, p0):
     return u, du
 
 
-@pytest.mark.parametrize("problem", ["wave1d", "maxwell1d"])
-def test_march_matches_splu_oracle(discs, problem):
-    disc = discs[problem]
+def assert_march_matches_splu(disc):
     tg = time_grid()
     point = varied_point(disc, tg)
     tl = wi.assemble_operators(disc, point)
     f = modal_source(disc, tg)
     x = disc.nodes[disc.free_nodes]
-    u0 = np.sin(np.pi * x)
-    p0 = wi.momentum_from_velocity(tl, x * (1.0 - x))
+    if disc.dim == 1:
+        u0, v0 = np.sin(np.pi * x), x * (1.0 - x)
+    else:
+        bump = np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+        u0, v0 = np.repeat(bump, 2), np.repeat(bump, 2) * np.tile([1.0, -0.5], bump.size)
+    p0 = wi.momentum_from_velocity(tl, v0)
     traj = wi.solve_forward(tl, f, u0=u0, u1=p0)
     u, du = splu_march(tl, f, u0, p0)
     assert np.abs(traj.u - u).max() <= 1e-12 * np.abs(u).max()
     assert np.abs(traj.du - du).max() <= 1e-12 * np.abs(du).max()
+
+
+@pytest.mark.parametrize("problem", ["wave1d", "maxwell1d", "elastic2d"])
+def test_march_matches_splu_oracle(discs, problem):
+    assert_march_matches_splu(discs[problem])
+
+
+@pytest.mark.parametrize("problem, n, n_free, kd", [("elastic2d", 2, 2, 1), ("maxwell1d", 2, 1, 0)])
+def test_tiny_mesh_march_and_discrete_dot_test(problem, n, n_free, kd):
+    # too small for the tridiagonal routine: these take the general band LU
+    disc = wi.build_grid(problem, n)
+    assert (disc.n_free, disc.pattern.kd) == (n_free, kd)
+    assert_march_matches_splu(disc)
+    tg = time_grid()
+    point = varied_point(disc, tg)
+    base = wi.forward_map(disc, point, modal_source(disc, tg))
+    rng = np.random.default_rng(11)
+    v = wi.DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
+    direction = smooth_direction(disc, tg, wi.FIELD_NAMES[problem])
+    assert wi.dot_test(disc, point, direction, v, mode="discrete", base=base) <= 1e-12
+
+
+def transpose_positions(pattern):
+    """Value positions of the transposed entries, so that values[..., perm] is the transpose."""
+    rows = np.repeat(np.arange(pattern.n), np.diff(pattern.indptr))
+    return pattern.locate(pattern.indices, rows)
+
+
+@pytest.mark.parametrize("problem", sorted(SIZES))
+def test_every_slot_is_exactly_symmetric(discs, problem):
+    disc = discs[problem]
+    tg = time_grid()
+    point = varied_point(disc, tg)
+    direction = smooth_direction(disc, tg, wi.FIELD_NAMES[problem], shift=1)
+    perm = transpose_positions(disc.pattern)
+    for tl in (wi.assemble_operators(disc, point), wi.assemble_direction(disc, point, direction)):
+        for slot, values in tl.values.items():
+            if values is not None:
+                assert np.array_equal(values[:, perm], values), slot
+
+
+@pytest.mark.parametrize("problem", ["wave1d", "elastic2d"])
+def test_singular_step_matrix_names_its_node(discs, problem):
+    # wave1d takes the tridiagonal LU, elastic2d the general band LU
+    pattern = discs[problem].pattern
+    identity = np.zeros(pattern.nnz)
+    identity[pattern.locate(np.arange(pattern.n), np.arange(pattern.n))] = 1.0
+    rows = np.stack([identity, 2.0 * identity, np.zeros(pattern.nnz), identity])
+    with pytest.raises(SolverFailureError) as info:
+        factorize_rows(pattern, rows)
+    assert info.value.node == 2
 
 
 @pytest.mark.parametrize("problem", sorted(SIZES))
