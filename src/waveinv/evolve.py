@@ -11,10 +11,15 @@ is the second initial datum, so a time-dependent C never needs to be
 differentiated inside the stepper.
 
 Operators are value arrays on one sparsity pattern, so the step matrices
-S_n, T_n of all steps come out of a few array operations.  Each distinct step
-matrix and each distinct C(t_n) is factorized once by LAPACK band LU
-(:class:`BandLU`), which solves with ``.solve(rhs, trans=...)``.  The factors
-are kept on the trajectory for the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
+S_n, T_n of all steps come out of a few array operations, and every product
+with a vector is one compiled CSR mat-vec
+(:meth:`~.galerkin.SparsityPattern.matvec`).  Each distinct step matrix and
+each distinct C(t_n) is factorized once by LAPACK band LU (:class:`BandLU`)
+from values scattered into band storage.  Every step matrix is symmetric, so
+a factor solves with the transpose as well; the factors are kept on the
+trajectory for the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
+The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
+factors in reverse order wherever its matrices are the same by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +30,13 @@ import numpy as np
 import scipy.linalg.lapack as lapack
 import scipy.sparse.linalg as spla
 
-from .errors import DirectionShapeError, RegularityError, ResolutionError, SolverFailureError
+from .errors import (
+    DirectionShapeError,
+    RegularityError,
+    RequiresForwardSolveError,
+    ResolutionError,
+    SolverFailureError,
+)
 from .galerkin import OperatorTimeline, combine
 
 
@@ -103,7 +114,10 @@ class BandLU:
     """LAPACK LU factors of the matrix with ``values`` on a banded ``pattern``.
 
     Tridiagonal matrices of at least three rows use ``dgttrf``/``dgttrs`` (the
-    1D problems), all others general band ``dgbtrf``/``dgbtrs``.
+    1D problems), all others general band ``dgbtrf``/``dgbtrs``.  Every step
+    matrix and every C(t_n) is exactly symmetric (see
+    :class:`~.galerkin.AssemblyKit`), so :meth:`solve` also solves with the
+    transpose.
     """
 
     def __init__(self, pattern, values, node):
@@ -111,18 +125,16 @@ class BandLU:
         ab = pattern.band(values)
         if kd == 1 and pattern.n >= 3:  # band rows 3, 2, 1: sub-, main and super-diagonal
             *lu, info = lapack.dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
-            self._solve = lambda rhs, trans: lapack.dgttrs(*lu, rhs, trans=trans)[0]
+            self._solve = lambda rhs: lapack.dgttrs(*lu, rhs)[0]
         else:
             lu, piv, info = lapack.dgbtrf(ab, kd, kd, overwrite_ab=True)
-            self._solve = lambda rhs, trans: lapack.dgbtrs(
-                lu, kd, kd, rhs, piv, trans="NT".index(trans)
-            )[0]
+            self._solve = lambda rhs: lapack.dgbtrs(lu, kd, kd, rhs, piv)[0]
         if info != 0:
             raise SolverFailureError(node, f"factorization failed (LAPACK info {info})")
 
-    def solve(self, rhs, trans="N"):
-        """Solve with the matrix (``trans="N"``) or its transpose (``"T"``)."""
-        return self._solve(rhs, trans)
+    def solve(self, rhs):
+        """Solve with the matrix for a (n,) or (n, k) right-hand side."""
+        return self._solve(rhs)
 
 
 def factorize_rows(pattern, rows):
@@ -167,7 +179,7 @@ def step_values(timeline):
     return combine((1.0, mass), (1.0, stiff)), combine((1.0, mass), (-1.0, stiff)), c_half
 
 
-def solve_forward(timeline, f, u0=None, u1=None):
+def solve_forward(timeline, f, u0=None, u1=None, *, factors=None, c_factors=None):
     """March the implicit midpoint scheme over the timeline.
 
     Parameters
@@ -180,6 +192,9 @@ def solve_forward(timeline, f, u0=None, u1=None):
     u1 : array, optional
         Initial momentum datum p(0) = (C u')(0) in load form (defaults to
         zero).  Use :func:`momentum_from_velocity` to build it from a velocity.
+    factors, c_factors : list of BandLU, optional
+        Factors of every step matrix and of every C(t_n) of this timeline,
+        used instead of factorizing them (see :func:`solve_backward`).
 
     Returns
     -------
@@ -207,7 +222,8 @@ def solve_forward(timeline, f, u0=None, u1=None):
         p[0] = np.asarray(u1, dtype=float)
 
     s_vals, t_vals, c_half = step_values(timeline)
-    factors = factorize_rows(pattern, s_vals)
+    if factors is None:
+        factors = factorize_rows(pattern, s_vals)
     loads = dt * 0.5 * (fv[:-1] + fv[1:])
     two_dt = 2.0 / dt
     for n in range(n_steps):
@@ -219,7 +235,8 @@ def solve_forward(timeline, f, u0=None, u1=None):
         raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")
 
     v = timeline.values
-    c_factors = factorize_rows(pattern, v["C"])
+    if c_factors is None:
+        c_factors = factorize_rows(pattern, v["C"])
     du = solve_each(c_factors, p)
     resid = fv - pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
     ddu = solve_each(c_factors, resid)
@@ -259,15 +276,29 @@ def reverse_timeline(timeline):
     return OperatorTimeline(timeline.problem, timeline.time_grid, timeline.pattern, values)
 
 
-def solve_backward(timeline, v):
+def solve_backward(timeline, v, like=None):
     """Solve the adjoint equation backward in time with end conditions zero.
 
     ``v`` is the adjoint source in load form.  The equation is reversed to an
     initial-value problem (see :func:`reverse_timeline`), marched with
     :func:`solve_forward`, and the output is flipped back; velocities change
     sign under the reversal.
+
+    ``like`` is a forward solve on this same timeline.  The reversed march
+    then takes its factors, in reverse order, wherever its matrices are the
+    forward's bit for bit by construction: every C(t_n), and every step
+    matrix when the B slot is absent, since Q - dB is then Q itself and a
+    half-node average is the same sum taken in the other order.
     """
-    back = solve_forward(reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()))
+    shared = {}
+    if like is not None:
+        scheme = like.meta.get("scheme")
+        if scheme is None or scheme["timeline"] is not timeline:
+            raise RequiresForwardSolveError("like must be a forward solve on this timeline")
+        shared["c_factors"] = scheme["c_factors"][::-1]
+        if timeline.values["B"] is None:
+            shared["factors"] = scheme["factors"][::-1]
+    back = solve_forward(reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()), **shared)
     w, dw, ddw = back.u[::-1].copy(), -back.du[::-1], back.ddu[::-1].copy()
     return Trajectory(w, dw, ddw, timeline.time_grid, timeline.dt)
 

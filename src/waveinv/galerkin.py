@@ -37,6 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import (
     ConstraintViolationError,
@@ -60,22 +61,27 @@ class SparsityPattern:
 
     Operators live as value arrays ``(..., nnz)`` on this pattern.  Every
     operator is symmetric, so its values are also those of its transpose.
-    ``kd`` is the half-bandwidth of the DOF numbering, and :meth:`band` lays
-    values out in LAPACK's ``(3 kd + 1, n)`` band storage for LU factors.
+    Products with vectors are one call to scipy's compiled CSR mat-vec
+    (``csr_matvec``, the kernel behind ``csr_matrix @ x``) without building a
+    matrix object; a stack of ``m`` products is a single call on the
+    block-diagonal matrix of the ``m`` value rows.  ``kd`` is the
+    half-bandwidth of the DOF numbering, and :meth:`band` scatters the values
+    into LAPACK's ``(3 kd + 1, n)`` band storage for LU factors.
     """
 
     def __init__(self, rows, cols, n):
         self.n = int(n)
         self.shape = (self.n, self.n)
         self._keys = np.unique(np.asarray(rows) * self.n + np.asarray(cols))
-        row_of = self._keys // self.n
-        self.indices = self._keys % self.n
-        self.indptr = np.searchsorted(row_of, np.arange(self.n + 1))
+        row_of, col_of = np.divmod(self._keys, self.n)
         self.nnz = self._keys.size
-        self.kd = int(np.abs(row_of - self.indices).max(initial=0))
-        # entry (i, j) goes to band row 2 kd + i - j of column j, gathered column-major
-        self._band_gather = np.full((self.n, 3 * self.kd + 1), self.nnz)
-        self._band_gather[self.indices, 2 * self.kd + row_of - self.indices] = np.arange(self.nnz)
+        # 32-bit indices when they fit, as scipy's own CSR matrices keep them
+        idx = np.int32 if self.nnz < 2**31 else np.int64
+        self.indices = col_of.astype(idx)
+        self.indptr = np.searchsorted(row_of, np.arange(self.n + 1)).astype(idx)
+        self.kd = int(np.abs(row_of - col_of).max(initial=0))
+        # entry (i, j) goes to band row 2 kd + i - j of column j, stored column-major
+        self._band_pos = 2 * self.kd + row_of - col_of + (3 * self.kd + 1) * col_of
 
     def locate(self, rows, cols):
         """Value positions of the entries (rows, cols), which must be in the pattern."""
@@ -87,23 +93,49 @@ class SparsityPattern:
 
     def band(self, values):
         """The (3 kd + 1, n) LAPACK band storage of the matrix with (nnz,) values."""
-        return np.append(values, 0.0)[self._band_gather].T
+        ab = np.zeros((3 * self.kd + 1) * self.n)
+        ab[self._band_pos] = values
+        return ab.reshape((3 * self.kd + 1, self.n), order="F")
 
     def matrix(self, values):
         """A CSR matrix (owning its arrays) with the given (nnz,) values."""
         return sp.csr_matrix((values, self.indices, self.indptr), shape=self.shape, copy=True)
 
     def matvec(self, values, x):
-        """Row-wise products: (..., nnz) values times (..., n) vectors."""
-        return np.add.reduceat(values * x[..., self.indices], self.indptr[:-1], axis=-1)
+        """Row-wise products: (..., nnz) values times (..., n) vectors, same leading shape."""
+        out = np.zeros(x.shape)
+        self._add_products(out, values, x)
+        return out
 
     def apply(self, *terms):
         """Sum of ``matvec(values, x)`` over (values, x) terms; None values add nothing."""
-        out = np.zeros(np.shape(terms[0][1]))
+        out = np.zeros(terms[0][1].shape)
         for values, x in terms:
             if values is not None:
-                out += self.matvec(values, x)
+                self._add_products(out, values, x)
         return out
+
+    def _add_products(self, out, values, x):
+        """out += values times x for every row of out, in one compiled kernel call."""
+        if values.shape != out.shape[:-1] + (self.nnz,) or x.shape != out.shape:
+            raise ValueError(
+                f"values {values.shape} and vectors {x.shape} do not match "
+                f"the pattern's (..., {self.nnz}) and (..., {self.n})"
+            )
+        m = out.size // self.n
+        indptr, indices = self.indptr, self.indices
+        if m != 1:
+            # the block-diagonal pattern of the m value rows; 64-bit only if 32 bits overflow
+            wide = m * max(self.nnz, self.n) >= 2**31
+            first = np.arange(m, dtype=np.int64 if wide else np.int32)[:, None]
+            indptr = np.empty(m * self.n + 1, dtype=first.dtype)
+            indptr[:-1] = (self.indptr[:-1] + self.nnz * first).ravel()
+            indptr[-1] = m * self.nnz
+            indices = (self.indices + self.n * first).ravel()
+        n_rows = m * self.n
+        _sparsetools.csr_matvec(
+            n_rows, n_rows, indptr, indices, values.ravel(), x.ravel(), out.reshape(-1)
+        )
 
 
 def combine(*terms):

@@ -18,7 +18,12 @@ Two adjoints are provided: ``adjoint_apply_discrete`` reverses the recursion
 above (dot test exact to rounding at any step size), while
 ``adjoint_apply_continuous`` solves the backward-in-time adjoint equation
 with end conditions and assembles the classical gradient densities
-(e.g. -div u div w, u' . w'); the two agree at second order in dt.
+(e.g. -div u div w, u' . w'); the two agree at second order in dt.  Both run
+on the base solve's band LU factors: the step matrices are symmetric, so the
+discrete adjoint solves its transposed systems with them as they are, and the
+backward equation reuses them in reverse order wherever its matrices equal
+the forward's by construction (see :func:`~.evolve.solve_backward`).  All
+operator products are the pattern's compiled CSR mat-vec.
 
 Gradient fields are per-element densities g(n, e) paired with nodal parameter
 directions h through
@@ -152,7 +157,8 @@ def adjoint_apply_discrete(disc, point, v, base):
     """Exact transpose of ``observe(derivative_apply(.))`` against data ``v``.
 
     Runs the midpoint recursion backward over the stored factorizations
-    (transposed solves), then transposes the direction-assembly maps into
+    (the step matrices are symmetric, so their factors solve the transposed
+    systems as they are), then transposes the direction-assembly maps into
     per-element gradient densities.  Satisfies the dot test to rounding at
     any fixed step size.
     """
@@ -164,7 +170,7 @@ def adjoint_apply_discrete(disc, point, v, base):
     dt = timeline.dt
     two_dt = 2.0 / dt
     factors = scheme["factors"]
-    # the step matrices are symmetric, so T_n and C_h are their own transposes
+    # the step matrices are symmetric, so S_n, T_n and C_h are their own transposes
     t_vals = scheme["t_mats"]
     c_vals = two_dt * scheme["c_half"]
     u = base.u
@@ -176,7 +182,7 @@ def adjoint_apply_discrete(disc, point, v, base):
     gamma = np.empty((n_steps, disc.n_free))
     for n in range(n_steps - 1, -1, -1):
         cq = pattern.matvec(c_vals[n], q)
-        r = factors[n].solve(p + cq, trans="T")
+        r = factors[n].solve(p + cq)
         beta[n] = r
         gamma[n] = q
         p = seeds[n] + pattern.matvec(t_vals[n], r) - cq
@@ -204,9 +210,10 @@ def adjoint_apply_continuous(disc, point, v, base):
     """Gradient densities via the backward adjoint equation.
 
     Solves the end-condition adjoint problem with source ``v`` (full-field
-    only), then samples the classical densities with the same per-element
-    quadrature as the forward bilinear forms, so the pairing with a direction
-    reproduces the defining integrals discretely.
+    only) on the factors of the base solve (see
+    :func:`~.evolve.solve_backward`), then samples the classical densities
+    with the same per-element quadrature as the forward bilinear forms, so
+    the pairing with a direction reproduces the defining integrals discretely.
     """
     if v.spec.kind != "full-field":
         raise ObservationError(
@@ -215,7 +222,7 @@ def adjoint_apply_continuous(disc, point, v, base):
     scheme = _require_scheme(base)
     timeline = scheme["timeline"]
     load = SourceTerm((disc.M @ v.values.T).T)
-    w = solve_backward(timeline, load)
+    w = solve_backward(timeline, load, like=base)
     # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
     aq = (-base.u, w.u)
     pairs = {"A": aq, "Q": aq, "B": (-base.du, w.u), "C": (base.du, w.du)}
