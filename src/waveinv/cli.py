@@ -24,6 +24,7 @@ are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -131,9 +132,21 @@ CONFIG_SCHEMA = {
 # config loading and construction
 
 
+@functools.cache
+def _config_validator():
+    """The validator of :data:`CONFIG_SCHEMA`, built on first use.
+
+    The schema is a constant, so it is checked against its meta-schema by
+    the tests rather than on every load.
+    """
+    from jsonschema.validators import validator_for
+
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
 def load_config(path):
     """Parse and schema-validate a config file; errors carry the field path."""
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -142,11 +155,10 @@ def load_config(path):
         raise ConfigError(path, f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(path, f"invalid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigError(where, exc.message) from exc
+    error = best_match(_config_validator().iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ConfigError(where, error.message) from error
     return cfg
 
 

@@ -14,12 +14,14 @@ Operators are value arrays on one sparsity pattern, so the step matrices
 S_n, T_n of all steps come out of a few array operations, and every product
 with a vector is one compiled CSR mat-vec
 (:meth:`~.galerkin.SparsityPattern.matvec`).  Each distinct step matrix and
-each distinct C(t_n) is factorized once by LAPACK band LU (:class:`BandLU`)
-from values scattered into band storage.  Every step matrix is symmetric, so
-a factor solves with the transpose as well; the factors are kept on the
-trajectory for the exact-transpose adjoint sweeps in :mod:`.sensitivity`.
-The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
-factors in reverse order wherever its matrices are the same by construction.
+each distinct C(t_n) is factorized once by LAPACK (:class:`BandLU`) from
+values scattered into band storage: tridiagonal LU on the 1D meshes, band
+Cholesky wherever the matrix is positive definite, and band LU otherwise.
+Every step matrix is symmetric, so a factor solves with the transpose as
+well; the factors are kept on the trajectory for the exact-transpose adjoint
+sweeps in :mod:`.sensitivity`.  The backward adjoint march
+(:func:`solve_backward`) reuses a forward solve's factors and step values in
+reverse order wherever its matrices are the same by construction.
 """
 
 from __future__ import annotations
@@ -111,24 +113,40 @@ def momentum_from_velocity(timeline, velocity):
 
 
 class BandLU:
-    """LAPACK LU factors of the matrix with ``values`` on a banded ``pattern``.
+    """LAPACK factors of the symmetric matrix with ``values`` on a banded ``pattern``.
 
-    Tridiagonal matrices of at least three rows use ``dgttrf``/``dgttrs`` (the
-    1D problems), all others general band ``dgbtrf``/``dgbtrs``.  Every step
-    matrix and every C(t_n) is exactly symmetric (see
+    Three routes, chosen from the pattern and the matrix itself:
+
+    - tridiagonal patterns of at least three rows (the 1D meshes) take
+      ``dgttrf``/``dgttrs``, because wave1d's ``b`` and ``q`` are unconstrained
+      in sign and its step matrices can be indefinite;
+    - every other pattern tries band Cholesky ``dpbtrf``/``dpbtrs`` on the
+      ``(kd + 1, n)`` lower band storage, a third of the LU storage;
+    - a matrix that ``dpbtrf`` finds not positive definite (LAPACK info > 0)
+      goes to general band LU ``dgbtrf``/``dgbtrs``, which reports a singular
+      matrix.
+
+    On elastic2d and maxwell1d every step matrix (2/dt) C_h + (dt/2) A_h and
+    every C(t_n) is positive definite, because the admissible set keeps C
+    uniformly positive and A coercive, so all of elastic2d's factors are
+    Cholesky factors.  Every matrix is exactly symmetric (see
     :class:`~.galerkin.AssemblyKit`), so :meth:`solve` also solves with the
     transpose.
     """
 
     def __init__(self, pattern, values, node):
         kd = pattern.kd
-        ab = pattern.band(values)
         if kd == 1 and pattern.n >= 3:  # band rows 3, 2, 1: sub-, main and super-diagonal
+            ab = pattern.band(values)
             *lu, info = lapack.dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
             self._solve = lambda rhs: lapack.dgttrs(*lu, rhs)[0]
         else:
-            lu, piv, info = lapack.dgbtrf(ab, kd, kd, overwrite_ab=True)
-            self._solve = lambda rhs: lapack.dgbtrs(lu, kd, kd, rhs, piv)[0]
+            c, info = lapack.dpbtrf(pattern.lower_band(values), lower=1, overwrite_ab=1)
+            if info == 0:
+                self._solve = lambda rhs: lapack.dpbtrs(c, rhs, lower=1)[0]
+            else:  # not positive definite
+                lu, piv, info = lapack.dgbtrf(pattern.band(values), kd, kd, overwrite_ab=True)
+                self._solve = lambda rhs: lapack.dgbtrs(lu, kd, kd, rhs, piv)[0]
         if info != 0:
             raise SolverFailureError(node, f"factorization failed (LAPACK info {info})")
 
@@ -179,7 +197,7 @@ def step_values(timeline):
     return combine((1.0, mass), (1.0, stiff)), combine((1.0, mass), (-1.0, stiff)), c_half
 
 
-def solve_forward(timeline, f, u0=None, u1=None, *, factors=None, c_factors=None):
+def solve_forward(timeline, f, u0=None, u1=None, *, steps=None, c_factors=None):
     """March the implicit midpoint scheme over the timeline.
 
     Parameters
@@ -192,9 +210,13 @@ def solve_forward(timeline, f, u0=None, u1=None, *, factors=None, c_factors=None
     u1 : array, optional
         Initial momentum datum p(0) = (C u')(0) in load form (defaults to
         zero).  Use :func:`momentum_from_velocity` to build it from a velocity.
-    factors, c_factors : list of BandLU, optional
-        Factors of every step matrix and of every C(t_n) of this timeline,
-        used instead of factorizing them (see :func:`solve_backward`).
+    steps : (factors, t_vals, c_half), optional
+        The factors of every step matrix of this timeline and the values of
+        its T_n and C_h, used instead of building and factorizing them (see
+        :func:`solve_backward`).
+    c_factors : list of BandLU, optional
+        Factors of every C(t_n) of this timeline, used instead of
+        factorizing them.
 
     Returns
     -------
@@ -221,9 +243,11 @@ def solve_forward(timeline, f, u0=None, u1=None, *, factors=None, c_factors=None
     if u1 is not None:
         p[0] = np.asarray(u1, dtype=float)
 
-    s_vals, t_vals, c_half = step_values(timeline)
-    if factors is None:
+    if steps is None:
+        s_vals, t_vals, c_half = step_values(timeline)
         factors = factorize_rows(pattern, s_vals)
+    else:
+        factors, t_vals, c_half = steps
     loads = dt * 0.5 * (fv[:-1] + fv[1:])
     two_dt = 2.0 / dt
     for n in range(n_steps):
@@ -285,10 +309,11 @@ def solve_backward(timeline, v, like=None):
     sign under the reversal.
 
     ``like`` is a forward solve on this same timeline.  The reversed march
-    then takes its factors, in reverse order, wherever its matrices are the
-    forward's bit for bit by construction: every C(t_n), and every step
-    matrix when the B slot is absent, since Q - dB is then Q itself and a
-    half-node average is the same sum taken in the other order.
+    then takes its factors and step values, in reverse order, wherever they
+    are the forward's bit for bit by construction: the factors of every
+    C(t_n), and the factors and the T_n and C_h values of every step when
+    the B slot is absent, since Q - dB is then Q itself and a half-node
+    average is the same sum taken in the other order.
     """
     shared = {}
     if like is not None:
@@ -297,7 +322,7 @@ def solve_backward(timeline, v, like=None):
             raise RequiresForwardSolveError("like must be a forward solve on this timeline")
         shared["c_factors"] = scheme["c_factors"][::-1]
         if timeline.values["B"] is None:
-            shared["factors"] = scheme["factors"][::-1]
+            shared["steps"] = tuple(scheme[key][::-1] for key in ("factors", "t_mats", "c_half"))
     back = solve_forward(reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()), **shared)
     w, dw, ddw = back.u[::-1].copy(), -back.du[::-1], back.ddu[::-1].copy()
     return Trajectory(w, dw, ddw, timeline.time_grid, timeline.dt)

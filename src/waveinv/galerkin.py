@@ -65,8 +65,10 @@ class SparsityPattern:
     (``csr_matvec``, the kernel behind ``csr_matrix @ x``) without building a
     matrix object; a stack of ``m`` products is a single call on the
     block-diagonal matrix of the ``m`` value rows.  ``kd`` is the
-    half-bandwidth of the DOF numbering, and :meth:`band` scatters the values
-    into LAPACK's ``(3 kd + 1, n)`` band storage for LU factors.
+    half-bandwidth of the DOF numbering.  :meth:`lower_band` scatters the
+    values into LAPACK's ``(kd + 1, n)`` lower band storage for Cholesky
+    factors, and :meth:`band` into the ``(3 kd + 1, n)`` band storage for LU
+    factors; each is one scatter through a precomputed position vector.
     """
 
     def __init__(self, rows, cols, n):
@@ -82,6 +84,12 @@ class SparsityPattern:
         self.kd = int(np.abs(row_of - col_of).max(initial=0))
         # entry (i, j) goes to band row 2 kd + i - j of column j, stored column-major
         self._band_pos = 2 * self.kd + row_of - col_of + (3 * self.kd + 1) * col_of
+        # in the lower storage to row i - j of column j when i >= j; entries
+        # above the diagonal go to one spare slot past the end
+        lower_size = (self.kd + 1) * self.n
+        self._lower_pos = np.where(
+            row_of >= col_of, row_of - col_of + (self.kd + 1) * col_of, lower_size
+        )
 
     def locate(self, rows, cols):
         """Value positions of the entries (rows, cols), which must be in the pattern."""
@@ -96,6 +104,12 @@ class SparsityPattern:
         ab = np.zeros((3 * self.kd + 1) * self.n)
         ab[self._band_pos] = values
         return ab.reshape((3 * self.kd + 1, self.n), order="F")
+
+    def lower_band(self, values):
+        """The (kd + 1, n) LAPACK lower band storage of the matrix with (nnz,) values."""
+        ab = np.zeros((self.kd + 1) * self.n + 1)
+        ab[self._lower_pos] = values
+        return ab[:-1].reshape((self.kd + 1, self.n), order="F")
 
     def matrix(self, values):
         """A CSR matrix (owning its arrays) with the given (nnz,) values."""
@@ -774,16 +788,13 @@ def _check_problem(disc, point):
         )
 
 
-def assemble_operators(disc, point, check=True):
+def assemble_operators(disc, point):
     """Assemble the node-sampled operator quadruple for a parameter point.
 
-    Raises ConstraintViolationError if the point leaves the admissible box
-    (skipped with ``check=False``, used by perturbation studies that validate
-    separately).
+    Raises ConstraintViolationError if the point leaves the admissible box.
     """
     _check_problem(disc, point)
-    if check:
-        point.check_admissible()
+    point.check_admissible()
     tg = point.time_grid
     if tg.size < 3:
         raise ResolutionError("timelines need at least three time nodes")

@@ -19,7 +19,7 @@ above (dot test exact to rounding at any step size), while
 ``adjoint_apply_continuous`` solves the backward-in-time adjoint equation
 with end conditions and assembles the classical gradient densities
 (e.g. -div u div w, u' . w'); the two agree at second order in dt.  Both run
-on the base solve's band LU factors: the step matrices are symmetric, so the
+on the base solve's band factors: the step matrices are symmetric, so the
 discrete adjoint solves its transposed systems with them as they are, and the
 backward equation reuses them in reverse order wherever its matrices equal
 the forward's by construction (see :func:`~.evolve.solve_backward`).  All

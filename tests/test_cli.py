@@ -11,7 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from waveinv.cli import THREAD_VARIABLES, build_setup, main
+from jsonschema.exceptions import SchemaError
+from jsonschema.validators import validator_for
+
+from waveinv.cli import CONFIG_SCHEMA, THREAD_VARIABLES, build_setup, main
 
 
 def base_config(**overrides):
@@ -80,6 +83,14 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "absent.json")]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_config_schema_is_valid_against_its_meta_schema():
+    # load_config trusts the constant schema; this is where it is checked
+    validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+    broken = {**CONFIG_SCHEMA, "properties": {**CONFIG_SCHEMA["properties"], "seed": {"type": 3}}}
+    with pytest.raises(SchemaError):
+        validator_for(broken).check_schema(broken)
 
 
 def test_schema_violation_names_field_path(tmp_path, capsys):

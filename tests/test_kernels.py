@@ -1,19 +1,23 @@
-"""Operator products, band storage and the backward sweep's shared factors.
+"""Operator products, band storage, factor routes and the backward sweep's sharing.
 
 ``SparsityPattern.matvec`` must give what a scipy CSR matrix of the same
 values gives, one row at a time or a whole stack at once, also for strided
-inputs such as the reversed timelines of the backward sweep; ``band`` must
-give the LAPACK band storage built straight from the dense matrix; and the
-backward sweep on a forward solve's factors must give exactly what it gives
-when it factorizes on its own, while computing no factor the forward solve
-already has.
+inputs such as the reversed timelines of the backward sweep; ``band`` and
+``lower_band`` must give the LAPACK band storages built straight from the
+dense matrix; ``BandLU`` must take band Cholesky wherever the pattern is not
+tridiagonal and the matrix is positive definite, and band LU where it is
+not; and the backward sweep on a forward solve's factors and step values
+must give exactly what it gives when it builds them on its own, while
+computing nothing the forward solve already has.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 import waveinv as wi
 from waveinv import evolve
+from waveinv.evolve import step_values
 from waveinv.errors import RequiresForwardSolveError
 from waveinv.sensitivity import adjoint_apply_continuous
 
@@ -103,6 +107,89 @@ def test_band_matches_dense_band_storage(operators):
         band = pattern.band(values)
         assert np.array_equal(band, want)
         assert band.flags.f_contiguous
+        # the lower storage holds only the diagonal and the entries below it
+        want_lower = np.zeros((kd + 1, pattern.n))
+        for j in range(pattern.n):
+            for i in range(j, min(pattern.n, j + kd + 1)):
+                want_lower[i - j, j] = dense[i, j]
+        lower = pattern.lower_band(values)
+        assert np.array_equal(lower, want_lower)
+        assert lower.flags.f_contiguous
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """(routine, info) of every LAPACK call the factors make while the test runs."""
+    calls = []
+
+    class Recorder:
+        def __getattr__(self, name):
+            routine = getattr(scipy.linalg.lapack, name)
+
+            def call(*args, **kwargs):
+                result = routine(*args, **kwargs)
+                calls.append((name, result[-1]))
+                return result
+
+            return call
+
+    monkeypatch.setattr(evolve, "lapack", Recorder())
+    return calls
+
+
+@pytest.mark.parametrize(
+    "problem, n, routines",
+    [
+        ("elastic2d", 3, {"dpbtrf", "dpbtrs"}),
+        ("elastic2d", 2, {"dpbtrf", "dpbtrs"}),
+        ("maxwell1d", 2, {"dpbtrf", "dpbtrs"}),
+        # tridiagonal patterns keep the tridiagonal LU
+        ("maxwell1d", 12, {"dgttrf", "dgttrs"}),
+        ("wave1d", 12, {"dgttrf", "dgttrs"}),
+    ],
+)
+def test_factor_route_follows_the_pattern(problem, n, routines, lapack_calls):
+    disc = wi.build_grid(problem, n)
+    tg = time_grid()
+    wi.forward_map(disc, varied_point(disc, tg), modal_source(disc, tg))
+    assert {name for name, _ in lapack_calls} == routines
+    assert all(info == 0 for _, info in lapack_calls)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_indefinite_step_matrix_falls_back_to_band_lu(n, lapack_calls):
+    # q = -1e4 is admissible (wave1d bounds only a and rho) and makes no S_n
+    # positive definite; one and two free DOFs are too few for the tridiagonal LU
+    disc = wi.build_grid("wave1d", n)
+    tg = time_grid()
+    point = wi.ParameterPoint.from_constants(
+        "wave1d", tg, disc.n_nodes, a=1.0, b=0.2, q=-1e4, rho=1.0
+    )
+    tl = wi.assemble_operators(disc, point)
+    steps = evolve.step_values(tl)[0]
+    rhs = np.random.default_rng(n).standard_normal((disc.n_free, 3))
+    for node in (0, steps.shape[0] - 1):
+        dense = tl.pattern.matrix(steps[node]).toarray()
+        assert np.linalg.eigvalsh(dense).min() < 0.0
+        lapack_calls.clear()
+        factor = evolve.BandLU(tl.pattern, steps[node], node)
+        assert [name for name, _ in lapack_calls] == ["dpbtrf", "dgbtrf"]
+        assert lapack_calls[0][1] > 0 and lapack_calls[1][1] == 0
+        want = np.linalg.solve(dense, rhs)
+        assert np.abs(factor.solve(rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.fixture
+def counted_step_values(monkeypatch):
+    """The timelines whose step values are built while the test runs."""
+    built = []
+
+    def counted(timeline):
+        built.append(timeline)
+        return step_values(timeline)
+
+    monkeypatch.setattr(evolve, "step_values", counted)
+    return built
 
 
 @pytest.fixture
@@ -141,16 +228,22 @@ def assert_backward_unchanged_by_sharing(base, v):
 @pytest.mark.parametrize(
     "problem, n", [("elastic2d", 3), ("maxwell1d", 12), ("elastic2d", 2), ("maxwell1d", 2)]
 )
-def test_continuous_adjoint_without_damping_factorizes_nothing(problem, n, counted_factors):
+def test_continuous_adjoint_without_damping_factorizes_nothing(
+    problem, n, counted_factors, counted_step_values
+):
     disc, point, base, v = varied_base(problem, n)
     assert base.meta["scheme"]["timeline"].values["B"] is None
     counted_factors.clear()
+    counted_step_values.clear()
     adjoint_apply_continuous(disc, point, v, base)
     assert counted_factors == []
+    assert counted_step_values == []
     assert_backward_unchanged_by_sharing(base, v)
 
 
-def test_continuous_adjoint_with_damping_factorizes_only_its_steps(counted_factors):
+def test_continuous_adjoint_with_damping_factorizes_only_its_steps(
+    counted_factors, counted_step_values
+):
     disc, point, base, v = varied_base("wave1d", 12)
     tl = base.meta["scheme"]["timeline"]
     assert np.ptp(tl.values["B"], axis=0).max() > 0.0  # b varies in time
@@ -158,8 +251,10 @@ def test_continuous_adjoint_with_damping_factorizes_only_its_steps(counted_facto
     distinct = len({row.tobytes() for row in steps})
     assert distinct == steps.shape[0]
     counted_factors.clear()
+    counted_step_values.clear()
     adjoint_apply_continuous(disc, point, v, base)
     assert len(counted_factors) == distinct
+    assert len(counted_step_values) == 1
     assert_backward_unchanged_by_sharing(base, v)
 
 

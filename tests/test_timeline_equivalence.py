@@ -142,7 +142,7 @@ def test_march_matches_splu_oracle(discs, problem):
 
 @pytest.mark.parametrize("problem, n, n_free, kd", [("elastic2d", 2, 2, 1), ("maxwell1d", 2, 1, 0)])
 def test_tiny_mesh_march_and_discrete_dot_test(problem, n, n_free, kd):
-    # too small for the tridiagonal routine: these take the general band LU
+    # too small for the tridiagonal routine: these take band Cholesky
     disc = wi.build_grid(problem, n)
     assert (disc.n_free, disc.pattern.kd) == (n_free, kd)
     assert_march_matches_splu(disc)
@@ -176,7 +176,8 @@ def test_every_slot_is_exactly_symmetric(discs, problem):
 
 @pytest.mark.parametrize("problem", ["wave1d", "elastic2d"])
 def test_singular_step_matrix_names_its_node(discs, problem):
-    # wave1d takes the tridiagonal LU, elastic2d the general band LU
+    # wave1d takes the tridiagonal LU; on elastic2d band Cholesky finds the
+    # matrix not positive definite and the general band LU finds it singular
     pattern = discs[problem].pattern
     identity = np.zeros(pattern.nnz)
     identity[pattern.locate(np.arange(pattern.n), np.arange(pattern.n))] = 1.0
