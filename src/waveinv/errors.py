@@ -65,7 +65,11 @@ class SolverFailureError(WaveinvError, RuntimeError):
 
 
 class RegularityError(WaveinvError, ValueError):
-    """An operation needs higher time regularity (e.g. second derivatives)."""
+    """An operation needs higher time regularity (e.g. second derivatives).
+
+    Also raised for a smoothness order, norm level or norm kind that the
+    operation does not know.
+    """
 
 
 class ObservationError(WaveinvError, ValueError):
@@ -73,7 +77,12 @@ class ObservationError(WaveinvError, ValueError):
 
 
 class DegenerateTestError(WaveinvError, ValueError):
-    """An adjoint consistency test received data with vanishing norms."""
+    """An adjoint consistency test got an unknown mode or data with vanishing norms."""
+
+
+class InversionConfigError(WaveinvError, ValueError):
+    """An inversion setting is invalid: method, step size, discrepancy factor,
+    noise level, iteration counts or targets."""
 
 
 class StepSizeError(WaveinvError, RuntimeError):

@@ -22,11 +22,25 @@ well; the factors are kept on the trajectory for the exact-transpose adjoint
 sweeps in :mod:`.sensitivity`.  The backward adjoint march
 (:func:`solve_backward`) reuses a forward solve's factors and step values in
 reverse order wherever its matrices are the same by construction.
+
+One march kernel, :func:`_march`, advances both the forward recursion and
+the linearized one of :mod:`.sensitivity`,
+
+    S_n x_{n+1} = T_n x_n + 2 y_n + b_n,
+    y_{n+1} = (2/dt) C_h,n (x_{n+1} - x_n) - y_n [+ c_n],
+
+for one state column or for k columns at once.  Each step writes into
+preallocated buffers and calls the compiled kernels directly: the pattern's
+CSR mat-vec (:meth:`~.galerkin.SparsityPattern.kernel`, ``csr_matvecs`` for
+k columns) and the factor's bound LAPACK solve routine.  The shapes are
+checked once, when the march starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
+from itertools import repeat
 
 import numpy as np
 import scipy.linalg.lapack as lapack
@@ -132,6 +146,10 @@ class BandLU:
     Cholesky factors.  Every matrix is exactly symmetric (see
     :class:`~.galerkin.AssemblyKit`), so :meth:`solve` also solves with the
     transpose.
+
+    ``lapack_solve(rhs)`` is the LAPACK solve routine with the factors bound,
+    so a call reaches LAPACK without a Python frame in between; it returns
+    LAPACK's ``(x, info)``.
     """
 
     def __init__(self, pattern, values, node):
@@ -139,20 +157,20 @@ class BandLU:
         if kd == 1 and pattern.n >= 3:  # band rows 3, 2, 1: sub-, main and super-diagonal
             ab = pattern.band(values)
             *lu, info = lapack.dgttrf(ab[3, :-1], ab[2], ab[1, 1:])
-            self._solve = lambda rhs: lapack.dgttrs(*lu, rhs)[0]
+            self.lapack_solve = partial(lapack.dgttrs, *lu)
         else:
             c, info = lapack.dpbtrf(pattern.lower_band(values), lower=1, overwrite_ab=1)
             if info == 0:
-                self._solve = lambda rhs: lapack.dpbtrs(c, rhs, lower=1)[0]
+                self.lapack_solve = partial(lapack.dpbtrs, c, lower=1)
             else:  # not positive definite
                 lu, piv, info = lapack.dgbtrf(pattern.band(values), kd, kd, overwrite_ab=True)
-                self._solve = lambda rhs: lapack.dgbtrs(lu, kd, kd, rhs, piv)[0]
+                self.lapack_solve = partial(lapack.dgbtrs, lu, kd, kd, ipiv=piv)
         if info != 0:
             raise SolverFailureError(node, f"factorization failed (LAPACK info {info})")
 
     def solve(self, rhs):
         """Solve with the matrix for a (n,) or (n, k) right-hand side."""
-        return self._solve(rhs)
+        return self.lapack_solve(rhs)[0]
 
 
 def factorize_rows(pattern, rows):
@@ -168,13 +186,19 @@ def factorize_rows(pattern, rows):
 
 
 def solve_each(factors, rhs):
-    """Solve factors[n] x[n] = rhs[n] with one multi-column solve per distinct factor."""
+    """Solve factors[n] x[n] = rhs[n] with one multi-column solve per distinct factor.
+
+    ``rhs`` is (node, dof) or (node, k, dof): every right-hand side of the
+    nodes that share a factor is one column of that factor's solve.
+    """
     groups = {}
     for n, factor in enumerate(factors):
         groups.setdefault(id(factor), (factor, []))[1].append(n)
     out = np.empty_like(rhs)
+    n_dof = rhs.shape[-1]
     for factor, nodes in groups.values():
-        out[nodes] = factor.solve(rhs[nodes].T).T
+        block = rhs[nodes]
+        out[nodes] = factor.solve(block.reshape(-1, n_dof).T).T.reshape(block.shape)
     return out
 
 
@@ -227,7 +251,6 @@ def solve_forward(timeline, f, u0=None, u1=None, *, steps=None, c_factors=None):
         (``factors``, ``c_factors``) and the values of T_n and C_h.
     """
     tg = timeline.time_grid
-    n_steps = tg.size - 1
     dt = timeline.dt
     pattern = timeline.pattern
     fv = f.values
@@ -249,11 +272,7 @@ def solve_forward(timeline, f, u0=None, u1=None, *, steps=None, c_factors=None):
     else:
         factors, t_vals, c_half = steps
     loads = dt * 0.5 * (fv[:-1] + fv[1:])
-    two_dt = 2.0 / dt
-    for n in range(n_steps):
-        rhs = pattern.matvec(t_vals[n], u[n]) + 2.0 * p[n] + loads[n]
-        u[n + 1] = factors[n].solve(rhs)
-        p[n + 1] = two_dt * pattern.matvec(c_half[n], u[n + 1] - u[n]) - p[n]
+    _march(pattern, factors, t_vals, c_half, 2.0 / dt, u, p, loads)
     bad = ~np.all(np.isfinite(u[1:]), axis=1)
     if bad.any():
         raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")
@@ -274,6 +293,65 @@ def solve_forward(timeline, f, u0=None, u1=None, *, steps=None, c_factors=None):
         "c_factors": c_factors,
     }
     return traj
+
+
+def _march(pattern, factors, t_vals, c_half, two_dt, x, y, b, c=None):
+    """Advance the midpoint recursion in place over every step.
+
+    For n = 0 .. len(factors) - 1, with ``factors[n]`` factorizing S_n,
+
+        S_n x[n + 1] = T_n x[n] + 2 y[n] + b[n],
+        y[n + 1] = two_dt C_h,n (x[n + 1] - x[n]) - y[n] [+ c[n]],
+
+    where T_n and C_h,n have the (nnz,) values ``t_vals[n]`` and
+    ``c_half[n]``.  ``x`` and ``y`` are (steps + 1, n) for one state column or
+    (steps + 1, n, k) for k columns, and hold the initial state in row 0;
+    ``b`` and ``c`` are (steps, n) or (steps, n, k).  The operations keep the
+    order of the one-column recursion, so each column comes out bit for bit
+    as it would on its own.
+    """
+    n_steps = len(factors)
+    if (
+        len(t_vals) != n_steps
+        or len(c_half) != n_steps
+        or x.shape[0] != n_steps + 1
+        or y.shape != x.shape
+        or b.shape != (n_steps,) + x.shape[1:]
+        or (c is not None and c.shape != b.shape)
+    ):
+        raise ValueError(
+            f"states {x.shape} and {y.shape}, step terms {b.shape} and "
+            f"{len(t_vals)} and {len(c_half)} step values do not match {n_steps} steps"
+        )
+    if x.ndim == 3 and x.shape[2] == 1:
+        # one column: the single-vector kernel, on views of the same rows
+        x, y, b = x[..., 0], y[..., 0], b[..., 0]
+        c = None if c is None else c[..., 0]
+    t_product = pattern.kernel(t_vals, x[0])
+    c_product = pattern.kernel(c_half, x[0])
+    rhs = np.empty(x.shape[1:])
+    work = np.empty_like(rhs)
+    c_step = np.empty_like(rhs)
+    # row views, made once: a list indexes faster than an array
+    xs, ys = list(x), list(y)
+    rows = zip(t_vals, c_half, factors, b, repeat(None) if c is None else c)
+    for (t_row, ch_row, factor, b_term, c_term), x0, x1, y0, y1 in zip(
+        rows, xs, xs[1:], ys, ys[1:]
+    ):
+        # the kernels add into their output, so each product starts from zeros
+        rhs.fill(0.0)
+        t_product(t_row, x0, rhs)
+        np.multiply(y0, 2.0, out=work)
+        rhs += work
+        rhs += b_term
+        x1[...] = factor.lapack_solve(rhs)[0]
+        np.subtract(x1, x0, out=work)
+        c_step.fill(0.0)
+        c_product(ch_row, work, c_step)
+        np.multiply(c_step, two_dt, out=y1)
+        y1 -= y0
+        if c_term is not None:
+            y1 += c_term
 
 
 def reverse_timeline(timeline):

@@ -33,7 +33,9 @@ each slot.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -129,6 +131,27 @@ class SparsityPattern:
                 self._add_products(out, values, x)
         return out
 
+    def kernel(self, values, x):
+        """The compiled product ``kernel(values[i], x, out)``, out += V_i x.
+
+        ``values`` is a (rows, nnz) stack of matrices and ``x`` an (n,) vector
+        or an (n, k) block of k columns; the kernel is ``csr_matvec`` or
+        ``csr_matvecs`` with this pattern bound, and it adds into ``out``.
+        The shapes are checked here, once, so that a loop over the rows makes
+        no further checks.
+        """
+        stack_ok = values.ndim == 2 and values.shape[1] == self.nnz
+        if not stack_ok or x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(
+                f"values {values.shape} and vectors {x.shape} do not match "
+                f"the pattern's (rows, {self.nnz}) and ({self.n},) or ({self.n}, k)"
+            )
+        if x.ndim == 1:
+            return partial(_sparsetools.csr_matvec, self.n, self.n, self.indptr, self.indices)
+        return partial(
+            _sparsetools.csr_matvecs, self.n, self.n, x.shape[1], self.indptr, self.indices
+        )
+
     def _add_products(self, out, values, x):
         """out += values times x for every row of out, in one compiled kernel call."""
         if values.shape != out.shape[:-1] + (self.nnz,) or x.shape != out.shape:
@@ -203,9 +226,14 @@ class AssemblyKit:
         )
 
     def values(self, coeff_elem):
-        """Pattern values for per-element coefficients: (..., n_el) -> (..., nnz)."""
+        """Pattern values for per-element coefficients: (..., n_el) -> (..., nnz).
+
+        All leading rows go through one sparse product.
+        """
         coeff = np.asarray(coeff_elem, dtype=float)
-        return np.ascontiguousarray((self._scatter @ coeff.T).T)
+        rows = coeff.reshape(-1, coeff.shape[-1])
+        vals = np.ascontiguousarray((self._scatter @ rows.T).T)
+        return vals.reshape(coeff.shape[:-1] + (vals.shape[-1],))
 
     def assemble(self, coeff_elem):
         """Global matrix on free DOFs for per-element coefficients."""
@@ -810,31 +838,46 @@ def assemble_direction(disc, point, direction):
     names are treated as zero).  Each form term contributes its kit with the
     linearized coefficient map, e.g. for maxwell1d
     (-stiffness(mu_bar / mu^2), 0, mass(eps_bar), 0).
+
+    ``direction`` may also be a list of k such mappings.  The timeline's
+    slots are then (time node x k x nnz) arrays, filled by one
+    (k * time node, element) product per form term; a field that only some
+    of the directions have is zero in the others.
     """
     _check_problem(disc, point)
+    single = isinstance(direction, Mapping)
+    directions = [direction] if single else list(direction)
     shape = (point.time_grid.size, disc.n_nodes)
-    unknown = set(direction) - set(FIELD_NAMES[disc.problem])
-    if unknown:
-        raise DirectionShapeError(
-            f"direction has fields {sorted(unknown)} unknown to problem '{disc.problem}'"
-        )
     means = {}
-    for name, f in direction.items():
-        if f is None:
-            continue
-        vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
-        if vals.shape != shape:
+    for j, one in enumerate(directions):
+        unknown = set(one) - set(FIELD_NAMES[disc.problem])
+        if unknown:
             raise DirectionShapeError(
-                f"direction field '{name}' has shape {vals.shape}, expected {shape}"
+                f"direction has fields {sorted(unknown)} unknown to problem '{disc.problem}'"
             )
-        means[name] = disc.element_means(vals)
+        for name, f in one.items():
+            if f is None:
+                continue
+            vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
+            if vals.shape != shape:
+                raise DirectionShapeError(
+                    f"direction field '{name}' has shape {vals.shape}, expected {shape}"
+                )
+            if name not in means:
+                means[name] = np.zeros((shape[0], len(directions), disc.elements.shape[0]))
+            means[name][:, j] = disc.element_means(vals)
 
     def coefficient(name, fmap):
         if name not in means:
             return None
-        return fmap[1](disc.element_means(point.fields[name].values), means[name])
+        base = disc.element_means(point.fields[name].values)[:, None]
+        return fmap[1](base, means[name])
 
-    return _assemble(disc, point.time_grid, coefficient)
+    timeline = _assemble(disc, point.time_grid, coefficient)
+    if single:
+        for slot, values in timeline.values.items():
+            timeline.values[slot] = None if values is None else values[:, 0]
+    return timeline
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ import scipy.linalg
 
 from .errors import (
     ConstraintViolationError,
+    DirectionShapeError,
+    RegularityError,
     ResolutionError,
     SlackError,
     SpectralError,
@@ -40,7 +42,7 @@ from .errors import (
 from .evolve import y_norm
 from .forward import forward_map, trapezoid_weights
 from .galerkin import FIELD_NAMES, ParameterField, parameter_norm
-from .sensitivity import derivative_apply
+from .sensitivity import derivative_apply_many
 
 # ---------------------------------------------------------------------------
 # mother bump
@@ -98,7 +100,7 @@ def mother_bump(order, n_grid=20001):
     """Build the normalized mother bump controlling derivatives up to order."""
     order = int(order)
     if order < 0:
-        raise ValueError(f"smoothness order must be nonnegative; got {order}")
+        raise RegularityError(f"smoothness order must be nonnegative; got {order}")
     polys = _bump_polynomials(order)
     tt = np.linspace(-1.0, 1.0, n_grid)
     sups = []
@@ -228,7 +230,7 @@ class RankOneSequence:
 def rank_one_sequence(disc, kind, k_list):
     """Generalized-eigenvector rank-one sequence of the discretization."""
     if kind not in ("X", "Y"):
-        raise ValueError(f"kind must be 'X' or 'Y', got {kind!r}")
+        raise RegularityError(f"kind must be 'X' or 'Y', got {kind!r}")
     k_list = [int(k) for k in k_list]
     n = disc.n_free
     if any(k < 1 or k > n for k in k_list):
@@ -309,7 +311,7 @@ def illposed_experiment(
     error suggesting a smaller delta.
     """
     if target not in FIELD_NAMES[disc.problem]:
-        raise ValueError(f"problem '{disc.problem}' has no parameter '{target}'")
+        raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
     delta = float(delta)
     r = int(k) + 1
     tg = point.time_grid
@@ -411,13 +413,15 @@ def svd_probe(
 
     The target field varies on a tensor grid of ``time_knots`` x
     ``space_knots`` hat functions prolonged to the simulation grid by linear
-    interpolation; each coarse basis direction is pushed through the exact
-    discrete derivative, and the image trajectories are flattened with the
-    trapezoid-in-time, mass-Cholesky-in-space weighting so Euclidean length
-    equals the data norm.  Refuses more than 400 coarse parameters.
+    interpolation.  The coarse basis directions go through the exact discrete
+    derivative together, as the columns of batched marches
+    (:func:`~.sensitivity.derivative_apply_many`), and the image trajectories
+    are flattened with the trapezoid-in-time, mass-Cholesky-in-space
+    weighting so Euclidean length equals the data norm.  Refuses more than
+    400 coarse parameters, and a target the problem does not have.
     """
     if target not in FIELD_NAMES[disc.problem]:
-        raise ValueError(f"problem '{disc.problem}' has no parameter '{target}'")
+        raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
     if disc.dim == 1:
         space_shape = (int(space_knots),)
     else:
@@ -453,15 +457,11 @@ def svd_probe(
     chol = scipy.linalg.cholesky(disc.M.toarray())
     sqrt_w = np.sqrt(w)
 
+    directions = ({target: np.outer(t_row, s_row)} for t_row in t_basis for s_row in space_basis)
+    derivs = derivative_apply_many(disc, point, directions, base)
     columns = np.empty((tg.size * disc.n_free, n_params))
-    col = 0
-    for i in range(t_basis.shape[0]):
-        for s in range(space_basis.shape[0]):
-            direction = {target: np.outer(t_basis[i], space_basis[s])}
-            deriv = derivative_apply(disc, point, direction, base)
-            flat = sqrt_w[:, None] * (deriv.u @ chol.T)
-            columns[:, col] = flat.ravel()
-            col += 1
+    for col, deriv in enumerate(derivs):
+        columns[:, col] = (sqrt_w[:, None] * (deriv.u @ chol.T)).ravel()
 
     sing = np.linalg.svd(columns, compute_uv=False)
     if n_sing is not None:

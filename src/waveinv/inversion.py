@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CGBreakdownError, StepSizeError
+from .errors import CGBreakdownError, InversionConfigError, StepSizeError
 from .forward import DataVector, data_norm, forward_map, observe, trapezoid_weights
 from .galerkin import FIELD_NAMES, project_point
 from .sensitivity import adjoint_apply_discrete, derivative_apply, nodal_gradient
@@ -41,17 +41,19 @@ class InversionConfig:
 
     def __post_init__(self):
         if self.method not in ("landweber", "cgne"):
-            raise ValueError(f"method must be 'landweber' or 'cgne', got {self.method!r}")
+            raise InversionConfigError(
+                f"method must be 'landweber' or 'cgne', got {self.method!r}"
+            )
         if self.tau <= 1.0:
-            raise ValueError(f"discrepancy factor tau must exceed 1, got {self.tau}")
+            raise InversionConfigError(f"discrepancy factor tau must exceed 1, got {self.tau}")
         if self.step_size is not None and self.step_size <= 0.0:
-            raise ValueError(f"step size must be positive, got {self.step_size}")
+            raise InversionConfigError(f"step size must be positive, got {self.step_size}")
         if self.noise_level < 0.0:
-            raise ValueError(f"noise level must be nonnegative, got {self.noise_level}")
+            raise InversionConfigError(f"noise level must be nonnegative, got {self.noise_level}")
         if self.max_iterations < 0:
-            raise ValueError("max_iterations must be nonnegative")
+            raise InversionConfigError("max_iterations must be nonnegative")
         if self.outer_iterations < 1:
-            raise ValueError("outer_iterations must be at least 1")
+            raise InversionConfigError("outer_iterations must be at least 1")
 
 
 @dataclass
@@ -74,7 +76,7 @@ def _active_targets(problem, config):
         return tuple(names)
     unknown = set(config.targets) - set(names)
     if unknown:
-        raise ValueError(f"unknown inversion targets {sorted(unknown)} for '{problem}'")
+        raise InversionConfigError(f"unknown inversion targets {sorted(unknown)} for '{problem}'")
     return tuple(n for n in names if n in config.targets)
 
 
@@ -264,7 +266,7 @@ def add_noise(data, level, seed, disc):
     reproducible from the seed.
     """
     if level < 0.0:
-        raise ValueError(f"noise level must be nonnegative, got {level}")
+        raise InversionConfigError(f"noise level must be nonnegative, got {level}")
     if level == 0.0:
         return data.copy()
     rng = np.random.default_rng(seed)

@@ -12,7 +12,13 @@ directional derivative of the assembled operators, the derivative trajectory
 which is an O(dt^2)-consistent discretization of the linearized equation and
 at the same time the exact derivative of the discrete solver — so its
 remainder is purely quadratic in the direction and its transpose can be run
-exactly over the stored factorizations.
+exactly over the stored factorizations.  The recursion is the forward one
+with the extra terms b_n and c_n, so it runs on the same march kernel
+(:func:`~.evolve._march`).  ``derivative_apply_many`` carries k directions
+through one march as the k columns of its states, assembling them, forming
+their b_n and c_n and recovering their velocities and accelerations together;
+the directions go in blocks whose (k, time node, nnz) value arrays stay
+within a fixed byte budget.  ``derivative_apply`` is its one-direction case.
 
 Two adjoints are provided: ``adjoint_apply_discrete`` reverses the recursion
 above (dot test exact to rounding at any step size), while
@@ -37,6 +43,7 @@ equivalent nodal representative for iteration updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -45,7 +52,7 @@ from .errors import (
     ObservationError,
     RequiresForwardSolveError,
 )
-from .evolve import SourceTerm, Trajectory, solve_backward, solve_each, step_values
+from .evolve import SourceTerm, Trajectory, _march, solve_backward, solve_each, step_values
 from .forward import (
     DataVector,
     data_inner,
@@ -89,42 +96,100 @@ def derivative_apply(disc, point, direction, base):
     Differentiates the midpoint recursion exactly (see the module docstring),
     reusing the base factorizations; initial data of the derivative are
     homogeneous.  Returns a Trajectory whose velocity and acceleration are
-    the exact derivatives of the base recovery formulas.
+    the exact derivatives of the base recovery formulas.  This is the one
+    direction case of :func:`derivative_apply_many`.
+    """
+    return next(derivative_apply_many(disc, point, [direction], base))
+
+
+#: bytes that one (k, time node, nnz) value array of a block of directions
+#: may take; the directions go through the march in blocks of that size
+_BLOCK_BYTES = 8 * 2**20
+
+
+def derivative_apply_many(disc, point, directions, base):
+    """Directional derivatives of the forward map along each of ``directions``.
+
+    Returns an iterator with one Trajectory per direction, in order, each
+    equal bit for bit to what :func:`derivative_apply` gives for that
+    direction alone.  The directions go through in blocks: one direction
+    assembly, one set of base-trajectory terms b_n and c_n, one march with
+    the block's directions as the k columns of its states, and one recovery
+    solve per distinct C(t_n) factor serve a whole block.  A block holds as
+    many directions as keep each of its (k, time node, nnz) value arrays
+    within ``_BLOCK_BYTES``, and at least one.  ``directions`` may be any
+    iterable; it is read, and its trajectories computed, one block at a
+    time, so only one block is held at once.
     """
     scheme = _require_scheme(base)
     timeline = scheme["timeline"]
+    size = max(1, _BLOCK_BYTES // (timeline.time_grid.size * timeline.pattern.nnz * 8))
+    directions = iter(directions)
+    blocks = iter(lambda: list(islice(directions, size)), [])  # until a block comes out empty
+    return chain.from_iterable(
+        _derivative_block(disc, point, block, base, scheme) for block in blocks
+    )
+
+
+def _derivative_block(disc, point, directions, base, scheme):
+    """The derivative trajectories of one block of k directions."""
+    timeline = scheme["timeline"]
     pattern = timeline.pattern
-    tlh = assemble_direction(disc, point, direction)
+    tlh = assemble_direction(disc, point, directions)
     tg = timeline.time_grid
-    n_steps = tg.size - 1
     dt = timeline.dt
     two_dt = 2.0 / dt
-    factors = scheme["factors"]
-    t_vals = scheme["t_mats"]
-    c_half = scheme["c_half"]
+    k = len(directions)
     u = base.u
 
-    # the base trajectory's share of the recursion, for all steps at once
+    def per_direction(rows):
+        """(time, m) rows of the base, the same for each direction: (time, k, m)."""
+        if rows is None:
+            return None
+        return np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1]))
+
+    # the base trajectory's share of the recursion, for all steps and directions at once
     s_dot, t_dot, c_dot = step_values(tlh)
-    b = pattern.apply((t_dot, u[:-1])) - pattern.apply((s_dot, u[1:]))
-    c = two_dt * pattern.apply((c_dot, u[1:] - u[:-1]))
-    eta = np.zeros_like(u)
-    pi = np.zeros_like(u)
-    for n in range(n_steps):
-        eta[n + 1] = factors[n].solve(pattern.matvec(t_vals[n], eta[n]) + 2.0 * pi[n] + b[n])
-        pi[n + 1] = two_dt * pattern.matvec(c_half[n], eta[n + 1] - eta[n]) - pi[n] + c[n]
+    b = pattern.apply((t_dot, per_direction(u[:-1]))) - pattern.apply(
+        (s_dot, per_direction(u[1:]))
+    )
+    c = two_dt * pattern.apply((c_dot, per_direction(u[1:] - u[:-1])))
+    # the march carries the k directions as the columns of (dof, k) states
+    eta = np.zeros((tg.size, pattern.n, k))
+    pi = np.zeros_like(eta)
+    _march(
+        pattern, scheme["factors"], scheme["t_mats"], scheme["c_half"], two_dt,
+        eta, pi, b.transpose(0, 2, 1), c.transpose(0, 2, 1),
+    )
+    eta = eta.transpose(0, 2, 1)
+    pi = pi.transpose(0, 2, 1)
 
     c_factors = scheme["c_factors"]
     vb, vh = timeline.values, tlh.values
-    deta = solve_each(c_factors, pi - pattern.apply((vh["C"], base.du)))
+    deta = solve_each(c_factors, pi - pattern.apply((vh["C"], per_direction(base.du))))
     resid = -pattern.apply(
-        (vh["A"], base.u), (vh["B"], base.du), (vh["Q"], base.u), (vh["C"], base.ddu),
-        (vb["A"], eta), (vb["B"], deta), (vb["Q"], eta),
-        (tlh.rate("C"), base.du), (timeline.rate("C"), deta),
+        (vh["A"], per_direction(base.u)),
+        (vh["B"], per_direction(base.du)),
+        (vh["Q"], per_direction(base.u)),
+        (vh["C"], per_direction(base.ddu)),
+        (per_direction(vb["A"]), eta),
+        (per_direction(vb["B"]), deta),
+        (per_direction(vb["Q"]), eta),
+        (tlh.rate("C"), per_direction(base.du)),
+        (per_direction(timeline.rate("C")), deta),
     )
     ddeta = solve_each(c_factors, resid)
 
-    return Trajectory(eta, deta, ddeta, tg, dt)
+    return [
+        Trajectory(
+            np.ascontiguousarray(eta[:, j]),
+            np.ascontiguousarray(deta[:, j]),
+            np.ascontiguousarray(ddeta[:, j]),
+            tg,
+            dt,
+        )
+        for j in range(k)
+    ]
 
 
 def _adjoint_seeds(disc, v, time_grid):
@@ -160,7 +225,9 @@ def adjoint_apply_discrete(disc, point, v, base):
     (the step matrices are symmetric, so their factors solve the transposed
     systems as they are), then transposes the direction-assembly maps into
     per-element gradient densities.  Satisfies the dot test to rounding at
-    any fixed step size.
+    any fixed step size.  As in the forward march, each step calls the
+    compiled product kernels and the bound LAPACK solve on preallocated
+    buffers.
     """
     scheme = _require_scheme(base)
     timeline = scheme["timeline"]
@@ -177,16 +244,28 @@ def adjoint_apply_discrete(disc, point, v, base):
 
     seeds = _adjoint_seeds(disc, v, tg)
     p = seeds[n_steps].copy()
-    q = np.zeros_like(p)
+    # r_n goes to beta[n] and q_n to gamma[n]; the recursion starts from q = 0
     beta = np.empty((n_steps, disc.n_free))
     gamma = np.empty((n_steps, disc.n_free))
+    gamma[-1] = 0.0
+    t_product = pattern.kernel(t_vals, p)
+    c_product = pattern.kernel(c_vals, p)
+    cq = np.empty_like(p)
+    tr = np.empty_like(p)
     for n in range(n_steps - 1, -1, -1):
-        cq = pattern.matvec(c_vals[n], q)
-        r = factors[n].solve(p + cq)
-        beta[n] = r
-        gamma[n] = q
-        p = seeds[n] + pattern.matvec(t_vals[n], r) - cq
-        q = 2.0 * r - q
+        q = gamma[n]
+        cq.fill(0.0)
+        c_product(c_vals[n], q, cq)
+        p += cq
+        r = beta[n]
+        r[:] = factors[n].lapack_solve(p)[0]
+        tr.fill(0.0)
+        t_product(t_vals[n], r, tr)
+        np.add(seeds[n], tr, out=p)
+        p -= cq
+        if n:
+            np.multiply(r, 2.0, out=gamma[n - 1])
+            gamma[n - 1] -= q
 
     du_step = u[1:] - u[:-1]
     su_step = u[:-1] + u[1:]
@@ -321,7 +400,7 @@ def dot_test(disc, point, direction, v, mode="discrete", base=None):
     elif mode == "continuous":
         grad = adjoint_apply_continuous(disc, point, v, base)
     else:
-        raise ValueError(f"mode must be 'discrete' or 'continuous', got {mode!r}")
+        raise DegenerateTestError(f"mode must be 'discrete' or 'continuous', got {mode!r}")
     rhs = parameter_pairing(disc, grad, direction)
     denom = data_norm(d_out, disc) * data_norm(v, disc) + gradient_norm(
         disc, grad

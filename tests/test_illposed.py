@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import waveinv as wi
 from waveinv.errors import (
+    DirectionShapeError,
+    RegularityError,
     ResolutionError,
     SlackError,
     SpectralError,
@@ -95,7 +97,7 @@ def test_bump_sequence_preconditions():
         bump_sequence(3, 1.5, 1.0, tg, [4])  # center outside the interval
     with pytest.raises(ResolutionError):
         bump_sequence(3, 0.5, 1.0, tg, [0])  # nonpositive index
-    with pytest.raises(ValueError):
+    with pytest.raises(RegularityError):
         bump_sequence(-1, 0.5, 1.0, tg, [4])  # negative smoothness order
     with pytest.raises(ResolutionError):
         bump_sequence(3, 0.5, 1.0, np.linspace(0.0, 1.0, 33), [64])
@@ -155,7 +157,7 @@ def test_rank_one_rejects_bad_indices(wave_disc):
         rank_one_sequence(wave_disc, "X", [0])
     with pytest.raises(SpectralError):
         rank_one_sequence(wave_disc, "X", [wave_disc.n_free + 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(RegularityError, match="'X' or 'Y'"):
         rank_one_sequence(wave_disc, "Z", [1])
 
 
@@ -239,5 +241,7 @@ def test_svd_probe_guards(wave_disc):
     f = modal_source(wave_disc, tg)
     with pytest.raises(TooLargeError):
         svd_probe(wave_disc, point, "a", f, time_knots=25, space_knots=20)
-    with pytest.raises(ValueError):
+    with pytest.raises(DirectionShapeError, match="no parameter 'lam'"):
         svd_probe(wave_disc, point, "lam", f)
+    with pytest.raises(DirectionShapeError, match="no parameter 'lam'"):
+        illposed_experiment(wave_disc, point, "lam", 0.1, [4], f)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveinv as wi
-from waveinv.errors import StepSizeError
+from waveinv import inversion
+from waveinv.errors import CGBreakdownError, InversionConfigError, StepSizeError
 from waveinv.forward import (
     ObservationSpec,
     data_distance,
@@ -59,14 +60,16 @@ def test_config_defaults_are_valid():
     ],
 )
 def test_config_rejects_bad_values(kwargs):
-    with pytest.raises(ValueError):
+    with pytest.raises(InversionConfigError):
         InversionConfig(**kwargs)
+    # still a ValueError, for callers that catch those
+    assert issubclass(InversionConfigError, ValueError)
 
 
 def test_unknown_target_rejected(instance):
     disc, tg, truth, x0, f, clean = instance
     cfg = InversionConfig(targets=("zeta",), max_iterations=1)
-    with pytest.raises(ValueError, match="zeta"):
+    with pytest.raises(InversionConfigError, match="zeta"):
         landweber(disc, x0, clean, f, cfg)
 
 
@@ -196,6 +199,24 @@ def test_cgne_outpaces_landweber(instance):
     assert true_misfit(cg_final) < true_misfit(lw_final)
 
 
+def test_cgne_zero_curvature_is_a_breakdown(instance, monkeypatch):
+    # a derivative that maps the (nonzero) first search direction to zero
+    disc, tg, truth, x0, f, clean = instance
+
+    def vanishing(disc, point, direction, base):
+        zeros = np.zeros_like(base.u)
+        return wi.Trajectory(zeros, zeros.copy(), zeros.copy(), base.time_grid, base.dt)
+
+    monkeypatch.setattr(inversion, "derivative_apply", vanishing)
+    cfg = InversionConfig(method="cgne", max_iterations=5)
+    with pytest.raises(
+        CGBreakdownError,
+        match=r"search direction has zero curvature \(J p = 0\); "
+        "the linearized system is exhausted",
+    ):
+        cgne(disc, x0, clean, f, cfg)
+
+
 def test_cgne_outer_restarts(instance):
     disc, tg, truth, x0, f, clean = instance
     cfg = InversionConfig(
@@ -237,7 +258,7 @@ def test_add_noise_zero_level_copies(instance):
 
 def test_add_noise_rejects_negative_level(instance):
     disc, tg, truth, x0, f, clean = instance
-    with pytest.raises(ValueError):
+    with pytest.raises(InversionConfigError, match="nonnegative"):
         add_noise(clean, -0.01, 7, disc)
 
 

@@ -264,7 +264,7 @@ def test_dot_test_error_paths(wave_disc, time_grid):
     v = wi.DataVector(np.ones((time_grid.size, wave_disc.n_free)), time_grid)
     with pytest.raises(RequiresForwardSolveError):
         dot_test(wave_disc, point, direction, v)
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateTestError, match="'discrete' or 'continuous'"):
         dot_test(wave_disc, point, direction, v, mode="sideways", base=base)
     zero_dir = {"a": np.zeros((time_grid.size, wave_disc.n_nodes))}
     zero_v = wi.DataVector(np.zeros((time_grid.size, wave_disc.n_free)), time_grid)
