@@ -35,10 +35,11 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, ConstraintViolationError, ResolutionError, WaveinvError
-from .evolve import SourceTerm, compatibility_check, make_source
+from .evolve import SourceTerm, compatibility_check, make_source, momentum_from_velocity
 from .forward import DataVector, data_norm, forward_map, observe
 from .galerkin import (
     FIELD_NAMES,
+    PROBLEMS,
     ParameterField,
     ParameterPoint,
     assemble_operators,
@@ -63,7 +64,7 @@ CONFIG_SCHEMA = {
     "required": ["problem", "mesh", "time", "fields", "source", "experiment"],
     "additionalProperties": False,
     "properties": {
-        "problem": {"enum": ["wave1d", "elastic2d", "maxwell1d"]},
+        "problem": {"enum": list(PROBLEMS)},
         "mesh": {
             "type": "object",
             "required": ["n"],
@@ -521,7 +522,7 @@ def _manufactured_error(n_elements, n_steps, t_end):
     )
     timeline = assemble_operators(disc, point)
     free = disc.free_nodes
-    u1 = timeline.matrix("C", 0) @ np.sin(np.pi * disc.nodes[free])
+    u1 = momentum_from_velocity(timeline, np.sin(np.pi * disc.nodes[free]))
     traj = forward_map(disc, point, f, u1=u1)
     exact = np.sin(np.pi * disc.nodes[free])[None, :] * np.sin(tg)[:, None]
     diff = traj.u - exact

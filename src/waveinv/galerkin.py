@@ -24,11 +24,16 @@ vertex values (midpoint sampling of the piecewise-linear interpolant), so
 every parameter-to-operator map is a smooth function of per-element values and
 its linearization is available in closed form.
 
+Each problem is stated once, by two tables.  :data:`FORMS` lists its form
+terms: which kit, field and coefficient map feed each operator slot, and so
+its field names.  :data:`BOUNDS` lists the bounds of its admissible set (C
+uniformly positive, A coercive), which both the check
+:meth:`ParameterPoint.check_admissible` and :func:`project_point` walk.
+
 All operators of a problem share one CSR sparsity pattern on the free degrees
 of freedom.  An operator timeline stores each slot as a (time node x nnz)
 array of values on that pattern, filled for all nodes at once by one sparse
-product per form term; :data:`FORMS` says which kit and coefficient map feed
-each slot.
+product per form term.
 """
 
 from __future__ import annotations
@@ -48,14 +53,62 @@ from .errors import (
     ResolutionError,
 )
 
-PROBLEMS = ("wave1d", "elastic2d", "maxwell1d")
+SLOTS = ("A", "B", "C", "Q")
 
-#: parameter field names per problem, in canonical order
-FIELD_NAMES = {
-    "wave1d": ("a", "b", "q", "rho"),
-    "elastic2d": ("lam", "mu", "rho"),
-    "maxwell1d": ("eps", "mu"),
+#: coefficient maps from element means m to operator coefficients, each with
+#: its linearization h -> map'(m) h; being pointwise, that is its own transpose.
+#: Each map is also its own inverse.
+LINEAR = (lambda m: m, lambda m, h: h)
+RECIPROCAL = (lambda m: 1.0 / m, lambda m, h: -h / m**2)
+
+#: problem -> form terms (slot, kit, field, coefficient map), in field order;
+#: a slot is the sum of its terms and vanishes when it has none
+FORMS = {
+    "wave1d": (
+        ("A", "stiffness", "a", LINEAR),
+        ("B", "mass", "b", LINEAR),
+        ("Q", "mass", "q", LINEAR),
+        ("C", "mass", "rho", LINEAR),
+    ),
+    "elastic2d": (
+        ("A", "div", "lam", LINEAR),
+        ("A", "eps", "mu", LINEAR),
+        ("C", "vmass", "rho", LINEAR),
+    ),
+    "maxwell1d": (
+        ("C", "mass", "eps", LINEAR),
+        ("A", "stiffness", "mu", RECIPROCAL),
+    ),
 }
+
+#: slack that keeps admissible points strictly inside every bound
+SLACK = 1e-8
+
+#: problem -> admissibility bounds (label, field, weights, lower, upper), in
+#: check order: C uniformly positive and A coercive, with a0 = c0 = rho0 =
+#: eps0 = mu0 = 1/alpha0 = 0.1 and alpha0 = mu1 = 10.  A bound holds a field
+#: itself (weights None) or the weighted sum of fields within
+#: [lower + SLACK, upper - SLACK]; ``field`` is the one projection moves.
+BOUNDS = {
+    "wave1d": (
+        ("a >= a0", "a", None, 0.1, np.inf),
+        ("rho >= c0", "rho", None, 0.1, np.inf),
+    ),
+    "elastic2d": (
+        ("rho >= rho0", "rho", None, 0.1, np.inf),
+        ("1/alpha0 <= mu <= alpha0", "mu", None, 0.1, 10.0),
+        ("1/alpha0 <= 2*mu+3*lam <= alpha0", "lam", {"mu": 2.0, "lam": 3.0}, 0.1, 10.0),
+    ),
+    "maxwell1d": (
+        ("eps >= eps0", "eps", None, 0.1, np.inf),
+        ("mu0 <= mu <= mu1", "mu", None, 0.1, 10.0),
+    ),
+}
+
+PROBLEMS = tuple(FORMS)
+
+#: parameter field names per problem, in canonical (form term) order
+FIELD_NAMES = {problem: tuple(term[2] for term in terms) for problem, terms in FORMS.items()}
 
 
 class SparsityPattern:
@@ -567,70 +620,9 @@ class ParameterField:
         return ParameterField(self.values.copy(), self.time_grid.copy())
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Box bounds defining the admissible parameter set, with strict slack.
-
-    Defaults: wave1d needs a >= a0, rho >= c0; elastic2d needs rho >= rho0 and
-    mu, 2 mu + 3 lam within [1/alpha0, alpha0]; maxwell1d needs eps >= eps0
-    and mu within [mu0, mu1].  All bounds are enforced with a strict interior
-    slack so that admissible points stay away from the boundary of the box.
-    """
-
-    problem: str
-    slack: float = 1e-8
-    a0: float = 0.1
-    c0: float = 0.1
-    rho0: float = 0.1
-    alpha0: float = 10.0
-    eps0: float = 0.1
-    mu0: float = 0.1
-    mu1: float = 10.0
-
-    def _bounds(self, fields):
-        """Yield (bound_name, field_name, array, lower, upper) tuples."""
-        s = self.slack
-        if self.problem == "wave1d":
-            yield ("a >= a0", "a", fields["a"].values, self.a0 + s, None)
-            yield ("rho >= c0", "rho", fields["rho"].values, self.c0 + s, None)
-        elif self.problem == "elastic2d":
-            yield ("rho >= rho0", "rho", fields["rho"].values, self.rho0 + s, None)
-            yield (
-                "1/alpha0 <= mu <= alpha0",
-                "mu",
-                fields["mu"].values,
-                1.0 / self.alpha0 + s,
-                self.alpha0 - s,
-            )
-            combo = 2.0 * fields["mu"].values + 3.0 * fields["lam"].values
-            yield (
-                "1/alpha0 <= 2*mu+3*lam <= alpha0",
-                "lam",
-                combo,
-                1.0 / self.alpha0 + s,
-                self.alpha0 - s,
-            )
-        elif self.problem == "maxwell1d":
-            yield ("eps >= eps0", "eps", fields["eps"].values, self.eps0 + s, None)
-            yield ("mu0 <= mu <= mu1", "mu", fields["mu"].values, self.mu0 + s, self.mu1 - s)
-        else:  # pragma: no cover - guarded at construction
-            raise ValueError(f"unknown problem '{self.problem}'")
-
-    def violations(self, fields):
-        """List of (bound, field, (time, space), value, limit) violations."""
-        found = []
-        for bound, name, arr, lo, hi in self._bounds(fields):
-            if lo is not None:
-                bad = arr < lo
-                if np.any(bad):
-                    idx = np.unravel_index(np.argmax(bad), arr.shape)
-                    found.append((bound, name, idx, float(arr[idx]), float(lo)))
-            if hi is not None:
-                bad = arr > hi
-                if np.any(bad):
-                    idx = np.unravel_index(np.argmax(bad), arr.shape)
-                    found.append((bound, name, idx, float(arr[idx]), float(hi)))
-        return found
+def _weighted_sum(fields, weights, skip=None):
+    """Sum of w * values over the (field, w) weights, leaving out the field ``skip``."""
+    return combine(*((w, fields[name].values) for name, w in weights.items() if name != skip))
 
 
 @dataclass
@@ -639,11 +631,12 @@ class ParameterPoint:
 
     problem: str
     fields: dict
-    bounds: AdmissibleSet | None = None
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem '{self.problem}'")
+            raise DirectionShapeError(
+                f"unknown problem '{self.problem}', expected one of {list(PROBLEMS)}"
+            )
         missing = [n for n in FIELD_NAMES[self.problem] if n not in self.fields]
         if missing:
             raise DirectionShapeError(f"missing parameter fields {missing}")
@@ -652,8 +645,6 @@ class ParameterPoint:
             raise DirectionShapeError(
                 f"fields {sorted(extra)} unknown to problem '{self.problem}'"
             )
-        if self.bounds is None:
-            self.bounds = AdmissibleSet(self.problem)
         tg = self.time_grid
         n_space = self.fields[self.field_names[0]].values.shape[1]
         for name, f in self.fields.items():
@@ -673,87 +664,58 @@ class ParameterPoint:
         return self.fields[self.field_names[0]].time_grid
 
     @classmethod
-    def from_constants(cls, problem, time_grid, n_space, bounds=None, **values):
+    def from_constants(cls, problem, time_grid, n_space, **values):
         fields = {
             name: ParameterField.constant(values[name], time_grid, n_space)
-            for name in FIELD_NAMES[problem]
+            for name in FIELD_NAMES.get(problem, ())
         }
-        return cls(problem, fields, bounds)
+        return cls(problem, fields)
 
     def copy(self):
-        return ParameterPoint(
-            self.problem, {n: f.copy() for n, f in self.fields.items()}, self.bounds
-        )
+        return ParameterPoint(self.problem, {n: f.copy() for n, f in self.fields.items()})
 
     def check_admissible(self):
-        """Raise ConstraintViolationError on the first violated bound."""
-        bad = self.bounds.violations(self.fields)
-        if bad:
-            raise ConstraintViolationError(*bad[0])
+        """Raise ConstraintViolationError on the first violated bound of :data:`BOUNDS`."""
+        for label, name, weights, lower, upper in BOUNDS[self.problem]:
+            arr = self.fields[name].values
+            if weights is not None:
+                arr = _weighted_sum(self.fields, weights)
+            lo, hi = lower + SLACK, upper - SLACK
+            for limit, bad in ((lo, arr < lo), (hi, arr > hi)):
+                first = bad.argmax()
+                if bad.flat[first]:
+                    idx = np.unravel_index(first, arr.shape)
+                    raise ConstraintViolationError(label, name, idx, float(arr[idx]), limit)
 
 
 def project_point(point):
-    """Clip a parameter point back into the admissible box (with slack).
+    """Move a parameter point back into the admissible set of :data:`BOUNDS`.
 
-    The elastic constraints couple mu and lam; mu is clipped first and the
-    combined bound is then restored through lam, which is a feasibility-
-    restoring (not Euclidean) projection onto the box.  Where 2 mu + 3 lam
-    violates its bound, lam is moved one further slack inside it, so that
-    the rounding of the recomputed combination cannot land just outside.
-    Entries that already satisfy every bound are left untouched, which
-    makes the projection exactly idempotent.
+    The bounds are restored in table order.  A bound on a field clips it onto
+    the limit.  A bound on a weighted sum moves its ``field`` where the sum
+    violates it, one further slack inside the limit, so that the rounding of
+    the recomputed sum cannot land just outside; for elastic2d, mu is
+    clipped first and 2 mu + 3 lam is then restored through lam, a
+    feasibility-restoring (not Euclidean) projection.  Entries that already
+    satisfy every bound are left untouched, which makes the projection
+    exactly idempotent.
     """
     out = point.copy()
-    b = point.bounds
-    s = b.slack
-    f = out.fields
-    if point.problem == "wave1d":
-        np.clip(f["a"].values, b.a0 + s, None, out=f["a"].values)
-        np.clip(f["rho"].values, b.c0 + s, None, out=f["rho"].values)
-    elif point.problem == "elastic2d":
-        np.clip(f["rho"].values, b.rho0 + s, None, out=f["rho"].values)
-        np.clip(f["mu"].values, 1.0 / b.alpha0 + s, b.alpha0 - s, out=f["mu"].values)
-        mu, lam = f["mu"].values, f["lam"].values
-        lo, hi = 1.0 / b.alpha0 + s, b.alpha0 - s
-        combo = 2.0 * mu + 3.0 * lam
-        lam = np.where(combo < lo, (lo + s - 2.0 * mu) / 3.0, lam)
-        f["lam"].values = np.where(combo > hi, (hi - s - 2.0 * mu) / 3.0, lam)
-    elif point.problem == "maxwell1d":
-        np.clip(f["eps"].values, b.eps0 + s, None, out=f["eps"].values)
-        np.clip(f["mu"].values, b.mu0 + s, b.mu1 - s, out=f["mu"].values)
+    fields = out.fields
+    for _, name, weights, lower, upper in BOUNDS[point.problem]:
+        lo, hi = lower + SLACK, upper - SLACK
+        if weights is None:
+            np.clip(fields[name].values, lo, hi, out=fields[name].values)
+            continue
+        total, rest = _weighted_sum(fields, weights), _weighted_sum(fields, weights, name)
+        w = weights[name]
+        moved = np.where(total < lo, (lo + SLACK - rest) / w, fields[name].values)
+        fields[name].values = np.where(total > hi, (hi - SLACK - rest) / w, moved)
     return out
 
 
 # ---------------------------------------------------------------------------
 # operator timelines
-
-
-SLOTS = ("A", "B", "C", "Q")
-
-#: coefficient maps from element means m to operator coefficients, each with
-#: its linearization h -> map'(m) h; being pointwise, that is its own transpose
-LINEAR = (lambda m: m, lambda m, h: h)
-RECIPROCAL = (lambda m: 1.0 / m, lambda m, h: -h / m**2)
-
-#: problem -> form terms (slot, kit, field, coefficient map), in field order;
-#: a slot is the sum of its terms and vanishes when it has none
-FORMS = {
-    "wave1d": (
-        ("A", "stiffness", "a", LINEAR),
-        ("B", "mass", "b", LINEAR),
-        ("Q", "mass", "q", LINEAR),
-        ("C", "mass", "rho", LINEAR),
-    ),
-    "elastic2d": (
-        ("A", "div", "lam", LINEAR),
-        ("A", "eps", "mu", LINEAR),
-        ("C", "vmass", "rho", LINEAR),
-    ),
-    "maxwell1d": (
-        ("C", "mass", "eps", LINEAR),
-        ("A", "stiffness", "mu", RECIPROCAL),
-    ),
-}
 
 
 class OperatorTimeline:

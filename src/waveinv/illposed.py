@@ -41,7 +41,7 @@ from .errors import (
 )
 from .evolve import y_norm
 from .forward import forward_map, trapezoid_weights
-from .galerkin import FIELD_NAMES, ParameterField, parameter_norm
+from .galerkin import FIELD_NAMES, FORMS, ParameterField, parameter_norm
 from .sensitivity import derivative_apply_many
 
 # ---------------------------------------------------------------------------
@@ -301,14 +301,14 @@ def illposed_experiment(
 ):
     """Drive one parameter with collapsing bumps and tabulate both distances.
 
-    The target field is moved by half the bump amplitude (additively for all
-    targets except the magnetic coefficient of the reduced transmission-line
-    problem, whose reciprocal is moved instead so the perturbed field stays
-    positive).  Parameter distance is the difference-quotient norm of the
-    analytic perturbation profile on a fine grid; output distance is the
-    solution-space norm of the trajectory difference at regularity level
-    k - 1.  Perturbed points that leave the admissible set raise a slack
-    error suggesting a smaller delta.
+    The coefficient that the target feeds into its :data:`FORMS` term (the
+    field, or its reciprocal where the term's map is ``RECIPROCAL``) is moved
+    by half the bump amplitude; each map is its own inverse, so applying it
+    again gives the perturbed field.  Parameter distance is the
+    difference-quotient norm of the analytic perturbation profile on a fine
+    grid; output distance is the solution-space norm of the trajectory
+    difference at regularity level k - 1.  Perturbed points that leave the
+    admissible set raise a slack error suggesting a smaller delta.
     """
     if target not in FIELD_NAMES[disc.problem]:
         raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
@@ -321,7 +321,7 @@ def illposed_experiment(
     bumps = bump_sequence(r, t0, t_end, tg, j_list)
 
     base = forward_map(disc, point, f, u0=u0, u1=u1)
-    reciprocal = disc.problem == "maxwell1d" and target == "mu"
+    fmap = next(term[3][0] for term in FORMS[disc.problem] if term[2] == target)
 
     param_distances = np.empty(len(bumps.j_values))
     output_distances = np.empty(len(bumps.j_values))
@@ -330,10 +330,7 @@ def illposed_experiment(
         shift = 0.5 * delta * bumps.samples[j]
         perturbed = point.copy()
         vals = perturbed.fields[target].values
-        if reciprocal:
-            perturbed.fields[target].values = 1.0 / (1.0 / vals + shift[:, None])
-        else:
-            perturbed.fields[target].values = vals + shift[:, None]
+        perturbed.fields[target].values = fmap(fmap(vals) + shift[:, None])
         try:
             perturbed.check_admissible()
         except ConstraintViolationError as exc:

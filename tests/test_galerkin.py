@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import waveinv as wi
 from waveinv.errors import (
     ConstraintViolationError,
+    DirectionShapeError,
     InvalidMeshError,
     ResolutionError,
 )
-from waveinv.galerkin import AssemblyKit, time_difference
+from waveinv.galerkin import PROBLEMS, AssemblyKit, time_difference
 
 from conftest import varied_point
 
@@ -204,6 +205,15 @@ def test_constraint_violation_reports_location(wave_disc, time_grid):
     assert info.value.index == (3, 2)
 
 
+def test_unknown_problem_is_a_typed_error(time_grid):
+    field = wi.ParameterField.constant(1.0, time_grid, 3)
+    with pytest.raises(DirectionShapeError, match="unknown problem 'wave2d'") as info:
+        wi.ParameterPoint("wave2d", {"a": field})
+    assert isinstance(info.value, ValueError)
+    with pytest.raises(DirectionShapeError, match="unknown problem 'wave2d'"):
+        wi.ParameterPoint.from_constants("wave2d", time_grid, 3, a=1.0)
+
+
 def test_elastic_compound_bound(elastic_disc, time_grid):
     point = wi.ParameterPoint.from_constants(
         "elastic2d", time_grid, elastic_disc.n_nodes, lam=1.0, mu=1.0, rho=1.0
@@ -254,6 +264,144 @@ def test_project_point_always_lands_admissible(lam, mu, rho):
     twice = wi.project_point(once)
     for name in once.fields:
         assert np.array_equal(once.fields[name].values, twice.fields[name].values)
+
+
+class _LadderBounds:
+    """Reference: the per-problem bound ladders that ``galerkin.BOUNDS`` replaced.
+
+    ``_bounds`` and ``violations`` are the admissible-set check and
+    :func:`_ladder_project` the projection as they were written per problem,
+    with the default constants.
+    """
+
+    slack = 1e-8
+    a0 = 0.1
+    c0 = 0.1
+    rho0 = 0.1
+    alpha0 = 10.0
+    eps0 = 0.1
+    mu0 = 0.1
+    mu1 = 10.0
+
+    def __init__(self, problem):
+        self.problem = problem
+
+    def _bounds(self, fields):
+        """Yield (bound_name, field_name, array, lower, upper) tuples."""
+        s = self.slack
+        if self.problem == "wave1d":
+            yield ("a >= a0", "a", fields["a"].values, self.a0 + s, None)
+            yield ("rho >= c0", "rho", fields["rho"].values, self.c0 + s, None)
+        elif self.problem == "elastic2d":
+            yield ("rho >= rho0", "rho", fields["rho"].values, self.rho0 + s, None)
+            yield (
+                "1/alpha0 <= mu <= alpha0",
+                "mu",
+                fields["mu"].values,
+                1.0 / self.alpha0 + s,
+                self.alpha0 - s,
+            )
+            combo = 2.0 * fields["mu"].values + 3.0 * fields["lam"].values
+            yield (
+                "1/alpha0 <= 2*mu+3*lam <= alpha0",
+                "lam",
+                combo,
+                1.0 / self.alpha0 + s,
+                self.alpha0 - s,
+            )
+        elif self.problem == "maxwell1d":
+            yield ("eps >= eps0", "eps", fields["eps"].values, self.eps0 + s, None)
+            yield ("mu0 <= mu <= mu1", "mu", fields["mu"].values, self.mu0 + s, self.mu1 - s)
+
+    def violations(self, fields):
+        """List of (bound, field, (time, space), value, limit) violations."""
+        found = []
+        for bound, name, arr, lo, hi in self._bounds(fields):
+            if lo is not None:
+                bad = arr < lo
+                if np.any(bad):
+                    idx = np.unravel_index(np.argmax(bad), arr.shape)
+                    found.append((bound, name, idx, float(arr[idx]), float(lo)))
+            if hi is not None:
+                bad = arr > hi
+                if np.any(bad):
+                    idx = np.unravel_index(np.argmax(bad), arr.shape)
+                    found.append((bound, name, idx, float(arr[idx]), float(hi)))
+        return found
+
+
+def _ladder_project(point):
+    out = point.copy()
+    b = _LadderBounds(point.problem)
+    s = b.slack
+    f = out.fields
+    if point.problem == "wave1d":
+        np.clip(f["a"].values, b.a0 + s, None, out=f["a"].values)
+        np.clip(f["rho"].values, b.c0 + s, None, out=f["rho"].values)
+    elif point.problem == "elastic2d":
+        np.clip(f["rho"].values, b.rho0 + s, None, out=f["rho"].values)
+        np.clip(f["mu"].values, 1.0 / b.alpha0 + s, b.alpha0 - s, out=f["mu"].values)
+        mu, lam = f["mu"].values, f["lam"].values
+        lo, hi = 1.0 / b.alpha0 + s, b.alpha0 - s
+        combo = 2.0 * mu + 3.0 * lam
+        lam = np.where(combo < lo, (lo + s - 2.0 * mu) / 3.0, lam)
+        f["lam"].values = np.where(combo > hi, (hi - s - 2.0 * mu) / 3.0, lam)
+    elif point.problem == "maxwell1d":
+        np.clip(f["eps"].values, b.eps0 + s, None, out=f["eps"].values)
+        np.clip(f["mu"].values, b.mu0 + s, b.mu1 - s, out=f["mu"].values)
+    return out
+
+
+def _first_violation(point):
+    """(bound, field, index, value, limit) of check_admissible's error, or None."""
+    try:
+        point.check_admissible()
+    except ConstraintViolationError as exc:
+        return (exc.bound, exc.field, exc.index, exc.value, exc.limit)
+    return None
+
+
+_NODES = {problem: wi.build_grid(problem, 2).n_nodes for problem in PROBLEMS}
+# every bound sits at 0.1 or 10; entries land on, just inside and just outside them
+_NEAR_BOUNDS = st.sampled_from([e + k * 1e-8 for e in (0.1, 10.0) for k in (-2, -1, 0, 1, 2)])
+_ENTRY = st.one_of(st.floats(-5.0, 20.0), _NEAR_BOUNDS)
+# a field drawn inside every bound lets the later bounds of a problem be the first violated
+_INSIDE = st.floats(0.2, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=st.sampled_from(PROBLEMS), data=st.data())
+def test_bounds_table_matches_the_ladders(problem, data):
+    shape = (3, _NODES[problem])
+
+    def draw(elements):
+        size = shape[0] * shape[1]
+        return np.reshape(data.draw(st.lists(elements, min_size=size, max_size=size)), shape)
+
+    tg = np.linspace(0.0, 1.0, shape[0])
+    point = wi.ParameterPoint(
+        problem,
+        {
+            name: wi.ParameterField(draw(data.draw(st.sampled_from((_ENTRY, _INSIDE)))), tg)
+            for name in wi.FIELD_NAMES[problem]
+        },
+    )
+    if problem == "elastic2d":
+        # put 2 mu + 3 lam itself on both sides of its bounds where the mask says so
+        combo, mask = draw(_ENTRY), draw(st.booleans())
+        f = point.fields
+        f["lam"].values = np.where(mask, (combo - 2.0 * f["mu"].values) / 3.0, f["lam"].values)
+
+    reference = _LadderBounds(problem).violations(point.fields)
+    assert _first_violation(point) == (reference[0] if reference else None)
+    once = wi.project_point(point)
+    expected = _ladder_project(point)
+    twice = wi.project_point(once)
+    for name in point.fields:
+        assert np.array_equal(once.fields[name].values, expected.fields[name].values)
+        assert np.array_equal(twice.fields[name].values, once.fields[name].values)
+    assert _first_violation(once) is None
+    assert not _LadderBounds(problem).violations(once.fields)
 
 
 def test_point_copy_is_deep(wave_point):
