@@ -98,7 +98,9 @@ class CGBreakdownError(WaveinvError, RuntimeError):
 
 
 class RequiresForwardSolveError(WaveinvError, RuntimeError):
-    """An adjoint/derivative sweep was asked to run without a cached forward solve."""
+    """An adjoint/derivative sweep was asked to run without a forward solve at its point:
+    the base carries no solve record, or it was solved at another point, or the
+    point's fields were written after the solve."""
 
 
 class TooLargeError(WaveinvError, ValueError):

@@ -18,10 +18,14 @@ each distinct C(t_n) is factorized once by LAPACK (:class:`BandLU`) from
 values scattered into band storage: tridiagonal LU on the 1D meshes, band
 Cholesky wherever the matrix is positive definite, and band LU otherwise.
 Every step matrix is symmetric, so a factor solves with the transpose as
-well; the factors are kept on the trajectory for the exact-transpose adjoint
-sweeps in :mod:`.sensitivity`.  The backward adjoint march
-(:func:`solve_backward`) reuses a forward solve's factors and step values in
-reverse order wherever its matrices are the same by construction.
+well.  A forward solve keeps its timeline, factors and step values in one
+:class:`SolveRecord`, the trajectory's ``solve``, for the exact-transpose
+adjoint sweeps in :mod:`.sensitivity`; the timeline of
+:func:`~.galerkin.assemble_operators` holds a copy of the field values it
+was assembled from, so those sweeps can check that they linearize there.
+The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
+factors and step values in reverse order wherever its matrices are the same
+by construction.
 
 One march kernel, :func:`_march`, advances both the forward recursion and
 the linearized one of :mod:`.sensitivity`,
@@ -38,7 +42,7 @@ checked once, when the march starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 
@@ -76,12 +80,29 @@ class SourceTerm:
         return cls(np.zeros((n_time, n_free)))
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """What a forward solve keeps for the derivative and adjoint sweeps.
+
+    ``timeline`` is the solved timeline, ``factors`` the factor of every step
+    matrix S_n, ``t_vals`` and ``c_half`` the (step x nnz) values of T_n and
+    C_h, and ``c_factors`` the factor of every C(t_n).
+    """
+
+    timeline: OperatorTimeline
+    factors: list
+    t_vals: np.ndarray
+    c_half: np.ndarray
+    c_factors: list
+
+
 @dataclass
 class Trajectory:
     """Node samples of the state, its velocity, and its acceleration.
 
-    ``meta`` carries the solver cache (timeline, per-step factorizations)
-    that derivative and adjoint sweeps reuse; it is never serialized.
+    ``solve`` is the :class:`SolveRecord` of a forward solve, which the
+    derivative and adjoint sweeps reuse; it is None for derivative, backward
+    and difference trajectories, and it is never serialized.
     """
 
     u: np.ndarray
@@ -89,7 +110,7 @@ class Trajectory:
     ddu: np.ndarray | None
     time_grid: np.ndarray
     dt: float
-    meta: dict = dataclass_field(default_factory=dict)
+    solve: SolveRecord | None = None
 
     def __sub__(self, other):
         ddu = None
@@ -221,7 +242,7 @@ def step_values(timeline):
     return combine((1.0, mass), (1.0, stiff)), combine((1.0, mass), (-1.0, stiff)), c_half
 
 
-def solve_forward(timeline, f, u0=None, u1=None, *, steps=None, c_factors=None):
+def solve_forward(timeline, f, u0=None, u1=None):
     """March the implicit midpoint scheme over the timeline.
 
     Parameters
@@ -234,22 +255,21 @@ def solve_forward(timeline, f, u0=None, u1=None, *, steps=None, c_factors=None):
     u1 : array, optional
         Initial momentum datum p(0) = (C u')(0) in load form (defaults to
         zero).  Use :func:`momentum_from_velocity` to build it from a velocity.
-    steps : (factors, t_vals, c_half), optional
-        The factors of every step matrix of this timeline and the values of
-        its T_n and C_h, used instead of building and factorizing them (see
-        :func:`solve_backward`).
-    c_factors : list of BandLU, optional
-        Factors of every C(t_n) of this timeline, used instead of
-        factorizing them.
 
     Returns
     -------
     Trajectory
         With velocity ``du`` recovered from C(t_n) du = p_n and acceleration
         ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du.
-        ``meta["scheme"]`` keeps the timeline, the step and node factors
-        (``factors``, ``c_factors``) and the values of T_n and C_h.
+        Its ``solve`` is the :class:`SolveRecord` of this solve.
     """
+    return _solve(timeline, f, u0, u1)
+
+
+def _solve(timeline, f, u0, u1, steps=None, c_factors=None):
+    """:func:`solve_forward`, taking the step factors and values and the C(t_n)
+    factors of ``timeline`` from ``steps = (factors, t_vals, c_half)`` and
+    ``c_factors`` where they are given (see :func:`solve_backward`)."""
     tg = timeline.time_grid
     dt = timeline.dt
     pattern = timeline.pattern
@@ -283,16 +303,8 @@ def solve_forward(timeline, f, u0=None, u1=None, *, steps=None, c_factors=None):
     du = solve_each(c_factors, p)
     resid = fv - pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
     ddu = solve_each(c_factors, resid)
-
-    traj = Trajectory(u=u, du=du, ddu=ddu, time_grid=tg, dt=dt)
-    traj.meta["scheme"] = {
-        "timeline": timeline,
-        "factors": factors,
-        "t_mats": t_vals,
-        "c_half": c_half,
-        "c_factors": c_factors,
-    }
-    return traj
+    record = SolveRecord(timeline, factors, t_vals, c_half, c_factors)
+    return Trajectory(u=u, du=du, ddu=ddu, time_grid=tg, dt=dt, solve=record)
 
 
 def _march(pattern, factors, t_vals, c_half, two_dt, x, y, b, c=None):
@@ -382,7 +394,7 @@ def solve_backward(timeline, v, like=None):
     """Solve the adjoint equation backward in time with end conditions zero.
 
     ``v`` is the adjoint source in load form.  The equation is reversed to an
-    initial-value problem (see :func:`reverse_timeline`), marched with
+    initial-value problem (see :func:`reverse_timeline`), marched like
     :func:`solve_forward`, and the output is flipped back; velocities change
     sign under the reversal.
 
@@ -393,15 +405,17 @@ def solve_backward(timeline, v, like=None):
     the B slot is absent, since Q - dB is then Q itself and a half-node
     average is the same sum taken in the other order.
     """
-    shared = {}
+    steps = c_factors = None
     if like is not None:
-        scheme = like.meta.get("scheme")
-        if scheme is None or scheme["timeline"] is not timeline:
+        record = like.solve
+        if record is None or record.timeline is not timeline:
             raise RequiresForwardSolveError("like must be a forward solve on this timeline")
-        shared["c_factors"] = scheme["c_factors"][::-1]
+        c_factors = record.c_factors[::-1]
         if timeline.values["B"] is None:
-            shared["steps"] = tuple(scheme[key][::-1] for key in ("factors", "t_mats", "c_half"))
-    back = solve_forward(reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()), **shared)
+            steps = (record.factors[::-1], record.t_vals[::-1], record.c_half[::-1])
+    back = _solve(
+        reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()), None, None, steps, c_factors
+    )
     w, dw, ddw = back.u[::-1].copy(), -back.du[::-1], back.ddu[::-1].copy()
     return Trajectory(w, dw, ddw, timeline.time_grid, timeline.dt)
 
@@ -417,21 +431,17 @@ class CompatibilityReport:
     k: int
     passed: bool
     conditions: list
-    u2: np.ndarray | None = None
 
     def failures(self):
         return [c for c in self.conditions if not c["ok"]]
 
 
-def compatibility_check(f, u0, u1, k, timeline=None):
+def compatibility_check(f, u0, u1, k):
     """Check the data conditions for solution smoothness level ``k``.
 
     Level 0 imposes nothing.  Levels >= 1 require homogeneous initial data,
     and level 2 a vanishing source trace f(0) (tolerance 1e-8 relative to
-    the largest load).  For k >= 2 with a timeline supplied,
-    the report carries the induced second time-derivative at t = 0, solving
-    C(0) u2 = f(0) - [dC(0) + B(0)] v1 - [A(0) + Q(0)] u0 with v1 the initial
-    velocity.
+    the largest load).
     """
     k = int(k)
     if k not in (0, 1, 2):
@@ -451,24 +461,7 @@ def compatibility_check(f, u0, u1, k, timeline=None):
         tol = 1e-8 * scale if scale > 0 else 1e-8
         conditions.append({"name": "f^(0)(0) = 0", "value": val, "tol": tol, "ok": val <= tol})
 
-    u2 = None
-    if k >= 2 and timeline is not None:
-        n_free = timeline.n_free
-        u0v = np.zeros(n_free) if u0 is None else np.asarray(u0, dtype=float)
-        p0 = np.zeros(n_free) if u1 is None else np.asarray(u1, dtype=float)
-        c0 = BandLU(timeline.pattern, timeline.values["C"][0], 0)
-        v1 = c0.solve(p0)
-        d_c0 = timeline.pattern.matrix(timeline.rate("C")[0])
-        rhs = (
-            fv[0]
-            - (d_c0 + timeline.matrix("B", 0)) @ v1
-            - (timeline.matrix("A", 0) + timeline.matrix("Q", 0)) @ u0v
-        )
-        u2 = c0.solve(rhs)
-
-    return CompatibilityReport(
-        k=k, passed=all(c["ok"] for c in conditions), conditions=conditions, u2=u2
-    )
+    return CompatibilityReport(k=k, passed=all(c["ok"] for c in conditions), conditions=conditions)
 
 
 @dataclass
@@ -476,7 +469,6 @@ class EnergyReport:
     """Discrete energy series E_n = (du . C du + u . (A+Q) u) / 2 and summaries."""
 
     energies: np.ndarray
-    max_step_increase: float
     max_relative_drift: float
     monotone_nonincreasing: bool
     lambda_hat: float | None = None
@@ -512,7 +504,6 @@ def energy_monitor(trajectory, timeline, f=None, disc=None):
             lam = peak / total
     return EnergyReport(
         energies=energies,
-        max_step_increase=float(steps.max()) if steps.size else 0.0,
         max_relative_drift=float(np.abs(steps).max() / ref) if steps.size else 0.0,
         monotone_nonincreasing=bool(np.all(steps <= 1e-12 * ref)),
         lambda_hat=lam,

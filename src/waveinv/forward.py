@@ -2,8 +2,11 @@
 
 Composes operator assembly with the midpoint solver and provides the data
 space: observation extraction, the trapezoidal/mass-weighted inner product,
-and distances.  Forward solves cache their timeline and factorizations on the
-returned trajectory so derivative and adjoint sweeps can reuse them.
+and distances.  A forward solve returns its trajectory with the solve record
+(:class:`~.evolve.SolveRecord`: the timeline, which holds a copy of the
+point's field values, and the factorizations) as ``solve``, so derivative and
+adjoint sweeps at that point can reuse it.  Two data vectors are compared or
+subtracted only once their observation specs and shapes agree.
 """
 
 from __future__ import annotations
@@ -86,15 +89,15 @@ def trapezoid_weights(time_grid):
 def forward_map(disc, point, f, u0=None, u1=None, k=None):
     """Evaluate the forward operator at a parameter point.
 
-    Assembles the operator timeline (validating admissibility), optionally
-    enforces the compatibility conditions at smoothness level ``k`` (skipped
-    when ``k`` is None; experiment configurations own the default), and runs
-    the midpoint solver.  The trajectory's ``meta`` keeps the timeline and
-    the factorizations for reuse.
+    Optionally enforces the compatibility conditions at smoothness level
+    ``k`` (skipped when ``k`` is None; experiment configurations own the
+    default), assembles the operator timeline (validating admissibility) and
+    runs the midpoint solver.  The trajectory's ``solve`` keeps the timeline,
+    with its copy of the field values of ``point``, and the factorizations
+    for reuse.
     """
-    timeline = assemble_operators(disc, point)
     if k is not None:
-        report = compatibility_check(f, u0, u1, k, timeline=timeline)
+        report = compatibility_check(f, u0, u1, k)
         if not report.passed:
             fails = ", ".join(
                 f"{c['name']} (value {c['value']:.3e} > tol {c['tol']:.3e})"
@@ -103,7 +106,7 @@ def forward_map(disc, point, f, u0=None, u1=None, k=None):
             raise CompatibilityError(
                 f"data fail the smoothness-{k} compatibility conditions: {fails}"
             )
-    return solve_forward(timeline, f, u0=u0, u1=u1)
+    return solve_forward(assemble_operators(disc, point), f, u0=u0, u1=u1)
 
 
 def observe(trajectory, spec=None):
@@ -121,18 +124,23 @@ def observe(trajectory, spec=None):
     return DataVector(vals, trajectory.time_grid, spec)
 
 
-def data_inner(d1, d2, disc):
-    """Discrete in-time L2 inner product of two data vectors.
-
-    Full-field data pair through the mass matrix; node subsets through their
-    diagonal weights.  Time integration is trapezoidal.
-    """
+def _check_pair(d1, d2):
+    """Raise ObservationError unless two data vectors share spec and shape."""
     if not d1.spec.matches(d2.spec):
         raise ObservationError("data vectors carry different observation specs")
     if d1.values.shape != d2.values.shape:
         raise ObservationError(
             f"data shapes differ: {d1.values.shape} vs {d2.values.shape}"
         )
+
+
+def data_inner(d1, d2, disc):
+    """Discrete in-time L2 inner product of two data vectors.
+
+    Full-field data pair through the mass matrix; node subsets through their
+    diagonal weights.  Time integration is trapezoidal.
+    """
+    _check_pair(d1, d2)
     w = trapezoid_weights(d1.time_grid)
     if d1.spec.kind == "full-field":
         pair = np.einsum("ni,ni->n", d1.values, (disc.M @ d2.values.T).T)
@@ -145,10 +153,13 @@ def data_norm(d, disc):
     return float(np.sqrt(max(data_inner(d, d, disc), 0.0)))
 
 
+def data_difference(d1, d2):
+    """The data vector d1 - d2; raises ObservationError unless their specs
+    and shapes agree, so a mismatch never broadcasts."""
+    _check_pair(d1, d2)
+    return DataVector(d1.values - d2.values, d1.time_grid, d1.spec)
+
+
 def data_distance(d1, d2, disc):
     """Distance in the trapezoidal, mass-weighted data inner product."""
-    diff = DataVector(d1.values - d2.values, d1.time_grid, d1.spec)
-    if not d1.spec.matches(d2.spec):
-        raise ObservationError("data vectors carry different observation specs")
-    return data_norm(diff, disc)
-
+    return data_norm(data_difference(d1, d2), disc)

@@ -675,7 +675,14 @@ class ParameterPoint:
         return ParameterPoint(self.problem, {n: f.copy() for n, f in self.fields.items()})
 
     def check_admissible(self):
-        """Raise ConstraintViolationError on the first violated bound of :data:`BOUNDS`."""
+        """Raise ConstraintViolationError on the first non-finite value of a
+        field, or else on the first violated bound of :data:`BOUNDS`."""
+        for name, f in self.fields.items():
+            finite = np.isfinite(f.values)
+            first = finite.argmin()
+            if not finite.flat[first]:
+                idx = np.unravel_index(first, finite.shape)
+                raise ConstraintViolationError("finite", name, idx, float(f.values[idx]), np.inf)
         for label, name, weights, lower, upper in BOUNDS[self.problem]:
             arr = self.fields[name].values
             if weights is not None:
@@ -724,6 +731,9 @@ class OperatorTimeline:
     ``values[slot]`` is a (time node x nnz) array of pattern values, or None
     for a slot that vanishes identically; ``rate(slot)`` is its second-order
     time derivative, and ``matrix(slot, n)`` builds the CSR matrix of one node.
+    ``point`` maps each field name to a copy of its values in the parameter
+    point the operators were assembled from (see :func:`assemble_operators`);
+    it is None for any other timeline.
     """
 
     def __init__(self, problem, time_grid, pattern, values):
@@ -731,6 +741,7 @@ class OperatorTimeline:
         self.time_grid = np.asarray(time_grid, dtype=float)
         self.pattern = pattern
         self.values = {slot: values.get(slot) for slot in SLOTS}
+        self.point = None
         self._rates = {}
 
     @property
@@ -782,15 +793,19 @@ def assemble_operators(disc, point):
     """Assemble the node-sampled operator quadruple for a parameter point.
 
     Raises ConstraintViolationError if the point leaves the admissible box.
+    The timeline's ``point`` holds copies of the field values, taken now, so
+    a later write into the point's fields does not reach it.
     """
     _check_problem(disc, point)
     point.check_admissible()
     tg = point.time_grid
     if tg.size < 3:
         raise ResolutionError("timelines need at least three time nodes")
-    return _assemble(
+    timeline = _assemble(
         disc, tg, lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values))
     )
+    timeline.point = {name: f.values.copy() for name, f in point.fields.items()}
+    return timeline
 
 
 def assemble_direction(disc, point, direction):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CGBreakdownError, InversionConfigError, StepSizeError
-from .forward import DataVector, data_norm, forward_map, observe, trapezoid_weights
+from .forward import DataVector, data_difference, data_norm, forward_map, observe, trapezoid_weights
 from .galerkin import FIELD_NAMES, project_point
 from .sensitivity import adjoint_apply_discrete, derivative_apply, nodal_gradient
 
@@ -156,7 +156,7 @@ def landweber(disc, x0, data, f, config, u0=None, u1=None):
     while True:
         traj = forward_map(disc, x, f, u0=u0, u1=u1)
         out = observe(traj, data.spec)
-        resid = DataVector(out.values - data.values, out.time_grid, out.spec)
+        resid = data_difference(out, data)
         res_norm = data_norm(resid, disc)
         history.residuals.append(res_norm)
         if config.store_points:
@@ -208,7 +208,7 @@ def cgne(disc, x0, data, f, config, u0=None, u1=None):
         history.outer_starts.append(len(history.residuals))
         base = forward_map(disc, x, f, u0=u0, u1=u1)
         out = observe(base, data.spec)
-        rhs = DataVector(data.values - out.values, out.time_grid, out.spec)
+        rhs = data_difference(data, out)
         h = {name: np.zeros((tg.size, disc.n_nodes)) for name in targets}
         r = rhs
         s = _restricted_gradient(disc, x, r, base, targets)

@@ -29,7 +29,10 @@ on the base solve's band factors: the step matrices are symmetric, so the
 discrete adjoint solves its transposed systems with them as they are, and the
 backward equation reuses them in reverse order wherever its matrices equal
 the forward's by construction (see :func:`~.evolve.solve_backward`).  All
-operator products are the pattern's compiled CSR mat-vec.
+operator products are the pattern's compiled CSR mat-vec.  Every sweep takes
+the point and its forward solve ``base``, and raises RequiresForwardSolveError
+unless the base was solved at that point as it is now: the dot test pairs
+both sides on the same base, so it cannot see a base from another point.
 
 Gradient fields are per-element densities g(n, e) paired with nodal parameter
 directions h through
@@ -72,13 +75,29 @@ class GradientFields:
     time_grid: np.ndarray
 
 
-def _require_scheme(base):
-    scheme = base.meta.get("scheme")
-    if scheme is None:
+def _solve_at(point, base):
+    """The solve record of ``base``, which must be a forward solve at ``point``.
+
+    Raises RequiresForwardSolveError when ``base`` carries no solve record, or
+    when the record's timeline was not assembled from ``point`` as it is now:
+    another problem, time grid or field value, or no point at all.
+    """
+    record = None if base is None else base.solve
+    if record is None:
         raise RequiresForwardSolveError(
-            "this operation needs the cached forward solve; call forward_map first"
+            "this operation needs the forward solve at the point; call forward_map first"
         )
-    return scheme
+    tl = record.timeline
+    if (
+        tl.point is None
+        or tl.problem != point.problem
+        or not np.array_equal(tl.time_grid, point.time_grid)
+        or not all(np.array_equal(tl.point[n], f.values) for n, f in point.fields.items())
+    ):
+        raise RequiresForwardSolveError(
+            "the base was not solved at this point; call forward_map at the point first"
+        )
+    return record
 
 
 def shift_point(point, direction, s):
@@ -91,7 +110,7 @@ def shift_point(point, direction, s):
 
 
 def derivative_apply(disc, point, direction, base):
-    """Directional derivative of the forward map at a cached base solve.
+    """Directional derivative of the forward map at ``point``.
 
     Differentiates the midpoint recursion exactly (see the module docstring),
     reusing the base factorizations; initial data of the derivative are
@@ -121,19 +140,19 @@ def derivative_apply_many(disc, point, directions, base):
     iterable; it is read, and its trajectories computed, one block at a
     time, so only one block is held at once.
     """
-    scheme = _require_scheme(base)
-    timeline = scheme["timeline"]
+    record = _solve_at(point, base)
+    timeline = record.timeline
     size = max(1, _BLOCK_BYTES // (timeline.time_grid.size * timeline.pattern.nnz * 8))
     directions = iter(directions)
     blocks = iter(lambda: list(islice(directions, size)), [])  # until a block comes out empty
     return chain.from_iterable(
-        _derivative_block(disc, point, block, base, scheme) for block in blocks
+        _derivative_block(disc, point, block, base, record) for block in blocks
     )
 
 
-def _derivative_block(disc, point, directions, base, scheme):
+def _derivative_block(disc, point, directions, base, record):
     """The derivative trajectories of one block of k directions."""
-    timeline = scheme["timeline"]
+    timeline = record.timeline
     pattern = timeline.pattern
     tlh = assemble_direction(disc, point, directions)
     tg = timeline.time_grid
@@ -158,13 +177,13 @@ def _derivative_block(disc, point, directions, base, scheme):
     eta = np.zeros((tg.size, pattern.n, k))
     pi = np.zeros_like(eta)
     _march(
-        pattern, scheme["factors"], scheme["t_mats"], scheme["c_half"], two_dt,
+        pattern, record.factors, record.t_vals, record.c_half, two_dt,
         eta, pi, b.transpose(0, 2, 1), c.transpose(0, 2, 1),
     )
     eta = eta.transpose(0, 2, 1)
     pi = pi.transpose(0, 2, 1)
 
-    c_factors = scheme["c_factors"]
+    c_factors = record.c_factors
     vb, vh = timeline.values, tlh.values
     deta = solve_each(c_factors, pi - pattern.apply((vh["C"], per_direction(base.du))))
     resid = -pattern.apply(
@@ -229,17 +248,17 @@ def adjoint_apply_discrete(disc, point, v, base):
     compiled product kernels and the bound LAPACK solve on preallocated
     buffers.
     """
-    scheme = _require_scheme(base)
-    timeline = scheme["timeline"]
+    record = _solve_at(point, base)
+    timeline = record.timeline
     pattern = timeline.pattern
     tg = timeline.time_grid
     n_steps = tg.size - 1
     dt = timeline.dt
     two_dt = 2.0 / dt
-    factors = scheme["factors"]
+    factors = record.factors
     # the step matrices are symmetric, so S_n, T_n and C_h are their own transposes
-    t_vals = scheme["t_mats"]
-    c_vals = two_dt * scheme["c_half"]
+    t_vals = record.t_vals
+    c_vals = two_dt * record.c_half
     u = base.u
 
     seeds = _adjoint_seeds(disc, v, tg)
@@ -298,8 +317,7 @@ def adjoint_apply_continuous(disc, point, v, base):
         raise ObservationError(
             "the continuous-mode adjoint supports full-field data only"
         )
-    scheme = _require_scheme(base)
-    timeline = scheme["timeline"]
+    timeline = _solve_at(point, base).timeline
     load = SourceTerm((disc.M @ v.values.T).T)
     w = solve_backward(timeline, load, like=base)
     # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
@@ -390,8 +408,6 @@ def dot_test(disc, point, direction, v, mode="discrete", base=None):
     parameter pairing; ``mode`` selects the discrete (exact-transpose) or
     continuous (backward-equation) adjoint.
     """
-    if base is None:
-        raise RequiresForwardSolveError("dot_test needs the cached base trajectory")
     deriv = derivative_apply(disc, point, direction, base)
     d_out = observe(deriv, v.spec)
     lhs = data_inner(d_out, v, disc)

@@ -80,13 +80,13 @@ def loop_forward(timeline, f, u0, p0):
 
 def one_at_a_time_derivative(disc, point, direction, base):
     """The derivative recursion for a single direction, as a per-step loop."""
-    scheme = base.meta["scheme"]
-    timeline = scheme["timeline"]
+    record = base.solve
+    timeline = record.timeline
     pattern = timeline.pattern
     tlh = wi.assemble_direction(disc, point, direction)
     n_steps = timeline.time_grid.size - 1
     two_dt = 2.0 / timeline.dt
-    factors, t_vals, c_half = scheme["factors"], scheme["t_mats"], scheme["c_half"]
+    factors, t_vals, c_half = record.factors, record.t_vals, record.c_half
     u = base.u
     s_dot, t_dot, c_dot = step_values(tlh)
     b = pattern.apply((t_dot, u[:-1])) - pattern.apply((s_dot, u[1:]))
@@ -96,7 +96,7 @@ def one_at_a_time_derivative(disc, point, direction, base):
     for n in range(n_steps):
         eta[n + 1] = factors[n].solve(pattern.matvec(t_vals[n], eta[n]) + 2.0 * pi[n] + b[n])
         pi[n + 1] = two_dt * pattern.matvec(c_half[n], eta[n + 1] - eta[n]) - pi[n] + c[n]
-    c_factors = scheme["c_factors"]
+    c_factors = record.c_factors
     vb, vh = timeline.values, tlh.values
     deta = solve_each(c_factors, pi - pattern.apply((vh["C"], base.du)))
     resid = -pattern.apply(
@@ -109,15 +109,15 @@ def one_at_a_time_derivative(disc, point, direction, base):
 
 def loop_adjoint(disc, point, v, base):
     """The discrete adjoint with its backward recursion as a per-step loop."""
-    scheme = base.meta["scheme"]
-    timeline = scheme["timeline"]
+    record = base.solve
+    timeline = record.timeline
     pattern = timeline.pattern
     tg = timeline.time_grid
     n_steps = tg.size - 1
     dt = timeline.dt
     two_dt = 2.0 / dt
-    factors, t_vals = scheme["factors"], scheme["t_mats"]
-    c_vals = two_dt * scheme["c_half"]
+    factors, t_vals = record.factors, record.t_vals
+    c_vals = two_dt * record.c_half
     u = base.u
     seeds = _adjoint_seeds(disc, v, tg)
     p = seeds[n_steps].copy()
@@ -157,9 +157,9 @@ def assert_matches_oracle(disc, point, dirs, base, got):
 
 def test_forward_march_matches_loop(instance):
     disc, point, f, u0, p0, base = instance
-    u, p = loop_forward(base.meta["scheme"]["timeline"], f, u0, p0)
+    u, p = loop_forward(base.solve.timeline, f, u0, p0)
     assert np.array_equal(base.u, u)
-    assert np.array_equal(base.du, solve_each(base.meta["scheme"]["c_factors"], p))
+    assert np.array_equal(base.du, solve_each(base.solve.c_factors, p))
 
 
 def test_derivative_apply_many_matches_one_at_a_time(instance):
@@ -240,9 +240,9 @@ def test_adjoint_discrete_matches_loop(instance):
 
 def test_march_checks_its_shapes_once(instance):
     disc, point, f, u0, p0, base = instance
-    scheme = base.meta["scheme"]
+    record = base.solve
     pattern = disc.pattern
-    steps = (scheme["factors"], scheme["t_mats"], scheme["c_half"])
+    steps = (record.factors, record.t_vals, record.c_half)
     n_time, n = base.u.shape
     good = (np.zeros((n_time, n, 2)), np.zeros((n_time, n, 2)), np.zeros((n_time - 1, n, 2)))
     evolve._march(pattern, *steps, 2.0, *good)
@@ -260,4 +260,4 @@ def test_march_checks_its_shapes_once(instance):
     with pytest.raises(ValueError):
         evolve._march(pattern, steps[0], steps[1][:, :-1], steps[2], 2.0, *good)
     with pytest.raises(ValueError):
-        pattern.kernel(scheme["t_mats"], np.zeros((n, 2, 2)))
+        pattern.kernel(record.t_vals, np.zeros((n, 2, 2)))

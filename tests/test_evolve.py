@@ -242,10 +242,10 @@ def test_solver_cache_exposed(wave_disc, time_grid, wave_point):
     tl = wi.assemble_operators(wave_disc, wave_point)
     f = wi.make_source(wave_disc, time_grid, lambda t, x: t * np.sin(np.pi * x))
     traj = wi.solve_forward(tl, f)
-    scheme = traj.meta["scheme"]
-    for key in ("timeline", "factors", "t_mats", "c_half", "c_factors"):
-        assert key in scheme
-    assert len(scheme["factors"]) == time_grid.size - 1
+    record = traj.solve
+    assert record.timeline is tl
+    assert len(record.factors) == len(record.t_vals) == len(record.c_half) == time_grid.size - 1
+    assert len(record.c_factors) == time_grid.size
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +363,6 @@ def test_compatibility_initial_data_rule(wave_disc, time_grid):
     u0 = np.ones(wave_disc.n_free)
     assert wi.compatibility_check(f, u0, None, 0).passed
     assert not wi.compatibility_check(f, u0, None, 1).passed
-
-
-def test_compatibility_reports_induced_acceleration(wave_disc, time_grid, wave_point):
-    tl = wi.assemble_operators(wave_disc, wave_point)
-    f = wi.make_source(wave_disc, time_grid, lambda t, x: t * np.sin(np.pi * x))
-    report = wi.compatibility_check(f, None, None, 2, timeline=tl)
-    assert report.u2 is not None
-    assert np.abs(report.u2).max() <= 1e-10  # f(0) = 0 and zero data
 
 
 def test_compatibility_rejects_unknown_level(wave_disc, time_grid):

@@ -104,6 +104,23 @@ def test_data_inner_rejects_mismatched_specs(wave_disc, time_grid):
         wi.data_inner(full, sub, wave_disc)
 
 
+@pytest.mark.parametrize("columns", [1, 3])
+def test_data_distance_rejects_a_shape_mismatch(wave_disc, time_grid, columns):
+    full = wi.DataVector(np.ones((time_grid.size, wave_disc.n_free)), time_grid)
+    narrow = wi.DataVector(np.ones((time_grid.size, columns)), time_grid)
+    for d1, d2 in ((full, narrow), (narrow, full)):
+        with pytest.raises(ObservationError, match="data shapes differ"):
+            wi.data_distance(d1, d2, wave_disc)
+
+
+def test_data_distance_rejects_mismatched_specs(wave_disc, time_grid):
+    spec = wi.ObservationSpec(kind="node-subset", indices=[1])
+    sub = wi.DataVector(np.ones((time_grid.size, 1)), time_grid, spec)
+    one_column = wi.DataVector(np.ones((time_grid.size, 1)), time_grid)
+    with pytest.raises(ObservationError, match="observation specs"):
+        wi.data_distance(one_column, sub, wave_disc)
+
+
 def test_data_norm_and_distance(wave_disc, time_grid):
     rng = np.random.default_rng(2)
     vals = rng.standard_normal((time_grid.size, wave_disc.n_free))
@@ -130,7 +147,7 @@ def test_data_norm_homogeneous(alpha):
 def test_forward_map_caches_solver_state(wave_disc, time_grid):
     point = varied_point(wave_disc, time_grid)
     traj = wi.forward_map(wave_disc, point, modal_source(wave_disc, time_grid))
-    assert traj.meta["scheme"]["timeline"].problem == "wave1d"
+    assert traj.solve.timeline.problem == "wave1d"
 
 
 def test_forward_map_compatibility_gate(wave_disc, time_grid):

@@ -205,6 +205,38 @@ def test_constraint_violation_reports_location(wave_disc, time_grid):
     assert info.value.index == (3, 2)
 
 
+def nan_in_bounded_field(point):
+    point.fields["a"].values[2, 2] = np.nan  # a >= a0 is bounded below
+    return "a", (2, 2)
+
+
+def inf_in_unbounded_field(point):
+    point.fields["b"].values[4, 1] = np.inf  # b has no bound at all
+    return "b", (4, 1)
+
+
+def nan_in_a_written_field(point):
+    # inversion iterates and perturbed points replace a field's array
+    values = point.fields["q"].values.copy()
+    values[7, 5] = np.nan
+    point.fields["q"].values = values
+    return "q", (7, 5)
+
+
+@pytest.mark.parametrize(
+    "spoil", [nan_in_bounded_field, inf_in_unbounded_field, nan_in_a_written_field]
+)
+def test_non_finite_values_are_rejected_with_their_place(wave_disc, time_grid, spoil):
+    point = varied_point(wave_disc, time_grid)
+    f = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
+    name, index = spoil(point)
+    for check in (point.check_admissible, lambda: wi.forward_map(wave_disc, point, f)):
+        with pytest.raises(ConstraintViolationError, match=f"field '{name}'") as info:
+            check()
+        assert (info.value.bound, info.value.field, info.value.index) == ("finite", name, index)
+        assert not np.isfinite(info.value.value)
+
+
 def test_unknown_problem_is_a_typed_error(time_grid):
     field = wi.ParameterField.constant(1.0, time_grid, 3)
     with pytest.raises(DirectionShapeError, match="unknown problem 'wave2d'") as info:

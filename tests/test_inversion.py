@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 import waveinv as wi
 from waveinv import inversion
-from waveinv.errors import CGBreakdownError, InversionConfigError, StepSizeError
+from waveinv.errors import (
+    CGBreakdownError,
+    InversionConfigError,
+    ObservationError,
+    StepSizeError,
+)
 from waveinv.forward import (
     ObservationSpec,
     data_distance,
@@ -71,6 +76,15 @@ def test_unknown_target_rejected(instance):
     cfg = InversionConfig(targets=("zeta",), max_iterations=1)
     with pytest.raises(InversionConfigError, match="zeta"):
         landweber(disc, x0, clean, f, cfg)
+
+
+@pytest.mark.parametrize("method", [landweber, cgne])
+def test_data_of_another_shape_is_rejected(instance, method):
+    disc, tg, truth, x0, f, clean = instance
+    one_column = wi.DataVector(clean.values[:, :1], tg)  # full-field data has n_free columns
+    cfg = InversionConfig(step_size=1.0, max_iterations=2, targets=("q",))
+    with pytest.raises(ObservationError, match="data shapes differ"):
+        method(disc, x0, one_column, f, cfg)
 
 
 # ---------------------------------------------------------------------------

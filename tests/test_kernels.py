@@ -217,7 +217,7 @@ def varied_base(problem, n):
 
 
 def assert_backward_unchanged_by_sharing(base, v):
-    tl = base.meta["scheme"]["timeline"]
+    tl = base.solve.timeline
     load = wi.SourceTerm(v.values)
     shared = wi.solve_backward(tl, load, like=base)
     alone = wi.solve_backward(tl, load)
@@ -232,7 +232,7 @@ def test_continuous_adjoint_without_damping_factorizes_nothing(
     problem, n, counted_factors, counted_step_values
 ):
     disc, point, base, v = varied_base(problem, n)
-    assert base.meta["scheme"]["timeline"].values["B"] is None
+    assert base.solve.timeline.values["B"] is None
     counted_factors.clear()
     counted_step_values.clear()
     adjoint_apply_continuous(disc, point, v, base)
@@ -245,7 +245,7 @@ def test_continuous_adjoint_with_damping_factorizes_only_its_steps(
     counted_factors, counted_step_values
 ):
     disc, point, base, v = varied_base("wave1d", 12)
-    tl = base.meta["scheme"]["timeline"]
+    tl = base.solve.timeline
     assert np.ptp(tl.values["B"], axis=0).max() > 0.0  # b varies in time
     steps = evolve.step_values(evolve.reverse_timeline(tl))[0]
     distinct = len({row.tobytes() for row in steps})

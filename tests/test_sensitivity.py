@@ -16,6 +16,7 @@ from waveinv.sensitivity import (
     adjoint_apply_continuous,
     adjoint_apply_discrete,
     derivative_apply,
+    derivative_apply_many,
     direction_norm,
     dot_test,
     gradient_norm,
@@ -100,6 +101,88 @@ def test_derivative_requires_cached_solve(wave_disc, time_grid):
         derivative_apply(
             wave_disc, point, smooth_direction(wave_disc, time_grid, ("a",)), bare
         )
+
+
+# ---------------------------------------------------------------------------
+# the base must be the forward solve at the point
+
+
+SWEEPS = [
+    "derivative_apply",
+    "derivative_apply_many",
+    "adjoint_apply_discrete",
+    "adjoint_apply_continuous",
+    "dot_test",
+]
+
+
+def sweep(name, disc, tg):
+    """The sensitivity entry point ``name`` as a call on (point, base)."""
+    direction = smooth_direction(disc, tg, wi.FIELD_NAMES[disc.problem])
+    v = wi.DataVector(np.ones((tg.size, disc.n_free)), tg)
+    calls = {
+        "derivative_apply": lambda point, base: derivative_apply(disc, point, direction, base),
+        # raises on the call, before any direction is read
+        "derivative_apply_many": lambda point, base: derivative_apply_many(
+            disc, point, iter([direction]), base
+        ),
+        "adjoint_apply_discrete": lambda point, base: adjoint_apply_discrete(disc, point, v, base),
+        "adjoint_apply_continuous": lambda point, base: adjoint_apply_continuous(
+            disc, point, v, base
+        ),
+        "dot_test": lambda point, base: dot_test(disc, point, direction, v, base=base),
+    }
+    return calls[name]
+
+
+def solved(problem, n=6):
+    disc = wi.build_grid(problem, n)
+    tg = np.linspace(0.0, 1.0, 21)
+    point = varied_point(disc, tg)
+    f = modal_source(disc, tg)
+    return disc, tg, point, f, wi.forward_map(disc, point, f)
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+@pytest.mark.parametrize("problem", ["wave1d", "elastic2d", "maxwell1d"])
+def test_a_base_solved_at_another_point_is_rejected(problem, name):
+    disc, tg, point, f, base = solved(problem)
+    call = sweep(name, disc, tg)
+    call(point, base)  # the base of this point is accepted
+    other = point.copy()
+    first = wi.FIELD_NAMES[problem][0]
+    other.fields[first].values = other.fields[first].values + 0.1
+    with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
+        call(point, wi.forward_map(disc, other, f))
+    with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
+        call(other, base)
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_a_write_into_the_point_after_the_solve_is_caught(name):
+    disc, tg, point, f, base = solved("maxwell1d")
+    call = sweep(name, disc, tg)
+    mu = point.fields["mu"].values
+    kept = mu[4, 3]
+    mu[4, 3] = kept + 1e-9
+    with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
+        call(point, base)
+    mu[4, 3] = kept
+    call(point, base)  # the values of the solve again
+    point.fields["eps"].values = point.fields["eps"].values[:, ::-1].copy()
+    with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
+        call(point, base)
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_a_base_on_a_hand_built_timeline_is_rejected(name):
+    disc, tg, point, f, base = solved("wave1d")
+    tl = base.solve.timeline
+    hand = wi.galerkin.OperatorTimeline(tl.problem, tl.time_grid, tl.pattern, tl.values)
+    with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
+        sweep(name, disc, tg)(point, wi.solve_forward(hand, f))
+    with pytest.raises(RequiresForwardSolveError, match="call forward_map first"):
+        sweep(name, disc, tg)(point, base - base)
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,10 @@ def test_constant_point_factorizes_once(discs, problem):
         problem, tg, disc.n_nodes, **{name: constants[name] for name in wi.FIELD_NAMES[problem]}
     )
     traj = wi.forward_map(disc, point, modal_source(disc, tg))
-    scheme = traj.meta["scheme"]
-    assert len(scheme["factors"]) == tg.size - 1
-    assert len({id(factor) for factor in scheme["factors"]}) == 1
-    assert len({id(factor) for factor in scheme["c_factors"]}) == 1
+    record = traj.solve
+    assert len(record.factors) == tg.size - 1
+    assert len({id(factor) for factor in record.factors}) == 1
+    assert len({id(factor) for factor in record.c_factors}) == 1
 
 
 def test_node_subset_discrete_dot_test_maxwell(discs):
