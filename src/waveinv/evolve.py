@@ -82,11 +82,14 @@ class SourceTerm:
 
 @dataclass(frozen=True)
 class SolveRecord:
-    """What a forward solve keeps for the derivative and adjoint sweeps.
+    """What a forward solve keeps for the derivative and adjoint sweeps, and
+    for a solve resumed from it (see :func:`solve_forward`).
 
     ``timeline`` is the solved timeline, ``factors`` the factor of every step
     matrix S_n, ``t_vals`` and ``c_half`` the (step x nnz) values of T_n and
-    C_h, and ``c_factors`` the factor of every C(t_n).
+    C_h, and ``c_factors`` the factor of every C(t_n).  ``p`` holds the
+    momentum at every node and ``loads`` the load term of every step; both
+    are arrays the solve made itself, never the caller's.
     """
 
     timeline: OperatorTimeline
@@ -94,6 +97,8 @@ class SolveRecord:
     t_vals: np.ndarray
     c_half: np.ndarray
     c_factors: list
+    p: np.ndarray
+    loads: np.ndarray
 
 
 @dataclass
@@ -124,22 +129,22 @@ def make_source(disc, time_grid, fn):
 
     ``fn(t, x)`` (scalar problems) or ``fn(t, x, y) -> (2, n_nodes)`` /
     ``(n_nodes, 2)`` (elastic) is evaluated at every node, then weighted by
-    the mass rows so boundary-adjacent couplings are kept.
+    the mass rows so boundary-adjacent couplings are kept: one sparse
+    product for all time nodes, which accumulates each entry in the order
+    of a single mat-vec.
     """
     tg = np.asarray(time_grid, dtype=float)
-    vals = np.empty((tg.size, disc.n_free))
-    nodal = np.zeros(disc.n_dofs)
+    nodal = np.zeros((tg.size, disc.n_dofs))
     for i, t in enumerate(tg):
         if disc.dim == 1:
-            nodal[:] = fn(t, disc.nodes)
+            nodal[i] = fn(t, disc.nodes)
         else:
             comp = np.asarray(fn(t, disc.nodes[:, 0], disc.nodes[:, 1]))
             if comp.shape == (2, disc.n_nodes):
                 comp = comp.T
-            nodal[0::2] = comp[:, 0]
-            nodal[1::2] = comp[:, 1]
-        vals[i] = disc.M_load @ nodal
-    return SourceTerm(vals)
+            nodal[i, 0::2] = comp[:, 0]
+            nodal[i, 1::2] = comp[:, 1]
+    return SourceTerm(np.ascontiguousarray((disc.M_load @ nodal.T).T))
 
 
 def momentum_from_velocity(timeline, velocity):
@@ -194,11 +199,18 @@ class BandLU:
         return self.lapack_solve(rhs)[0]
 
 
-def factorize_rows(pattern, rows):
-    """One factor per row of values; equal rows share a single factorization."""
+def factorize_rows(pattern, rows, known=None):
+    """One factor per row of values; equal rows share a single factorization.
+
+    ``known`` gives, for each row, a factor of that row or None; a row with
+    a known factor takes it, and only the others are factorized.
+    """
     seen = {}
     factors = []
     for n, row in enumerate(rows):
+        if known is not None and known[n] is not None:
+            factors.append(known[n])
+            continue
         key = row.tobytes()
         if key not in seen:
             seen[key] = BandLU(pattern, row, n)
@@ -242,7 +254,7 @@ def step_values(timeline):
     return combine((1.0, mass), (1.0, stiff)), combine((1.0, mass), (-1.0, stiff)), c_half
 
 
-def solve_forward(timeline, f, u0=None, u1=None):
+def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
     """March the implicit midpoint scheme over the timeline.
 
     Parameters
@@ -255,6 +267,13 @@ def solve_forward(timeline, f, u0=None, u1=None):
     u1 : array, optional
         Initial momentum datum p(0) = (C u')(0) in load form (defaults to
         zero).  Use :func:`momentum_from_velocity` to build it from a velocity.
+    like : Trajectory, optional
+        A forward solve on the same pattern and time grid, at another point
+        or with other data.  The solve then resumes from it (see
+        :func:`_reuse`): the output is the same bit for bit, but the steps
+        before the first change are copied rather than marched, and every
+        step matrix and C(t_n) whose values are those of ``like`` takes its
+        factor.  Raises RequiresForwardSolveError for any other ``like``.
 
     Returns
     -------
@@ -263,13 +282,67 @@ def solve_forward(timeline, f, u0=None, u1=None):
         ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du.
         Its ``solve`` is the :class:`SolveRecord` of this solve.
     """
-    return _solve(timeline, f, u0, u1)
+    return _solve(timeline, f, u0, u1, like=like)
 
 
-def _solve(timeline, f, u0, u1, steps=None, c_factors=None):
+def _rows_differ(new, old):
+    """Per row, whether two (row x ...) arrays differ bit for bit, as the
+    factors and the march see them (so -0.0 differs from 0.0)."""
+    return (new.view(np.uint64) != old.view(np.uint64)).reshape(len(new), -1).any(axis=1)
+
+
+def _reuse(timeline, like, u, p, loads):
+    """What a solve of ``timeline`` takes from the forward solve ``like``.
+
+    ``u``, ``p`` and ``loads`` are the new solve's states, holding the
+    initial data, and its step loads.  Returns ``(m0, known_steps,
+    known_c)``: the states up to node m0 are the same as in ``like``, and
+    the two lists give ``like``'s factor for each step matrix and each
+    C(t_n) whose values are the same, None for the others.  Step n couples
+    nodes n and n + 1, so it is the same when every slot row at both nodes
+    is the same, bit for bit; m0 is the first step that is not, or earlier
+    the first step whose load differs, or 0 when the initial data differ.
+    Raises RequiresForwardSolveError unless ``like`` is a forward solve on
+    the same pattern and time grid.
+    """
+    record = like.solve
+    if (
+        record is None
+        or record.timeline.pattern is not timeline.pattern
+        or not np.array_equal(record.timeline.time_grid, timeline.time_grid)
+    ):
+        raise RequiresForwardSolveError(
+            "like must be a forward solve on the same pattern and time grid"
+        )
+    new, old = timeline.values, record.timeline.values
+    node = np.zeros(timeline.time_grid.size, dtype=bool)
+    for slot in new:
+        if (new[slot] is None) != (old[slot] is None):
+            node[:] = True
+        elif new[slot] is not None:
+            node |= _rows_differ(new[slot], old[slot])
+    step = node[:-1] | node[1:]
+    changed = step | _rows_differ(loads, record.loads)
+    m0 = int(changed.argmax()) if changed.any() else len(step)
+    if _rows_differ(u[:1], like.u[:1])[0] or _rows_differ(p[:1], record.p[:1])[0]:
+        m0 = 0
+    known_steps = [None if moved else f for moved, f in zip(step, record.factors)]
+    c_moved = _rows_differ(new["C"], old["C"])
+    known_c = [None if moved else f for moved, f in zip(c_moved, record.c_factors)]
+    return m0, known_steps, known_c
+
+
+def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     """:func:`solve_forward`, taking the step factors and values and the C(t_n)
     factors of ``timeline`` from ``steps = (factors, t_vals, c_half)`` and
-    ``c_factors`` where they are given (see :func:`solve_backward`)."""
+    ``c_factors`` where they are given (see :func:`solve_backward`).
+
+    With ``like``, the states up to node m0 of :func:`_reuse` are copied
+    from it and only the steps after m0 are marched; only the step matrices
+    and C(t_n) whose values differ from ``like``'s are factorized.  The
+    velocity and acceleration are recovered at every node, so each of them
+    is exact node by node.
+    """
     tg = timeline.time_grid
     dt = timeline.dt
     pattern = timeline.pattern
@@ -285,25 +358,30 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None):
         u[0] = np.asarray(u0, dtype=float)
     if u1 is not None:
         p[0] = np.asarray(u1, dtype=float)
+    loads = dt * 0.5 * (fv[:-1] + fv[1:])
 
+    m0, known_steps, known_c = 0, None, None
+    if like is not None:
+        m0, known_steps, known_c = _reuse(timeline, like, u, p, loads)
+        u[1 : m0 + 1] = like.u[1 : m0 + 1]
+        p[1 : m0 + 1] = like.solve.p[1 : m0 + 1]
     if steps is None:
         s_vals, t_vals, c_half = step_values(timeline)
-        factors = factorize_rows(pattern, s_vals)
+        factors = factorize_rows(pattern, s_vals, known_steps)
     else:
         factors, t_vals, c_half = steps
-    loads = dt * 0.5 * (fv[:-1] + fv[1:])
-    _march(pattern, factors, t_vals, c_half, 2.0 / dt, u, p, loads)
+    _march(pattern, factors[m0:], t_vals[m0:], c_half[m0:], 2.0 / dt, u[m0:], p[m0:], loads[m0:])
     bad = ~np.all(np.isfinite(u[1:]), axis=1)
     if bad.any():
         raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")
 
     v = timeline.values
     if c_factors is None:
-        c_factors = factorize_rows(pattern, v["C"])
+        c_factors = factorize_rows(pattern, v["C"], known_c)
     du = solve_each(c_factors, p)
     resid = fv - pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
     ddu = solve_each(c_factors, resid)
-    record = SolveRecord(timeline, factors, t_vals, c_half, c_factors)
+    record = SolveRecord(timeline, factors, t_vals, c_half, c_factors, p, loads)
     return Trajectory(u=u, du=du, ddu=ddu, time_grid=tg, dt=dt, solve=record)
 
 

@@ -6,7 +6,7 @@ and distances.  A forward solve returns its trajectory with the solve record
 (:class:`~.evolve.SolveRecord`: the timeline, which holds a copy of the
 point's field values, and the factorizations) as ``solve``, so derivative and
 adjoint sweeps at that point can reuse it.  Two data vectors are compared or
-subtracted only once their observation specs and shapes agree.
+subtracted only once their observation specs, shapes and time grids agree.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def trapezoid_weights(time_grid):
     return w
 
 
-def forward_map(disc, point, f, u0=None, u1=None, k=None):
+def forward_map(disc, point, f, u0=None, u1=None, k=None, *, like=None):
     """Evaluate the forward operator at a parameter point.
 
     Optionally enforces the compatibility conditions at smoothness level
@@ -95,6 +95,14 @@ def forward_map(disc, point, f, u0=None, u1=None, k=None):
     runs the midpoint solver.  The trajectory's ``solve`` keeps the timeline,
     with its copy of the field values of ``point``, and the factorizations
     for reuse.
+
+    ``like`` is a forward solve on the same mesh and time grid, typically at
+    a point that differs from ``point`` only on a time window.  The solve
+    then resumes from it (see :func:`~.evolve.solve_forward`): the output is
+    the same bit for bit as without ``like``, but the steps before the first
+    change are copied and only the step and C rows that differ from
+    ``like``'s are factorized.  A ``like`` on another mesh or time grid, or
+    without a solve record, raises RequiresForwardSolveError.
     """
     if k is not None:
         report = compatibility_check(f, u0, u1, k)
@@ -106,7 +114,7 @@ def forward_map(disc, point, f, u0=None, u1=None, k=None):
             raise CompatibilityError(
                 f"data fail the smoothness-{k} compatibility conditions: {fails}"
             )
-    return solve_forward(assemble_operators(disc, point), f, u0=u0, u1=u1)
+    return solve_forward(assemble_operators(disc, point), f, u0=u0, u1=u1, like=like)
 
 
 def observe(trajectory, spec=None):
@@ -125,13 +133,16 @@ def observe(trajectory, spec=None):
 
 
 def _check_pair(d1, d2):
-    """Raise ObservationError unless two data vectors share spec and shape."""
+    """Raise ObservationError unless two data vectors share spec, shape and
+    time grid."""
     if not d1.spec.matches(d2.spec):
         raise ObservationError("data vectors carry different observation specs")
     if d1.values.shape != d2.values.shape:
         raise ObservationError(
             f"data shapes differ: {d1.values.shape} vs {d2.values.shape}"
         )
+    if not np.array_equal(d1.time_grid, d2.time_grid):
+        raise ObservationError("data vectors are sampled on different time grids")
 
 
 def data_inner(d1, d2, disc):
@@ -154,8 +165,8 @@ def data_norm(d, disc):
 
 
 def data_difference(d1, d2):
-    """The data vector d1 - d2; raises ObservationError unless their specs
-    and shapes agree, so a mismatch never broadcasts."""
+    """The data vector d1 - d2; raises ObservationError unless their specs,
+    shapes and time grids agree, so a mismatch never broadcasts."""
     _check_pair(d1, d2)
     return DataVector(d1.values - d2.values, d1.time_grid, d1.spec)
 

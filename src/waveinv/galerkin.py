@@ -793,8 +793,9 @@ def assemble_operators(disc, point):
     """Assemble the node-sampled operator quadruple for a parameter point.
 
     Raises ConstraintViolationError if the point leaves the admissible box.
-    The timeline's ``point`` holds copies of the field values, taken now, so
-    a later write into the point's fields does not reach it.
+    The timeline's ``point`` holds copies of the field values, and its time
+    grid is a copy of the point's, both taken now, so a later write into the
+    point does not reach it.
     """
     _check_problem(disc, point)
     point.check_admissible()
@@ -802,7 +803,7 @@ def assemble_operators(disc, point):
     if tg.size < 3:
         raise ResolutionError("timelines need at least three time nodes")
     timeline = _assemble(
-        disc, tg, lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values))
+        disc, tg.copy(), lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values))
     )
     timeline.point = {name: f.values.copy() for name, f in point.fields.items()}
     return timeline

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveinv as wi
-from waveinv.errors import CompatibilityError, ObservationError
+from waveinv.errors import CompatibilityError, ObservationError, WaveinvError
 
 from conftest import modal_source, varied_point
 
@@ -121,6 +121,17 @@ def test_data_distance_rejects_mismatched_specs(wave_disc, time_grid):
         wi.data_distance(one_column, sub, wave_disc)
 
 
+def test_data_distance_rejects_other_time_grids(wave_disc):
+    shape = (21, wave_disc.n_free)
+    short = wi.DataVector(np.ones(shape), np.linspace(0.0, 1.0, 21))
+    long = wi.DataVector(2.0 * np.ones(shape), np.linspace(0.0, 4.0, 21))
+    for d1, d2 in ((short, long), (long, short)):
+        with pytest.raises(ObservationError, match="time grids"):
+            wi.data_distance(d1, d2, wave_disc)
+        with pytest.raises(ObservationError, match="time grids"):
+            wi.data_inner(d1, d2, wave_disc)
+
+
 def test_data_norm_and_distance(wave_disc, time_grid):
     rng = np.random.default_rng(2)
     vals = rng.standard_normal((time_grid.size, wave_disc.n_free))
@@ -168,3 +179,39 @@ def test_forward_map_matches_manual_pipeline(wave_disc, time_grid):
     tl = wi.assemble_operators(wave_disc, point)
     direct = wi.solve_forward(tl, f)
     assert np.array_equal(via_map.u, direct.u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    problem=st.sampled_from(sorted(wi.FIELD_NAMES)),
+    n=st.integers(2, 5),
+    n_steps=st.integers(1, 24),
+    t_end=st.floats(1e-3, 20.0),
+    scales=st.lists(st.floats(0.05, 20.0), min_size=3, max_size=3),
+    wobble=st.floats(0.0, 5.0),
+    amplitude=st.floats(-1e3, 1e3),
+    seed=st.integers(0, 2**16),
+)
+def test_any_input_solves_or_raises_a_typed_error(
+    problem, n, n_steps, t_end, scales, wobble, amplitude, seed
+):
+    """A random point, grid, source and initial data either solve to finite
+    output or raise a WaveinvError, never a bare numpy or scipy exception."""
+    rng = np.random.default_rng(seed)
+    disc = wi.build_grid(problem, n)
+    tg = np.linspace(0.0, t_end, n_steps + 1)
+    names = wi.FIELD_NAMES[problem]
+    constants = dict(zip(names, np.resize(scales, len(names))))
+    try:
+        point = wi.ParameterPoint.from_constants(problem, tg, disc.n_nodes, **constants)
+        for name in names:
+            field = point.fields[name]
+            shake = rng.uniform(-0.5, 0.5, field.values.shape)
+            field.values = field.values * (1.0 + wobble * shake)
+        f = wi.SourceTerm(amplitude * rng.standard_normal((tg.size, disc.n_free)))
+        u0 = rng.standard_normal(disc.n_free)
+        traj = wi.forward_map(disc, point, f, u0=u0, u1=u0)
+    except WaveinvError:
+        return
+    for rows in (traj.u, traj.du, traj.ddu):
+        assert np.all(np.isfinite(rows))

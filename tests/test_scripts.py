@@ -1,6 +1,7 @@
 """Smoke tests: each study script runs end to end on a tiny instance."""
 
 import importlib.util
+import json
 import pathlib
 import re
 
@@ -39,3 +40,27 @@ def test_reconstruction_demo_script(capsys):
     assert script.main(args) == 0
     out = capsys.readouterr().out
     assert out.startswith("landweber: ") and "\ncgne: " in out
+
+
+def test_compare_artifacts_script(tmp_path, capsys):
+    script = load_script("compare_artifacts")
+
+    def write(side, name, artifacts):
+        (tmp_path / side / name).mkdir(parents=True)
+        manifest = {"artifacts": artifacts, "wall_time_s": 1.0}
+        (tmp_path / side / name / "manifest.json").write_text(json.dumps(manifest))
+
+    for side in ("old", "new"):
+        write(side, "forward_wave", {"u.npy": "aa", "summary.json": "bb"})
+    write("new", "extra", {"u.npy": "cc"})
+    old, new = str(tmp_path / "old"), str(tmp_path / "new")
+    assert script.main([old, new]) == 0
+    assert "1 configs: every artifact hash matches" in capsys.readouterr().out
+    write("old", "illposed_q", {"illposed.csv": "dd", "gone.json": "ee"})
+    write("new", "illposed_q", {"illposed.csv": "d0"})
+    assert script.main([old, new]) == 1
+    out = capsys.readouterr().out
+    assert "illposed_q/illposed.csv: dd -> d0" in out
+    assert "illposed_q/gone.json: ee -> None" in out
+    assert "forward_wave" not in out
+    assert script.main([str(tmp_path / "new"), str(tmp_path / "nothing")]) == 1

@@ -175,6 +175,16 @@ def test_a_write_into_the_point_after_the_solve_is_caught(name):
 
 
 @pytest.mark.parametrize("name", SWEEPS)
+def test_a_write_into_the_time_grid_after_the_solve_is_caught(name):
+    disc, tg, point, f, base = solved("wave1d")
+    call = sweep(name, disc, tg)
+    assert base.solve.timeline.time_grid is not point.time_grid
+    point.time_grid[:] *= 2.0  # every field shares the grid array
+    with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
+        call(point, base)
+
+
+@pytest.mark.parametrize("name", SWEEPS)
 def test_a_base_on_a_hand_built_timeline_is_rejected(name):
     disc, tg, point, f, base = solved("wave1d")
     tl = base.solve.timeline
