@@ -1,9 +1,10 @@
-"""Compare the artifact hashes of two sets of `waveinv run` outputs.
+"""Compare the artifact and config hashes of two sets of `waveinv run` outputs.
 
 Each directory holds one subdirectory per config, as written by
 `waveinv run --out DIR/<config name>`.  Every artifact that the two
 `manifest.json` files of a config list with different hashes, or that only
-one of them lists, is printed, and the exit status is 1 if there is any.
+one of them lists, is printed, and so is a `config_sha256` (the hash of the
+config as it was read) that differs; the exit status is 1 if there is any.
 A config that only one side ran is printed but is not a difference.
 """
 
@@ -14,15 +15,20 @@ import sys
 
 
 def artifact_hashes(root):
-    """config name -> {artifact: sha256} for every manifest under ``root``."""
-    return {
-        path.parent.name: json.loads(path.read_text())["artifacts"]
-        for path in sorted(pathlib.Path(root).glob("*/manifest.json"))
-    }
+    """config name -> {artifact: sha256, "config_sha256": sha256} for every manifest
+    under ``root``."""
+    hashes = {}
+    for path in sorted(pathlib.Path(root).glob("*/manifest.json")):
+        manifest = json.loads(path.read_text())
+        hashes[path.parent.name] = {
+            **manifest["artifacts"],
+            "config_sha256": manifest.get("config_sha256"),
+        }
+    return hashes
 
 
 def differences(old, new):
-    """Lines ``config/artifact: old -> new`` for each artifact whose hash differs."""
+    """Lines ``config/artifact: old -> new`` for each artifact (or config) whose hash differs."""
     lines = []
     for name in sorted(set(old) & set(new)):
         for artifact in sorted(set(old[name]) | set(new[name])):
@@ -45,7 +51,8 @@ def main(argv=None):
         print("no config ran on both sides")
         return 1
     lines = differences(old, new)
-    print("\n".join(lines) or f"{len(shared)} configs: every artifact hash matches")
+    same = f"{len(shared)} configs: every artifact hash matches, and every config hash"
+    print("\n".join(lines) or same)
     return 1 if lines else 0
 
 

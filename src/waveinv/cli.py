@@ -6,14 +6,20 @@ subcommands::
     waveinv run --config cfg.json [--out DIR] [--seed N]
     waveinv validate --config cfg.json
 
+Each experiment, field and source kind is stated once, as a table of its
+options' JSON-schema fragments (:data:`EXPERIMENTS`, :data:`FIELD_KINDS`,
+:data:`SOURCE_KINDS`); a fragment's ``default`` fills in an option left out.
+:data:`CONFIG_SCHEMA` and the options the runners read are derived from them,
+so a misspelled, missing or out-of-range option fails at ``load_config``.
+
 ``run`` dispatches to the owning module and writes plot-ready CSV artifacts
-plus ``manifest.json`` (config hash, package versions, the BLAS/OpenMP thread
-variables as the process saw them, wall time, one content hash per artifact).
-Thread counts are fixed when numpy loads, so set those variables before
-launching ``waveinv``.  ``validate`` performs schema, admissibility and source
-compatibility checks without running any solve.  Exit codes: 0 success,
-1 numerical/validation failure, 2 malformed config (message names the
-offending field path).
+plus ``manifest.json`` (hash of the config as read, package versions, the
+BLAS/OpenMP thread variables as the process saw them, wall time, one content
+hash per artifact).  Thread counts are fixed when numpy loads, so set those
+variables before launching ``waveinv``.  ``validate`` makes the admissibility
+and source compatibility checks that ``run`` makes first, without solving.
+Exit codes: 0 success, 1 numerical/validation failure, 2 malformed config
+(message names the offending field path).
 
 Configs are data, not code: parameter fields are constants, tabulated CSVs
 or named presets (``bump``, ``layered``); sources are zero, modal products of
@@ -49,84 +55,75 @@ from .illposed import bump_sequence, illposed_experiment, svd_probe
 from .inversion import InversionConfig, add_noise, cgne, landweber
 from .sensitivity import dot_test, taylor_test
 
-EXPERIMENTS = (
-    "forward",
-    "dot-test",
-    "taylor-test",
-    "illposed",
-    "svd",
-    "invert",
-    "convergence",
-)
+NUMBER = {"type": "number"}
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+COUNT = {"type": "integer", "minimum": 1}
+PATH = {"type": "string"}
+FIELD_LIST = {"type": "array", "items": {"type": "string"}, "minItems": 1}
+#: the smoothness level of the compatibility check every experiment makes first
+LEVEL = {"type": "integer", "minimum": 0, "maximum": 2, "default": 2}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["problem", "mesh", "time", "fields", "source", "experiment"],
-    "additionalProperties": False,
-    "properties": {
-        "problem": {"enum": list(PROBLEMS)},
-        "mesh": {
-            "type": "object",
-            "required": ["n"],
-            "additionalProperties": False,
-            "properties": {
-                "n": {"type": "integer", "minimum": 2},
-                "extent": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "time": {
-            "type": "object",
-            "required": ["t_end", "n_steps"],
-            "additionalProperties": False,
-            "properties": {
-                "t_end": {"type": "number", "exclusiveMinimum": 0},
-                "n_steps": {"type": "integer", "minimum": 2},
-            },
-        },
-        "fields": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "required": ["kind"],
-                "properties": {
-                    "kind": {"enum": ["constant", "csv", "bump", "layered"]},
-                    "value": {"type": "number"},
-                    "path": {"type": "string"},
-                    "base": {"type": "number"},
-                    "delta": {"type": "number"},
-                    "j": {"type": "integer", "minimum": 1},
-                    "t0": {"type": "number"},
-                    "r": {"type": "integer", "minimum": 1},
-                    "values": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 1,
-                    },
-                    "axis": {"type": "integer", "minimum": 0, "maximum": 1},
-                },
-            },
-        },
-        "source": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["zero", "modal", "csv"]},
-                "amplitude": {"type": "number"},
-                "mode": {"type": "integer", "minimum": 1},
-                "envelope": {"enum": ["sine", "one", "t"]},
-                "component": {"type": "integer", "minimum": 0, "maximum": 1},
-                "path": {"type": "string"},
-            },
-        },
-        "experiment": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"enum": list(EXPERIMENTS)}},
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "output": {"type": "string"},
+#: the time envelopes of a modal source
+ENVELOPES = {"sine": np.sin, "one": lambda t: 1.0, "t": lambda t: t}
+
+#: parameter-field kind -> {option: JSON-schema fragment}.  A fragment's
+#: ``default`` fills in an option left out; an option without one is required.
+FIELD_KINDS = {
+    "constant": {"value": NUMBER},
+    "csv": {"path": PATH},
+    "bump": {
+        "base": NUMBER,
+        "delta": NUMBER,
+        "j": COUNT,
+        "r": {**COUNT, "default": 3},
+        "t0": {"type": "number", "default": None},  # None: half of t_end
+    },
+    "layered": {
+        "values": {"type": "array", "items": NUMBER, "minItems": 1},
+        "axis": {"type": "integer", "minimum": 0, "maximum": 1, "default": 0},
     },
 }
+
+#: source kind -> {option: JSON-schema fragment}, read as :data:`FIELD_KINDS`
+SOURCE_KINDS = {
+    "zero": {},
+    "modal": {
+        "amplitude": {"type": "number", "default": 1.0},
+        "mode": {**COUNT, "default": 1},
+        "envelope": {"enum": list(ENVELOPES), "default": "sine"},
+        "component": {"type": "integer", "minimum": 0, "maximum": 1, "default": 0},
+    },
+    "csv": {"path": PATH},
+}
+
+
+def _filled(options, spec):
+    """``spec`` with the defaults of the options it leaves out; ``spec`` is not changed."""
+    return {**{name: s["default"] for name, s in options.items() if "default" in s}, **spec}
+
+
+def _switch(key, cases, otherwise):
+    """The schema that applies ``cases[v]`` where ``key`` equals ``v``, else ``otherwise``;
+    each case sits in the ``else`` of the one before, so the first match ends the search."""
+    block = otherwise
+    for value, then in reversed(cases.items()):
+        match = {"properties": {key: {"const": value}}, "required": [key]}
+        block = {"if": match, "then": then, "else": block}
+    return block
+
+
+def _object(options, **allowed):
+    """An object of exactly ``options`` and ``allowed``, needing each option without a default."""
+    required = [name for name, s in options.items() if "default" not in s]
+    return {"type": "object", "properties": {**allowed, **options}, "required": required,
+            "additionalProperties": False}
+
+
+def _by_kind(tables):
+    """An object whose ``kind`` names one of ``tables`` and takes that kind's options."""
+    cases = {kind: _object(options, kind=True) for kind, options in tables.items()}
+    unknown = {"properties": {"kind": {"enum": list(tables)}}}
+    return {"type": "object", "required": ["kind"], **_switch("kind", cases, unknown)}
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +143,9 @@ def _config_validator():
 
 
 def load_config(path):
-    """Parse and schema-validate a config file; errors carry the field path."""
+    """Parse and schema-validate a config file; errors carry the field path.
+
+    A missing key is reported at its own path (``fields/rho``)."""
     from jsonschema.exceptions import best_match
 
     try:
@@ -158,20 +157,17 @@ def load_config(path):
         raise ConfigError(path, f"invalid JSON: {exc}") from exc
     error = best_match(_config_validator().iter_errors(cfg))
     if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        keys = list(error.absolute_path)
+        if error.validator == "required":
+            keys.append(next(k for k in error.validator_value if k not in error.instance))
+        where = "/".join(str(k) for k in keys) or "(root)"
         raise ConfigError(where, error.message) from error
     return cfg
 
 
-def _resolve(base_dir, path):
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
-
-
 def _read_csv(where, spec, base_dir):
     """The 2-D numeric table at ``spec["path"]`` (relative to the config)."""
-    if "path" not in spec:
-        raise ConfigError(where, "csv kind needs 'path'")
-    path = _resolve(base_dir, spec["path"])
+    path = os.path.join(base_dir, spec["path"])  # an absolute path stays as it is
     if not os.path.exists(path):
         raise ConfigError(where, f"referenced CSV does not exist: {path}")
     try:
@@ -180,15 +176,14 @@ def _read_csv(where, spec, base_dir):
         raise ConfigError(where, f"cannot read CSV {path}: {exc}") from exc
 
 
-def _build_field(name, fdef, disc, tg, t_end, base_dir):
-    kind = fdef["kind"]
+def _build_field(name, fdef, disc, tg, base_dir):
+    spec = _filled(FIELD_KINDS[fdef["kind"]], fdef)
+    kind = spec["kind"]
     where = f"fields/{name}"
     if kind == "constant":
-        if "value" not in fdef:
-            raise ConfigError(where, "constant field needs 'value'")
-        return ParameterField.constant(fdef["value"], tg, disc.n_nodes)
+        return ParameterField.constant(spec["value"], tg, disc.n_nodes)
     if kind == "csv":
-        vals = _read_csv(where, fdef, base_dir)
+        vals = _read_csv(where, spec, base_dir)
         if vals.shape == (1, disc.n_nodes) and tg.size > 1:
             vals = np.repeat(vals, tg.size, axis=0)
         if vals.shape != (tg.size, disc.n_nodes):
@@ -199,63 +194,34 @@ def _build_field(name, fdef, disc, tg, t_end, base_dir):
             )
         return ParameterField(vals, tg)
     if kind == "bump":
-        for key in ("base", "delta", "j"):
-            if key not in fdef:
-                raise ConfigError(where, f"bump field needs '{key}'")
-        r = int(fdef.get("r", 3))
-        t0 = float(fdef.get("t0", 0.5 * t_end))
+        t_end = float(tg[-1])
+        t0 = 0.5 * t_end if spec["t0"] is None else float(spec["t0"])
         try:
-            seq = bump_sequence(r, t0, t_end, tg, [int(fdef["j"])])
+            seq = bump_sequence(int(spec["r"]), t0, t_end, tg, [int(spec["j"])])
         except ResolutionError as exc:
             raise ConfigError(where, str(exc)) from exc
-        shift = 0.5 * float(fdef["delta"]) * seq.samples[int(fdef["j"])]
-        vals = float(fdef["base"]) + np.repeat(shift[:, None], disc.n_nodes, axis=1)
+        shift = 0.5 * float(spec["delta"]) * seq.samples[int(spec["j"])]
+        vals = float(spec["base"]) + np.repeat(shift[:, None], disc.n_nodes, axis=1)
         return ParameterField(vals, tg)
-    if kind == "layered":
-        if "values" not in fdef:
-            raise ConfigError(where, "layered field needs 'values'")
-        layers = np.asarray(fdef["values"], dtype=float)
-        axis = int(fdef.get("axis", 0))
-        coords = disc.nodes if disc.dim == 1 else disc.nodes[:, axis]
-        lo, hi = float(coords.min()), float(coords.max())
-        idx = np.minimum(
-            ((coords - lo) / (hi - lo) * layers.size).astype(int), layers.size - 1
-        )
-        row = layers[idx]
-        return ParameterField(np.repeat(row[None, :], tg.size, axis=0), tg)
-    raise ConfigError(where, f"unknown field kind '{kind}'")
-
-
-def _build_point(cfg, disc, tg, base_dir):
-    t_end = float(cfg["time"]["t_end"])
-    fields = {}
-    for name in FIELD_NAMES[cfg["problem"]]:
-        if name not in cfg["fields"]:
-            raise ConfigError(f"fields/{name}", "missing parameter field definition")
-        fields[name] = _build_field(name, cfg["fields"][name], disc, tg, t_end, base_dir)
-    extra = set(cfg["fields"]) - set(FIELD_NAMES[cfg["problem"]])
-    if extra:
-        raise ConfigError(
-            f"fields/{sorted(extra)[0]}",
-            f"problem '{cfg['problem']}' has no such parameter",
-        )
-    return ParameterPoint(cfg["problem"], fields)
+    layers = np.asarray(spec["values"], dtype=float)
+    axis = int(spec["axis"])
+    coords = disc.nodes if disc.dim == 1 else disc.nodes[:, axis]
+    lo, hi = float(coords.min()), float(coords.max())
+    idx = np.minimum(
+        ((coords - lo) / (hi - lo) * layers.size).astype(int), layers.size - 1
+    )
+    row = layers[idx]
+    return ParameterField(np.repeat(row[None, :], tg.size, axis=0), tg)
 
 
 def _build_source(cfg, disc, tg, base_dir):
-    sdef = cfg["source"]
-    kind = sdef["kind"]
-    if kind == "zero":
+    spec = _filled(SOURCE_KINDS[cfg["source"]["kind"]], cfg["source"])
+    if spec["kind"] == "zero":
         return SourceTerm.zero(tg.size, disc.n_free)
-    if kind == "modal":
-        amp = float(sdef.get("amplitude", 1.0))
-        mode = int(sdef.get("mode", 1))
-        envelope = sdef.get("envelope", "sine")
-        env = {
-            "sine": np.sin,
-            "one": lambda t: 1.0,
-            "t": lambda t: t,
-        }[envelope]
+    if spec["kind"] == "modal":
+        amp = float(spec["amplitude"])
+        mode = int(spec["mode"])
+        env = ENVELOPES[spec["envelope"]]
         if disc.dim == 1:
             length = float(disc.nodes.max())
 
@@ -263,7 +229,7 @@ def _build_source(cfg, disc, tg, base_dir):
                 return amp * env(t) * np.sin(mode * np.pi * x / length)
 
         else:
-            comp = int(sdef.get("component", 0))
+            comp = int(spec["component"])
             lx = float(disc.nodes[:, 0].max())
             ly = float(disc.nodes[:, 1].max())
 
@@ -278,15 +244,13 @@ def _build_source(cfg, disc, tg, base_dir):
                 return out
 
         return make_source(disc, tg, fn)
-    if kind == "csv":
-        vals = _read_csv("source", sdef, base_dir)
-        if vals.shape != (tg.size, disc.n_free):
-            raise ConfigError(
-                "source",
-                f"CSV load table has shape {vals.shape}, expected {(tg.size, disc.n_free)}",
-            )
-        return SourceTerm(vals)
-    raise ConfigError("source", f"unknown source kind '{kind}'")
+    vals = _read_csv("source", spec, base_dir)
+    if vals.shape != (tg.size, disc.n_free):
+        raise ConfigError(
+            "source",
+            f"CSV load table has shape {vals.shape}, expected {(tg.size, disc.n_free)}",
+        )
+    return SourceTerm(vals)
 
 
 def build_setup(cfg, base_dir):
@@ -294,13 +258,22 @@ def build_setup(cfg, base_dir):
     disc = build_grid(cfg["problem"], cfg["mesh"]["n"], cfg["mesh"].get("extent"))
     tt = cfg["time"]
     tg = np.linspace(0.0, float(tt["t_end"]), int(tt["n_steps"]) + 1)
-    point = _build_point(cfg, disc, tg, base_dir)
+    fields = {
+        name: _build_field(name, cfg["fields"][name], disc, tg, base_dir)
+        for name in FIELD_NAMES[cfg["problem"]]
+    }
+    point = ParameterPoint(cfg["problem"], fields)
     f = _build_source(cfg, disc, tg, base_dir)
     return disc, point, tg, f
 
 
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: each runner gets (disc, point, tg, f, opts, seed, base_dir)
+
+
+def _arguments(kind, opts):
+    """The options in ``kind``'s own table, which are its library call's keyword arguments."""
+    return {name: opts[name] for name in EXPERIMENTS[kind][1]}
 
 
 def _smooth_direction(disc, tg, scale=1.0):
@@ -320,8 +293,8 @@ def _smooth_direction(disc, tg, scale=1.0):
     return scale * np.outer(envelope, profile)
 
 
-def _run_forward(cfg, disc, point, tg, f, opts, rng):
-    traj = forward_map(disc, point, f, k=opts.get("k"))
+def _run_forward(disc, point, tg, f, opts, seed, base_dir):
+    traj = forward_map(disc, point, f)
     data = observe(traj)
     return (
         {
@@ -337,36 +310,30 @@ def _run_forward(cfg, disc, point, tg, f, opts, rng):
     )
 
 
-def _run_dot_test(cfg, disc, point, tg, f, opts, rng):
-    mode = opts.get("mode", "discrete")
-    n_pairs = int(opts.get("n_pairs", 3))
+def _run_dot_test(disc, point, tg, f, opts, seed, base_dir):
+    rng = np.random.default_rng(seed)
     base = forward_map(disc, point, f)
     mismatches = []
-    for _ in range(n_pairs):
+    for _ in range(int(opts["n_pairs"])):
         direction = {
             name: rng.standard_normal((tg.size, disc.n_nodes))
             for name in FIELD_NAMES[disc.problem]
         }
         v = DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
-        mismatches.append(dot_test(disc, point, direction, v, mode=mode, base=base))
-    report = {"mode": mode, "mismatches": mismatches, "max": max(mismatches)}
+        mismatches.append(dot_test(disc, point, direction, v, mode=opts["mode"], base=base))
+    report = {"mode": opts["mode"], "mismatches": mismatches, "max": max(mismatches)}
     return {"dot_test.json": report}, report
 
 
-def _run_taylor_test(cfg, disc, point, tg, f, opts, rng):
-    targets = opts.get("targets") or list(FIELD_NAMES[disc.problem])
-    s_values = opts.get("s_values") or [1e-1, 1e-2, 1e-3, 1e-4]
+def _run_taylor_test(disc, point, tg, f, opts, seed, base_dir):
+    targets = opts["targets"] or list(FIELD_NAMES[disc.problem])
     base = forward_map(disc, point, f)
-    h_profile = _smooth_direction(disc, tg, scale=float(opts.get("scale", 0.05)))
+    h_profile = _smooth_direction(disc, tg, scale=float(opts["scale"]))
     orders = {}
     rows = []
     for t_idx, name in enumerate(targets):
-        if name not in FIELD_NAMES[disc.problem]:
-            raise ConfigError(
-                "experiment/targets", f"problem '{disc.problem}' has no '{name}'"
-            )
         report = taylor_test(
-            disc, point, {name: h_profile}, f, s_values, base=base
+            disc, point, {name: h_profile}, f, opts["s_values"], base=base
         )
         orders[name] = report.order
         for s, rem in zip(report.s_values, report.remainders):
@@ -375,26 +342,15 @@ def _run_taylor_test(cfg, disc, point, tg, f, opts, rng):
         "taylor.json": {
             "orders": orders,
             "targets": list(targets),
-            "s_values": [float(s) for s in s_values],
+            "s_values": [float(s) for s in opts["s_values"]],
         },
         "taylor_remainders.csv": np.array(rows),
     }
     return artifacts, {"orders": orders}
 
 
-def _run_illposed(cfg, disc, point, tg, f, opts, rng):
-    if "target" not in opts:
-        raise ConfigError("experiment/target", "illposed experiment needs a target")
-    result = illposed_experiment(
-        disc,
-        point,
-        opts["target"],
-        float(opts.get("delta", 0.1)),
-        [int(j) for j in opts.get("j_list", (4, 8, 16, 32, 64))],
-        f,
-        k=int(opts.get("k", 2)),
-        t0=opts.get("t0"),
-    )
+def _run_illposed(disc, point, tg, f, opts, seed, base_dir):
+    result = illposed_experiment(disc, point, f=f, **_arguments("illposed", opts))
     rows = np.array(result.rows())
     summary = {
         "target": result.target,
@@ -408,18 +364,8 @@ def _run_illposed(cfg, disc, point, tg, f, opts, rng):
     return {"illposed.csv": rows, "illposed.json": summary}, summary
 
 
-def _run_svd(cfg, disc, point, tg, f, opts, rng):
-    if "target" not in opts:
-        raise ConfigError("experiment/target", "svd experiment needs a target")
-    report = svd_probe(
-        disc,
-        point,
-        opts["target"],
-        f,
-        n_sing=opts.get("n_sing"),
-        time_knots=int(opts.get("time_knots", 6)),
-        space_knots=opts.get("space_knots", 5),
-    )
+def _run_svd(disc, point, tg, f, opts, seed, base_dir):
+    report = svd_probe(disc, point, f=f, **_arguments("svd", opts))
     sigma = report.singular_values
     rows = np.column_stack(
         [np.arange(1, sigma.size + 1), sigma, report.ratios]
@@ -434,31 +380,22 @@ def _run_svd(cfg, disc, point, tg, f, opts, rng):
     return {"singular_values.csv": rows, "svd.json": summary}, summary
 
 
-def _run_invert(cfg, disc, point, tg, f, opts, rng, base_dir, seed):
-    if "truth" not in opts:
-        raise ConfigError(
-            "experiment/truth", "invert experiment needs truth field definitions"
-        )
-    t_end = float(cfg["time"]["t_end"])
+def _run_invert(disc, point, tg, f, opts, seed, base_dir):
     truth = point.copy()
     for name, fdef in opts["truth"].items():
-        if name not in FIELD_NAMES[disc.problem]:
-            raise ConfigError(
-                f"experiment/truth/{name}", f"problem '{disc.problem}' has no such field"
-            )
-        truth.fields[name] = _build_field(name, fdef, disc, tg, t_end, base_dir)
+        truth.fields[name] = _build_field(name, fdef, disc, tg, base_dir)
     clean = observe(forward_map(disc, truth, f))
-    level = float(opts.get("noise", 0.0))
+    level = float(opts["noise"])
     data = add_noise(clean, level, seed, disc)
     delta_abs = level * data_norm(clean, disc)
     config = InversionConfig(
-        method=opts.get("method", "landweber"),
-        step_size=opts.get("step_size"),
-        tau=float(opts.get("tau", 1.5)),
+        method=opts["method"],
+        step_size=opts["step_size"],
+        tau=float(opts["tau"]),
         noise_level=delta_abs,
-        max_iterations=int(opts.get("max_iterations", 50)),
-        targets=tuple(opts["targets"]) if opts.get("targets") else None,
-        outer_iterations=int(opts.get("outer_iterations", 1)),
+        max_iterations=int(opts["max_iterations"]),
+        targets=tuple(opts["targets"]) if opts["targets"] else None,
+        outer_iterations=int(opts["outer_iterations"]),
     )
     driver = landweber if config.method == "landweber" else cgne
     history, final = driver(disc, point, data, f, config)
@@ -487,21 +424,13 @@ def _run_invert(cfg, disc, point, tg, f, opts, rng, base_dir, seed):
     return artifacts, summary
 
 
-def _run_convergence(cfg, disc, point, tg, f, opts, rng):
-    if cfg["problem"] != "wave1d":
-        raise ConfigError(
-            "experiment/kind", "the convergence study is defined for wave1d only"
-        )
-    levels = int(opts.get("levels", 4))
-    base_n = int(opts.get("base_elements", 8))
-    base_steps = int(opts.get("base_steps", 16))
-    t_end = float(opts.get("t_end", 1.0))
+def _run_convergence(disc, point, tg, f, opts, seed, base_dir):
     rows = []
     errors = []
-    for lev in range(levels):
-        n = base_n * 2**lev
-        steps = base_steps * 2**lev
-        err = _manufactured_error(n, steps, t_end)
+    for lev in range(int(opts["levels"])):
+        n = int(opts["base_elements"]) * 2**lev
+        steps = int(opts["base_steps"]) * 2**lev
+        err = _manufactured_error(n, steps, float(opts["t_end"]))
         rows.append((lev, n, steps, err))
         errors.append(err)
     orders = [
@@ -528,6 +457,96 @@ def _manufactured_error(n_elements, n_steps, t_end):
     diff = traj.u - exact
     err = np.sqrt(np.einsum("ni,ij,nj->n", diff, disc.M.toarray(), diff))
     return float(np.max(err))
+
+
+FIELD_SCHEMA = _by_kind(FIELD_KINDS)
+
+#: experiment kind -> (runner, {option: JSON-schema fragment with its default});
+#: every kind also takes the level ``k`` (:data:`EXPERIMENT_OPTIONS`)
+EXPERIMENTS = {
+    "forward": (_run_forward, {}),
+    "dot-test": (_run_dot_test, {
+        "mode": {"enum": ["discrete", "continuous"], "default": "discrete"},
+        "n_pairs": {**COUNT, "default": 3},
+    }),
+    "taylor-test": (_run_taylor_test, {
+        "targets": {**FIELD_LIST, "default": None},  # None: every field
+        "s_values": {"type": "array", "items": POSITIVE, "minItems": 2,
+                     "default": [1e-1, 1e-2, 1e-3, 1e-4]},
+        "scale": {"type": "number", "default": 0.05},
+    }),
+    "illposed": (_run_illposed, {
+        "target": PATH,
+        "delta": {"type": "number", "default": 0.1},
+        "j_list": {"type": "array", "items": COUNT, "minItems": 1, "default": [4, 8, 16, 32, 64]},
+        "k": {**LEVEL, "minimum": 1},  # the output distance is taken at level k - 1
+        "t0": {"type": "number", "default": None},  # None: half of t_end
+    }),
+    "svd": (_run_svd, {
+        "target": PATH,
+        "n_sing": {**COUNT, "default": None},  # None: all of them
+        "time_knots": {**COUNT, "default": 6},
+        "space_knots": {"type": ["integer", "array"], "minimum": 1, "items": COUNT,
+                        "minItems": 2, "maxItems": 2, "default": 5},
+    }),
+    "invert": (_run_invert, {
+        "truth": {"type": "object", "additionalProperties": FIELD_SCHEMA},
+        "noise": {"type": "number", "minimum": 0, "default": 0.0},
+        "method": {"enum": ["landweber", "cgne"], "default": "landweber"},
+        "step_size": {**POSITIVE, "default": None},  # None: from a power iteration
+        "tau": {"type": "number", "exclusiveMinimum": 1, "default": 1.5},
+        "max_iterations": {"type": "integer", "minimum": 0, "default": 50},
+        "targets": {**FIELD_LIST, "default": None},  # None: every field
+        "outer_iterations": {**COUNT, "default": 1},
+    }),
+    "convergence": (_run_convergence, {
+        "levels": {**COUNT, "default": 4},
+        "base_elements": {"type": "integer", "minimum": 2, "default": 8},
+        "base_steps": {"type": "integer", "minimum": 2, "default": 16},
+        "t_end": {**POSITIVE, "default": 1.0},
+    }),
+}
+
+
+#: each experiment kind's options: its own, and the level ``k`` all kinds take
+EXPERIMENT_OPTIONS = {kind: {"k": LEVEL, **options} for kind, (_, options) in EXPERIMENTS.items()}
+
+
+def _problem_rules(problem):
+    """``problem``'s fields are exactly the ones defined, and the only ones targeted."""
+    field = {"enum": list(FIELD_NAMES[problem])}
+    fields = _object({name: FIELD_SCHEMA for name in FIELD_NAMES[problem]})
+    experiment = {"target": field, "targets": {"items": field}, "truth": {"propertyNames": field}}
+    return {"properties": {"fields": fields, "experiment": {"properties": experiment}}}
+
+
+CONVERGENCE = {"type": "object", "properties": {"kind": {"const": "convergence"}},
+               "required": ["kind"]}
+
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["problem", "mesh", "time", "fields", "source", "experiment"],
+    "additionalProperties": False,
+    "properties": {
+        "problem": {"enum": list(PROBLEMS)},
+        "mesh": _object({"n": {"type": "integer", "minimum": 2},
+                         "extent": {**POSITIVE, "default": None}}),  # None: a unit length
+        "time": _object({"t_end": POSITIVE, "n_steps": {"type": "integer", "minimum": 2}}),
+        "fields": {"type": "object"},  # each problem's fields: see _problem_rules
+        "source": _by_kind(SOURCE_KINDS),
+        "experiment": _by_kind(EXPERIMENT_OPTIONS),
+        "seed": {"type": "integer", "minimum": 0},
+        "output": {"type": "string"},
+    },
+    "allOf": [
+        _switch("problem", {problem: _problem_rules(problem) for problem in PROBLEMS}, {}),
+        # the convergence study's manufactured solution is a wave1d one
+        {
+            "if": {"properties": {"experiment": CONVERGENCE}, "required": ["experiment"]},
+            "then": {"properties": {"problem": {"const": "wave1d"}}},
+        },
+    ],
+}
 
 
 # ---------------------------------------------------------------------------
@@ -598,36 +617,27 @@ def _versions():
 # subcommands
 
 
+def _experiment(cfg, f):
+    """The runner, the filled-in options and the source compatibility at level ``k``."""
+    kind = cfg["experiment"]["kind"]
+    opts = _filled(EXPERIMENT_OPTIONS[kind], cfg["experiment"])
+    return EXPERIMENTS[kind][0], opts, compatibility_check(f, None, None, opts["k"])
+
+
 def run_experiment(cfg, base_dir, out_dir, seed):
     """Execute the configured experiment and write artifacts + manifest."""
     started = time.time()
     disc, point, tg, f = build_setup(cfg, base_dir)
     point.check_admissible()
-    opts = cfg["experiment"]
-    kind = opts["kind"]
-    rng = np.random.default_rng(seed)
-    if kind == "forward":
-        artifacts, summary = _run_forward(cfg, disc, point, tg, f, opts, rng)
-    elif kind == "dot-test":
-        artifacts, summary = _run_dot_test(cfg, disc, point, tg, f, opts, rng)
-    elif kind == "taylor-test":
-        artifacts, summary = _run_taylor_test(cfg, disc, point, tg, f, opts, rng)
-    elif kind == "illposed":
-        artifacts, summary = _run_illposed(cfg, disc, point, tg, f, opts, rng)
-    elif kind == "svd":
-        artifacts, summary = _run_svd(cfg, disc, point, tg, f, opts, rng)
-    elif kind == "invert":
-        artifacts, summary = _run_invert(
-            cfg, disc, point, tg, f, opts, rng, base_dir, seed
-        )
-    else:
-        artifacts, summary = _run_convergence(cfg, disc, point, tg, f, opts, rng)
+    runner, opts, compatibility = _experiment(cfg, f)
+    compatibility.require()
+    artifacts, summary = runner(disc, point, tg, f, opts, seed, base_dir)
     hashes = write_artifacts(out_dir, artifacts)
     manifest = {
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()
         ).hexdigest(),
-        "experiment": kind,
+        "experiment": opts["kind"],
         "problem": cfg["problem"],
         "seed": seed,
         "versions": _versions(),
@@ -650,16 +660,9 @@ def validate_config(cfg, base_dir):
     except ConstraintViolationError as exc:
         report["admissible"] = False
         report["violations"].append(str(exc))
-        report["passed"] = False
-    k = int(cfg["experiment"].get("k", 2))
-    comp = compatibility_check(f, None, None, k)
-    report["compatibility"] = {
-        "k": k,
-        "passed": comp.passed,
-        "conditions": comp.conditions,
-    }
-    if not comp.passed:
-        report["passed"] = False
+    comp = _experiment(cfg, f)[2]
+    report["compatibility"] = {"k": comp.k, "passed": comp.passed, "conditions": comp.conditions}
+    report["passed"] = report["admissible"] and comp.passed
     return report
 
 
@@ -680,13 +683,8 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    base_dir = os.path.dirname(os.path.abspath(args.config))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-
-    try:
+        base_dir = os.path.dirname(os.path.abspath(args.config))
+        seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
         if args.command == "validate":
             report = validate_config(cfg, base_dir)
             print(json.dumps(_json_ready(report), indent=2, sort_keys=True))

@@ -51,6 +51,7 @@ import scipy.linalg.lapack as lapack
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    CompatibilityError,
     DirectionShapeError,
     RegularityError,
     RequiresForwardSolveError,
@@ -512,6 +513,17 @@ class CompatibilityReport:
 
     def failures(self):
         return [c for c in self.conditions if not c["ok"]]
+
+    def require(self):
+        """Raise CompatibilityError naming each failed condition, if any."""
+        if not self.passed:
+            fails = ", ".join(
+                f"{c['name']} (value {c['value']:.3e} > tol {c['tol']:.3e})"
+                for c in self.failures()
+            )
+            raise CompatibilityError(
+                f"data fail the smoothness-{self.k} compatibility conditions: {fails}"
+            )
 
 
 def compatibility_check(f, u0, u1, k):

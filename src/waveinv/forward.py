@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, ObservationError
+from .errors import ObservationError
 from .evolve import compatibility_check, solve_forward
 from .galerkin import assemble_operators, check_time_grid
 
@@ -105,15 +105,7 @@ def forward_map(disc, point, f, u0=None, u1=None, k=None, *, like=None):
     without a solve record, raises RequiresForwardSolveError.
     """
     if k is not None:
-        report = compatibility_check(f, u0, u1, k)
-        if not report.passed:
-            fails = ", ".join(
-                f"{c['name']} (value {c['value']:.3e} > tol {c['tol']:.3e})"
-                for c in report.failures()
-            )
-            raise CompatibilityError(
-                f"data fail the smoothness-{k} compatibility conditions: {fails}"
-            )
+        compatibility_check(f, u0, u1, k).require()
     return solve_forward(assemble_operators(disc, point), f, u0=u0, u1=u1, like=like)
 
 

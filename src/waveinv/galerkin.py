@@ -429,8 +429,8 @@ def build_grid(problem, n, extent=None):
     n : int or (int, int)
         Number of elements (1D) or cells per direction (2D).
     extent : float or (float, float), optional
-        Interval length, or rectangle side lengths.  Defaults to 1 (unit
-        interval / unit square).
+        Interval length, or rectangle side lengths (one number gives a
+        square).  Defaults to 1 (unit interval / unit square).
 
     Returns
     -------
@@ -481,9 +481,7 @@ def build_grid(problem, n, extent=None):
             nx, ny = (int(n[0]), int(n[1]))
         except TypeError:
             nx = ny = int(n)
-        if extent is None:
-            extent = (1.0, 1.0)
-        lx, ly = float(extent[0]), float(extent[1])
+        lx, ly = map(float, np.broadcast_to(1.0 if extent is None else extent, 2))
         if nx < 2 or ny < 2:
             raise InvalidMeshError(f"need at least 2 cells per direction, got {(nx, ny)}")
         if lx <= 0 or ly <= 0:

@@ -440,3 +440,161 @@ CONFIG_DIR = REPO_ROOT / "scripts" / "configs"
 def test_shipped_configs_validate(config_path, capsys):
     assert main(["validate", "--config", str(config_path)]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+# ---------------------------------------------------------------------------
+# one option table per kind: the schema, the defaults and the run agree
+
+
+def test_run_refuses_incompatible_source(tmp_path, capsys):
+    # the run-side twin of test_validate_flags_incompatible_source: both check
+    # the source at the experiment's level k (2 by default) before any solve
+    cfg = base_config()
+    cfg["source"] = {"kind": "modal", "envelope": "one"}
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "smoothness-2 compatibility" in err
+    assert not (tmp_path / "out").exists()
+
+    cfg["experiment"] = {"kind": "forward", "k": 1}
+    path = write_config(tmp_path, cfg)
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main(command + ["--config", path]) == 0
+    capsys.readouterr()
+
+
+UNIT = {"kind": "constant", "value": 1.0}
+
+
+def _config_file(name):
+    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
+def _misspelled_option(cfg):
+    cfg["experiment"]["j_lsit"] = cfg["experiment"].pop("j_list")
+    cfg["experiment"]["delat"] = 0.1
+
+
+@pytest.mark.parametrize(
+    "name, edit, where",
+    [
+        ("illposed_q", _misspelled_option, "experiment"),
+        ("forward_wave", lambda c: c["source"].update(amplitud=2.0), "source"),
+        ("forward_wave", lambda c: c["fields"]["rho"].update(j=4), "fields/rho"),
+        ("forward_wave", lambda c: c["fields"]["a"].pop("value"), "fields/a/value"),
+        ("forward_wave", lambda c: c["fields"].pop("rho"), "fields/rho"),
+        ("forward_wave", lambda c: c["fields"].update(lam=c["fields"]["a"]), "fields"),
+        ("illposed_q", lambda c: c["experiment"].pop("target"), "experiment/target"),
+        ("svd_probe", lambda c: c["experiment"].update(target="zz"), "experiment/target"),
+        ("taylor_wave", lambda c: c["experiment"].update(targets=["a", "mu"]), "experiment/targets/1"),
+        ("invert_bump", lambda c: c["experiment"]["truth"].update(mu=UNIT), "experiment/truth"),
+        ("invert_bump", lambda c: c["experiment"].update(method="newton"), "experiment/method"),
+        ("adjoint_checks", lambda c: c["experiment"].update(mode="both"), "experiment/mode"),
+        ("illposed_q", lambda c: c["experiment"].update(k=0), "experiment/k"),
+        ("forward_wave", lambda c: c["experiment"].update(k=3), "experiment/k"),
+        ("forward_wave", lambda c: c["experiment"].update(kind="backward"), "experiment/kind"),
+        ("illposed_maxwell_mu", lambda c: c.update(experiment={"kind": "convergence"}), "problem"),
+    ],
+    ids=[
+        "misspelled-experiment-option",
+        "misspelled-source-option",
+        "field-key-of-another-kind",
+        "missing-field-option",
+        "missing-field",
+        "field-of-another-problem",
+        "missing-target",
+        "target-not-a-field",
+        "taylor-target-not-a-field",
+        "truth-on-unknown-field",
+        "bad-method",
+        "bad-dot-test-mode",
+        "illposed-k-out-of-range",
+        "k-out-of-range",
+        "unknown-experiment",
+        "convergence-off-wave1d",
+    ],
+)
+def test_validate_rejects_what_run_rejects_with_the_same_path(tmp_path, capsys, name, edit, where):
+    cfg = _config_file(name)
+    edit(cfg)
+    path = write_config(tmp_path, cfg)
+    messages = []
+    for command in (["validate"], ["run", "--out", str(tmp_path / "out")]):
+        assert main(command + ["--config", path]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"config error at '{where}':")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "fdef, missing",
+    [
+        ({"kind": "constant"}, "value"),
+        ({"kind": "csv"}, "path"),
+        ({"kind": "bump", "delta": 0.2, "j": 4}, "base"),
+        ({"kind": "bump", "base": 0.5, "j": 4}, "delta"),
+        ({"kind": "bump", "base": 0.5, "delta": 0.2}, "j"),
+        ({"kind": "layered"}, "values"),
+        ({"value": 0.5}, "kind"),
+    ],
+)
+def test_missing_field_option_is_named_at_its_path(tmp_path, capsys, fdef, missing):
+    cfg = base_config()
+    cfg["fields"]["q"] = fdef
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"config error at 'fields/q/{missing}':")
+
+
+@pytest.mark.parametrize(
+    "brief, full",
+    [
+        ({"kind": "dot-test"}, {"kind": "dot-test", "mode": "discrete", "n_pairs": 3, "k": 2}),
+        (
+            {"kind": "taylor-test"},
+            {
+                "kind": "taylor-test",
+                "targets": ["a", "b", "q", "rho"],
+                "s_values": [1e-1, 1e-2, 1e-3, 1e-4],
+                "scale": 0.05,
+            },
+        ),
+    ],
+    ids=["dot-test", "taylor-test"],
+)
+def test_left_out_options_take_the_table_defaults(tmp_path, capsys, brief, full):
+    outs = []
+    for tag, experiment in (("brief", brief), ("full", full)):
+        cfg = base_config(
+            experiment=experiment,
+            source={"kind": "modal"},
+            fields={
+                "a": {"kind": "constant", "value": 1.0},
+                "b": {"kind": "constant", "value": 0.2},
+                "q": {"kind": "bump", "base": 0.5, "delta": 0.2, "j": 4},
+                "rho": {"kind": "layered", "values": [1.0, 1.2]},
+            },
+        )
+        path = write_config(tmp_path, cfg, name=f"{tag}.json")
+        out = tmp_path / tag
+        assert main(["run", "--config", path, "--out", str(out)]) == 0
+        # the manifest hashes the config as written, without the defaults
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+        assert manifest["config_sha256"] == expected
+        outs.append(manifest["artifacts"])
+    capsys.readouterr()
+    assert outs[0] == outs[1]
+
+
+def test_elastic_scalar_extent_is_a_square(tmp_path, capsys):
+    cfg = _config_file("forward_elastic")
+    cfg["mesh"]["extent"] = 2.0
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    disc, _, _, _ = build_setup(cfg, str(tmp_path))
+    assert disc.nodes.min(axis=0).tolist() == [0.0, 0.0]
+    assert disc.nodes.max(axis=0).tolist() == [2.0, 2.0]

@@ -64,3 +64,13 @@ def test_compare_artifacts_script(tmp_path, capsys):
     assert "illposed_q/gone.json: ee -> None" in out
     assert "forward_wave" not in out
     assert script.main([str(tmp_path / "new"), str(tmp_path / "nothing")]) == 1
+    capsys.readouterr()
+
+    # a config whose hash differs fails even where every artifact matches,
+    # as it would if the runner wrote its defaults into the hashed config
+    for side, digest in (("old_cfg", "c0"), ("new_cfg", "c1")):
+        (tmp_path / side / "forward_wave").mkdir(parents=True)
+        manifest = {"artifacts": {"u.npy": "aa"}, "config_sha256": digest}
+        (tmp_path / side / "forward_wave" / "manifest.json").write_text(json.dumps(manifest))
+    assert script.main([str(tmp_path / "old_cfg"), str(tmp_path / "new_cfg")]) == 1
+    assert capsys.readouterr().out == "forward_wave/config_sha256: c0 -> c1\n"
