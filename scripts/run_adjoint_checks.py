@@ -16,12 +16,20 @@ from waveinv.sensitivity import dot_test, taylor_test
 
 
 def smooth_direction(disc, tg, names, scale=1.0):
-    if disc.dim == 1:
-        profile = np.cos(2.0 * disc.nodes)
-    else:
-        profile = np.cos(2.0 * disc.nodes[:, 0]) * np.cos(disc.nodes[:, 1])
+    profile = np.prod([np.cos(w * x) for w, x in zip((2.0, 1.0), disc.axes)], axis=0)
     wobble = scale * np.outer(np.sin(np.pi * tg + 0.2), profile)
     return {name: wobble for name in names}
+
+
+def load(disc, tg):
+    """The load sin(pi x) [sin(pi y)] sin(2 t), in the first component on a square."""
+
+    def fn(t, *axes):
+        out = np.zeros((disc.n_nodes, disc.n_components))
+        out[:, 0] = np.prod([np.sin(np.pi * x) for x in axes], axis=0) * np.sin(2.0 * t)
+        return out
+
+    return wi.make_source(disc, tg, fn)
 
 
 def main(argv=None):
@@ -43,18 +51,7 @@ def main(argv=None):
             "maxwell1d": dict(eps=1.0, mu=1.0),
         }[problem]
         point = wi.ParameterPoint.from_constants(problem, tg, disc.n_nodes, **constants)
-        f = wi.make_source(
-            disc,
-            tg,
-            (lambda t, x: np.sin(np.pi * x) * np.sin(2.0 * t))
-            if disc.dim == 1
-            else (
-                lambda t, x, y: np.column_stack(
-                    [np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(2.0 * t),
-                     np.zeros_like(x)]
-                )
-            ),
-        )
+        f = load(disc, tg)
         base = wi.forward_map(disc, point, f)
 
         worst = 0.0
@@ -77,18 +74,7 @@ def main(argv=None):
         point2 = wi.ParameterPoint.from_constants(
             problem, tg2, disc.n_nodes, **constants
         )
-        f2 = wi.make_source(
-            disc,
-            tg2,
-            (lambda t, x: np.sin(np.pi * x) * np.sin(2.0 * t))
-            if disc.dim == 1
-            else (
-                lambda t, x, y: np.column_stack(
-                    [np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(2.0 * t),
-                     np.zeros_like(x)]
-                )
-            ),
-        )
+        f2 = load(disc, tg2)
         direction2 = smooth_direction(disc, tg2, FIELD_NAMES[problem], scale=0.5)
         v2 = wi.DataVector(np.ones((tg2.size, disc.n_free)), tg2)
         fine = dot_test(

@@ -35,19 +35,13 @@ def main(argv=None):
     point = wi.ParameterPoint.from_constants(
         args.problem, tg, disc.n_nodes, **constants
     )
-    if disc.dim == 1:
-        f = wi.make_source(
-            disc, tg, lambda t, x: np.sin(np.pi * x) * np.sin(2.0 * t)
-        )
-    else:
-        f = wi.make_source(
-            disc,
-            tg,
-            lambda t, x, y: np.column_stack(
-                [np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(2.0 * t),
-                 np.zeros_like(x)]
-            ),
-        )
+
+    def load(t, *axes):  # sin(pi x) [sin(pi y)] sin(2 t) in the first component
+        out = np.zeros((disc.n_nodes, disc.n_components))
+        out[:, 0] = np.prod([np.sin(np.pi * x) for x in axes], axis=0) * np.sin(2.0 * t)
+        return out
+
+    f = wi.make_source(disc, tg, load)
 
     result = illposed_experiment(
         disc, point, args.target, args.delta, args.j, f

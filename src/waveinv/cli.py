@@ -10,7 +10,9 @@ Each experiment, field and source kind is stated once, as a table of its
 options' JSON-schema fragments (:data:`EXPERIMENTS`, :data:`FIELD_KINDS`,
 :data:`SOURCE_KINDS`); a fragment's ``default`` fills in an option left out.
 :data:`CONFIG_SCHEMA` and the options the runners read are derived from them,
-so a misspelled, missing or out-of-range option fails at ``load_config``.
+and each problem's bounds on an axis, a component or per-axis counts from
+:data:`~.galerkin.MESHES`, so a misspelled, missing or out-of-range option
+fails at ``load_config``.
 
 ``run`` dispatches to the owning module and writes plot-ready CSV artifacts
 plus ``manifest.json`` (hash of the config as read, package versions, the
@@ -45,6 +47,7 @@ from .evolve import SourceTerm, compatibility_check, make_source, momentum_from_
 from .forward import DataVector, data_norm, forward_map, observe
 from .galerkin import (
     FIELD_NAMES,
+    MESHES,
     PROBLEMS,
     ParameterField,
     ParameterPoint,
@@ -80,7 +83,7 @@ FIELD_KINDS = {
     },
     "layered": {
         "values": {"type": "array", "items": NUMBER, "minItems": 1},
-        "axis": {"type": "integer", "minimum": 0, "maximum": 1, "default": 0},
+        "axis": {"type": "integer", "minimum": 0, "default": 0},  # see _problem_rules
     },
 }
 
@@ -91,7 +94,7 @@ SOURCE_KINDS = {
         "amplitude": {"type": "number", "default": 1.0},
         "mode": {**COUNT, "default": 1},
         "envelope": {"enum": list(ENVELOPES), "default": "sine"},
-        "component": {"type": "integer", "minimum": 0, "maximum": 1, "default": 0},
+        "component": {"type": "integer", "minimum": 0, "default": 0},  # see _problem_rules
     },
     "csv": {"path": PATH},
 }
@@ -204,8 +207,7 @@ def _build_field(name, fdef, disc, tg, base_dir):
         vals = float(spec["base"]) + np.repeat(shift[:, None], disc.n_nodes, axis=1)
         return ParameterField(vals, tg)
     layers = np.asarray(spec["values"], dtype=float)
-    axis = int(spec["axis"])
-    coords = disc.nodes if disc.dim == 1 else disc.nodes[:, axis]
+    coords = disc.axes[int(spec["axis"])]
     lo, hi = float(coords.min()), float(coords.max())
     idx = np.minimum(
         ((coords - lo) / (hi - lo) * layers.size).astype(int), layers.size - 1
@@ -222,26 +224,17 @@ def _build_source(cfg, disc, tg, base_dir):
         amp = float(spec["amplitude"])
         mode = int(spec["mode"])
         env = ENVELOPES[spec["envelope"]]
-        if disc.dim == 1:
-            length = float(disc.nodes.max())
+        comp = int(spec["component"])
+        # the spatial factors, one per axis, at the nodes make_source passes
+        sines = [np.sin(mode * np.pi * x / float(x.max())) for x in disc.axes]
 
-            def fn(t, x):
-                return amp * env(t) * np.sin(mode * np.pi * x / length)
-
-        else:
-            comp = int(spec["component"])
-            lx = float(disc.nodes[:, 0].max())
-            ly = float(disc.nodes[:, 1].max())
-
-            def fn(t, x, y):
-                out = np.zeros((x.size, 2))
-                out[:, comp] = (
-                    amp
-                    * env(t)
-                    * np.sin(mode * np.pi * x / lx)
-                    * np.sin(mode * np.pi * y / ly)
-                )
-                return out
+        def fn(t, *axes):
+            value = amp * env(t)
+            for sine in sines:
+                value = value * sine
+            out = np.zeros((disc.n_nodes, disc.n_components))
+            out[:, comp] = value
+            return out
 
         return make_source(disc, tg, fn)
     vals = _read_csv("source", spec, base_dir)
@@ -280,16 +273,7 @@ def _smooth_direction(disc, tg, scale=1.0):
     """A fixed smooth space-time profile used as a generic test direction."""
     t_end = float(tg[-1]) if tg[-1] > 0 else 1.0
     envelope = np.sin(np.pi * tg / t_end) + 0.5
-    if disc.dim == 1:
-        length = float(disc.nodes.max())
-        profile = np.sin(np.pi * disc.nodes / length) + 0.25
-    else:
-        lx = float(disc.nodes[:, 0].max())
-        ly = float(disc.nodes[:, 1].max())
-        profile = (
-            np.sin(np.pi * disc.nodes[:, 0] / lx) * np.sin(np.pi * disc.nodes[:, 1] / ly)
-            + 0.25
-        )
+    profile = np.prod([np.sin(np.pi * x / x.max()) for x in disc.axes], axis=0) + 0.25
     return scale * np.outer(envelope, profile)
 
 
@@ -486,8 +470,8 @@ EXPERIMENTS = {
         "target": PATH,
         "n_sing": {**COUNT, "default": None},  # None: all of them
         "time_knots": {**COUNT, "default": 6},
-        "space_knots": {"type": ["integer", "array"], "minimum": 1, "items": COUNT,
-                        "minItems": 2, "maxItems": 2, "default": 5},
+        # one count for every axis, or one per axis (see _problem_rules)
+        "space_knots": {"type": ["integer", "array"], "minimum": 1, "items": COUNT, "default": 5},
     }),
     "invert": (_run_invert, {
         "truth": {"type": "object", "additionalProperties": FIELD_SCHEMA},
@@ -513,11 +497,21 @@ EXPERIMENT_OPTIONS = {kind: {"k": LEVEL, **options} for kind, (_, options) in EX
 
 
 def _problem_rules(problem):
-    """``problem``'s fields are exactly the ones defined, and the only ones targeted."""
+    """``problem``'s fields are exactly the ones defined, and the only ones targeted;
+    an axis, a component or per-axis counts stay within its mesh (:data:`MESHES`)."""
+    _, dim, n_components = MESHES[problem]
     field = {"enum": list(FIELD_NAMES[problem])}
-    fields = _object({name: FIELD_SCHEMA for name in FIELD_NAMES[problem]})
-    experiment = {"target": field, "targets": {"items": field}, "truth": {"propertyNames": field}}
-    return {"properties": {"fields": fields, "experiment": {"properties": experiment}}}
+    axis = {"properties": {"axis": {"maximum": dim - 1}}}
+    fields = _object({name: {**FIELD_SCHEMA, **axis} for name in FIELD_NAMES[problem]})
+    experiment = {
+        "target": field,
+        "targets": {"items": field},
+        "truth": {"propertyNames": field, "additionalProperties": axis},
+        "space_knots": {"minItems": dim, "maxItems": dim},
+    }
+    source = {"properties": {"component": {"maximum": n_components - 1}}}
+    return {"properties": {"fields": fields, "source": source,
+                           "experiment": {"properties": experiment}}}
 
 
 CONVERGENCE = {"type": "object", "properties": {"kind": {"const": "convergence"}},

@@ -128,23 +128,20 @@ class Trajectory:
 def make_source(disc, time_grid, fn):
     """Sample a source function into load form using the full-mesh mass rows.
 
-    ``fn(t, x)`` (scalar problems) or ``fn(t, x, y) -> (2, n_nodes)`` /
-    ``(n_nodes, 2)`` (elastic) is evaluated at every node, then weighted by
-    the mass rows so boundary-adjacent couplings are kept: one sparse
-    product for all time nodes, which accumulates each entry in the order
-    of a single mat-vec.
+    ``fn(t, *disc.axes)`` -- ``fn(t, x)`` on an interval, ``fn(t, x, y)`` on
+    a rectangle -- gives the nodal values at every node: ``(n_nodes,)`` for
+    a scalar problem, ``(n_nodes, n_components)`` or ``(n_components,
+    n_nodes)`` for a vector one.  They are weighted by the mass rows so
+    boundary-adjacent couplings are kept: one sparse product for all time
+    nodes, which accumulates each entry in the order of a single mat-vec.
     """
     tg = np.asarray(time_grid, dtype=float)
-    nodal = np.zeros((tg.size, disc.n_dofs))
-    for i, t in enumerate(tg):
-        if disc.dim == 1:
-            nodal[i] = fn(t, disc.nodes)
-        else:
-            comp = np.asarray(fn(t, disc.nodes[:, 0], disc.nodes[:, 1]))
-            if comp.shape == (2, disc.n_nodes):
-                comp = comp.T
-            nodal[i, 0::2] = comp[:, 0]
-            nodal[i, 1::2] = comp[:, 1]
+    axes = disc.axes
+    nodal = np.asarray([fn(t, *axes) for t in tg], dtype=float)
+    if nodal.shape[1:] == (disc.n_components, disc.n_nodes):
+        nodal = nodal.transpose(0, 2, 1)
+    # component c of node j is DOF n_components * j + c
+    nodal = nodal.reshape(tg.size, disc.n_dofs)
     return SourceTerm(np.ascontiguousarray((disc.M_load @ nodal.T).T))
 
 

@@ -24,11 +24,14 @@ vertex values (midpoint sampling of the piecewise-linear interpolant), so
 every parameter-to-operator map is a smooth function of per-element values and
 its linearization is available in closed form.
 
-Each problem is stated once, by two tables.  :data:`FORMS` lists its form
+Each problem is stated once, by three tables.  :data:`FORMS` lists its form
 terms: which kit, field and coefficient map feed each operator slot, and so
 its field names.  :data:`BOUNDS` lists the bounds of its admissible set (C
 uniformly positive, A coercive), which both the check
 :meth:`ParameterPoint.check_admissible` and :func:`project_point` walk.
+:data:`MESHES` gives its mesh: the builder, the spatial dimension and the
+number of components per node, from which :func:`build_grid` makes every
+mesh the same way.
 
 All operators of a problem share one CSR sparsity pattern on the free degrees
 of freedom.  An operator timeline stores each slot as a (time node x nnz)
@@ -39,7 +42,7 @@ product per form term.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -103,6 +106,91 @@ BOUNDS = {
         ("eps >= eps0", "eps", None, 0.1, np.inf),
         ("mu0 <= mu <= mu1", "mu", None, 0.1, 10.0),
     ),
+}
+
+
+def _interval_mesh(counts, extent):
+    """The interval [0, L] cut into n equal elements; see :data:`MESHES`."""
+    (n,), (length,) = counts, extent
+    h = length / n
+    nodes = np.linspace(0.0, length, n + 1)
+    elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+    sizes = np.full(n, h)
+    k_loc = np.tile((1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]]), (n, 1, 1))
+    m_loc = np.tile((h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]]), (n, 1, 1))
+    return nodes, elements, sizes, {"stiffness": k_loc, "mass": m_loc}, ("mass", ("stiffness",))
+
+
+def _triangle_mesh(counts, extent):
+    """The rectangle [0, lx] x [0, ly] with each of nx x ny cells cut into two
+    triangles, carrying 2-vectors; see :data:`MESHES`."""
+    (nx, ny), (lx, ly) = counts, extent
+    xs = np.linspace(0.0, lx, nx + 1)
+    ys = np.linspace(0.0, ly, ny + 1)
+    xg, yg = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.stack([xg.ravel(), yg.ravel()], axis=1)  # node id = j*(nx+1)+i
+
+    tris = []
+    for j in range(ny):
+        for i in range(nx):
+            a = j * (nx + 1) + i
+            b = a + 1
+            c = a + (nx + 1)
+            d = c + 1
+            tris.append([a, b, d])
+            tris.append([a, d, c])
+    elements = np.array(tris, dtype=np.int64)
+    n_el = elements.shape[0]
+
+    coords = nodes[elements]  # (n_el, 3, 2)
+    x = coords[..., 0]
+    y = coords[..., 1]
+    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
+        y[:, 1] - y[:, 0]
+    )
+    area = 0.5 * np.abs(det)
+    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    grads = np.stack([b, c], axis=2) / det[:, None, None]  # (n_el, 3, 2)
+
+    k_scalar = area[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
+    m_scalar = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
+
+    # strain-displacement rows: (eps_xx, eps_yy, 2 eps_xy)
+    bmat = np.zeros((n_el, 3, 6))
+    bmat[:, 0, 0::2] = grads[..., 0]
+    bmat[:, 1, 1::2] = grads[..., 1]
+    bmat[:, 2, 0::2] = grads[..., 1]
+    bmat[:, 2, 1::2] = grads[..., 0]
+    dmat = np.diag([2.0, 2.0, 1.0])  # realizes 2 eps(u):eps(v)
+    k_eps = area[:, None, None] * np.einsum("eai,ab,ebj->eij", bmat, dmat, bmat)
+
+    gvec = np.zeros((n_el, 6))
+    gvec[:, 0::2] = grads[..., 0]
+    gvec[:, 1::2] = grads[..., 1]
+    k_div = area[:, None, None] * np.einsum("ei,ej->eij", gvec, gvec)
+
+    m_vec = np.zeros((n_el, 6, 6))
+    m_vec[:, 0::2, 0::2] = m_scalar
+    m_vec[:, 1::2, 1::2] = m_scalar
+    k_vstiff = np.zeros((n_el, 6, 6))
+    k_vstiff[:, 0::2, 0::2] = k_scalar
+    k_vstiff[:, 1::2, 1::2] = k_scalar
+    local = {"eps": k_eps, "div": k_div, "vmass": m_vec, "vstiff": k_vstiff}
+    return nodes, elements, area, local, ("vmass", ("vstiff", "vmass"))  # full H1 K_V
+
+
+#: problem -> (mesh builder, spatial dimension, components per node).  A
+#: builder takes one element count and one side length per axis and returns
+#: the nodes, the elements, their sizes, each kit's local element matrices
+#: and the kits of M and of K_V: the one for M, and those whose sum is K_V.
+#: The local matrices number component c of node i as DOF
+#: ``n_components * i + c``, and the nodes on the faces of the box
+#: [0, extent] are the Dirichlet nodes.
+MESHES = {
+    "wave1d": (_interval_mesh, 1, 1),
+    "elastic2d": (_triangle_mesh, 2, 2),
+    "maxwell1d": (_interval_mesh, 1, 1),
 }
 
 PROBLEMS = tuple(FORMS)
@@ -323,7 +411,8 @@ class Discretization:
     (H1-type) inner product, both restricted to the free (non-Dirichlet)
     degrees of freedom.  ``M_load`` keeps the full-mesh mass rows so nodal
     samples of a source can be turned into load vectors without losing the
-    boundary-adjacent couplings.
+    boundary-adjacent couplings.  ``nodes`` is ``(n_nodes,)`` on an interval
+    and ``(n_nodes, dim)`` otherwise; :attr:`axes` views it one axis at a time.
     """
 
     problem: str
@@ -339,12 +428,17 @@ class Discretization:
     M: sp.csr_matrix
     K_V: sp.csr_matrix
     M_load: sp.csr_matrix
-    kits: dict = dataclass_field(default_factory=dict)
-    lumped_node_measure: np.ndarray | None = None
+    kits: dict
+    lumped_node_measure: np.ndarray
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
+
+    @property
+    def axes(self):
+        """The node coordinates along each axis: a tuple of ``dim`` (n_nodes,) views."""
+        return tuple(self.nodes.reshape(self.n_nodes, self.dim).T)
 
     @property
     def n_free(self):
@@ -378,45 +472,16 @@ class Discretization:
         return out
 
 
-def _interval_mesh(n, length):
-    h = length / n
-    nodes = np.linspace(0.0, length, n + 1)
-    elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-    sizes = np.full(n, h)
-    k_loc = np.tile((1.0 / h) * np.array([[1.0, -1.0], [-1.0, 1.0]]), (n, 1, 1))
-    m_loc = np.tile((h / 6.0) * np.array([[2.0, 1.0], [1.0, 2.0]]), (n, 1, 1))
-    return nodes, elements, sizes, k_loc, m_loc
+def per_axis(name, value, dim, kind, error=InvalidMeshError):
+    """``value`` as ``dim`` entries of type ``kind``: one per axis, or one for all.
 
-
-def _triangle_mesh(nx, ny, extent):
-    lx, ly = extent
-    xs = np.linspace(0.0, lx, nx + 1)
-    ys = np.linspace(0.0, ly, ny + 1)
-    xg, yg = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.stack([xg.ravel(), yg.ravel()], axis=1)  # node id = j*(nx+1)+i
-
-    tris = []
-    for j in range(ny):
-        for i in range(nx):
-            a = j * (nx + 1) + i
-            b = a + 1
-            c = a + (nx + 1)
-            d = c + 1
-            tris.append([a, b, d])
-            tris.append([a, d, c])
-    elements = np.array(tris, dtype=np.int64)
-
-    coords = nodes[elements]  # (n_el, 3, 2)
-    x = coords[..., 0]
-    y = coords[..., 1]
-    det = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    area = 0.5 * np.abs(det)
-    b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    grads = np.stack([b, c], axis=2) / det[:, None, None]  # (n_el, 3, 2)
-    return nodes, elements, area, grads
+    Raises ``error`` when ``value`` gives neither.
+    """
+    try:
+        return tuple(kind(v) for v in np.broadcast_to(value, dim))
+    except (TypeError, ValueError) as exc:
+        raise error(f"{name} must give one entry or one per axis of the {dim}-D mesh, "
+                    f"got {value!r}") from exc
 
 
 def build_grid(problem, n, extent=None):
@@ -425,146 +490,68 @@ def build_grid(problem, n, extent=None):
     Parameters
     ----------
     problem : str
-        One of ``wave1d``, ``elastic2d``, ``maxwell1d``.
-    n : int or (int, int)
-        Number of elements (1D) or cells per direction (2D).
-    extent : float or (float, float), optional
-        Interval length, or rectangle side lengths (one number gives a
-        square).  Defaults to 1 (unit interval / unit square).
+        One of :data:`PROBLEMS`; its row of :data:`MESHES` gives the mesh.
+    n : int or sequence of int
+        Number of elements along each axis; one number serves every axis.
+    extent : float or sequence of float, optional
+        Side length along each axis; one number serves every axis.
+        Defaults to 1 (unit interval / unit square).
 
     Returns
     -------
     Discretization
     """
-    if problem not in PROBLEMS:
+    if problem not in MESHES:
         raise InvalidMeshError(f"unknown problem kind '{problem}'")
+    build, dim, n_components = MESHES[problem]
+    counts = per_axis("n", n, dim, int)
+    lengths = per_axis("extent", 1.0 if extent is None else extent, dim, float)
+    if min(counts) < 2:
+        raise InvalidMeshError(f"need at least 2 elements per axis, got {counts}")
+    if not all(0.0 < length < np.inf for length in lengths):
+        raise InvalidMeshError(f"extent must be positive and finite, got {lengths}")
+    nodes, elements, sizes, local, (mass, energy) = build(counts, lengths)
 
-    if problem in ("wave1d", "maxwell1d"):
-        n = int(n)
-        length = 1.0 if extent is None else float(extent)
-        if n < 2:
-            raise InvalidMeshError(f"need at least 2 elements, got {n}")
-        if length <= 0:
-            raise InvalidMeshError(f"extent must be positive, got {length}")
-        nodes, elements, sizes, k_loc, m_loc = _interval_mesh(n, length)
-        n_nodes = nodes.size
-        boundary = np.array([0, n])
-        free_nodes = np.arange(1, n)
-        free_dofs = free_nodes
-        stiffness = AssemblyKit(k_loc, elements, n_nodes, free_dofs)
-        kits = {
-            "stiffness": stiffness,
-            "mass": AssemblyKit(m_loc, elements, n_nodes, free_dofs, stiffness.pattern),
-        }
-        ones = np.ones(elements.shape[0])
-        M = kits["mass"].assemble(ones)
-        K_V = kits["stiffness"].assemble(ones)
-        M_load = kits["mass"].assemble_full(ones)[free_dofs, :]
-        disc = Discretization(
-            problem=problem,
-            dim=1,
-            n_components=1,
-            nodes=nodes,
-            elements=elements,
-            element_sizes=sizes,
-            boundary_nodes=boundary,
-            free_nodes=free_nodes,
-            free_dofs=free_dofs,
-            n_dofs=n_nodes,
-            M=M,
-            K_V=K_V,
-            M_load=M_load,
-            kits=kits,
-        )
-    else:
-        try:
-            nx, ny = (int(n[0]), int(n[1]))
-        except TypeError:
-            nx = ny = int(n)
-        lx, ly = map(float, np.broadcast_to(1.0 if extent is None else extent, 2))
-        if nx < 2 or ny < 2:
-            raise InvalidMeshError(f"need at least 2 cells per direction, got {(nx, ny)}")
-        if lx <= 0 or ly <= 0:
-            raise InvalidMeshError(f"extent must be positive, got {(lx, ly)}")
-        nodes, elements, area, grads = _triangle_mesh(nx, ny, (lx, ly))
-        n_nodes = nodes.shape[0]
-        n_el = elements.shape[0]
-        on_bdry = (
-            (nodes[:, 0] == 0.0)
-            | (nodes[:, 0] == lx)
-            | (nodes[:, 1] == 0.0)
-            | (nodes[:, 1] == ly)
-        )
-        boundary = np.nonzero(on_bdry)[0]
-        free_nodes = np.nonzero(~on_bdry)[0]
-        n_dofs = 2 * n_nodes
-        free_dofs = np.sort(np.concatenate([2 * free_nodes, 2 * free_nodes + 1]))
+    # the box [0, extent]: a node on a face of it is a Dirichlet node
+    coords = nodes.reshape(nodes.shape[0], dim)
+    on_boundary = ((coords == 0.0) | (coords == lengths)).any(axis=1)
+    free_nodes = np.nonzero(~on_boundary)[0]
+    # component c of node i is DOF n_components * i + c
+    components = np.arange(n_components)
+    free_dofs = (n_components * free_nodes[:, None] + components).ravel()
+    dof_map = (n_components * elements[:, :, None] + components).reshape(elements.shape[0], -1)
+    n_dofs = n_components * nodes.shape[0]
+    kits = {}
+    pattern = None
+    for name, matrices in local.items():
+        kits[name] = AssemblyKit(matrices, dof_map, n_dofs, free_dofs, pattern)
+        pattern = kits[name].pattern
 
-        k_scalar = area[:, None, None] * np.einsum("eid,ejd->eij", grads, grads)
-        m_scalar = (area[:, None, None] / 12.0) * (np.ones((3, 3)) + np.eye(3))
-
-        dof_vec = np.empty((n_el, 6), dtype=np.int64)
-        dof_vec[:, 0::2] = 2 * elements
-        dof_vec[:, 1::2] = 2 * elements + 1
-
-        # strain-displacement rows: (eps_xx, eps_yy, 2 eps_xy)
-        bmat = np.zeros((n_el, 3, 6))
-        bmat[:, 0, 0::2] = grads[..., 0]
-        bmat[:, 1, 1::2] = grads[..., 1]
-        bmat[:, 2, 0::2] = grads[..., 1]
-        bmat[:, 2, 1::2] = grads[..., 0]
-        dmat = np.diag([2.0, 2.0, 1.0])  # realizes 2 eps(u):eps(v)
-        k_eps = area[:, None, None] * np.einsum("eai,ab,ebj->eij", bmat, dmat, bmat)
-
-        gvec = np.zeros((n_el, 6))
-        gvec[:, 0::2] = grads[..., 0]
-        gvec[:, 1::2] = grads[..., 1]
-        k_div = area[:, None, None] * np.einsum("ei,ej->eij", gvec, gvec)
-
-        m_vec = np.zeros((n_el, 6, 6))
-        m_vec[:, 0::2, 0::2] = m_scalar
-        m_vec[:, 1::2, 1::2] = m_scalar
-        k_vstiff = np.zeros((n_el, 6, 6))
-        k_vstiff[:, 0::2, 0::2] = k_scalar
-        k_vstiff[:, 1::2, 1::2] = k_scalar
-
-        eps = AssemblyKit(k_eps, dof_vec, n_dofs, free_dofs)
-        kits = {
-            "eps": eps,
-            "div": AssemblyKit(k_div, dof_vec, n_dofs, free_dofs, eps.pattern),
-            "vmass": AssemblyKit(m_vec, dof_vec, n_dofs, free_dofs, eps.pattern),
-            "vstiff": AssemblyKit(k_vstiff, dof_vec, n_dofs, free_dofs, eps.pattern),
-        }
-        ones = np.ones(n_el)
-        M = kits["vmass"].assemble(ones)
-        K_V = kits["vstiff"].assemble(ones) + M  # full H1 inner product
-        M_load = kits["vmass"].assemble_full(ones)[free_dofs, :]
-        disc = Discretization(
-            problem=problem,
-            dim=2,
-            n_components=2,
-            nodes=nodes,
-            elements=elements,
-            element_sizes=area,
-            boundary_nodes=boundary,
-            free_nodes=free_nodes,
-            free_dofs=free_dofs,
-            n_dofs=n_dofs,
-            M=M.tocsr(),
-            K_V=K_V.tocsr(),
-            M_load=M_load.tocsr(),
-            kits=kits,
-        )
-
-    nvert = disc.elements.shape[1]
-    lumped = np.zeros(disc.n_nodes)
-    np.add.at(
-        lumped,
-        disc.elements.ravel(),
-        np.repeat(disc.element_sizes / nvert, nvert),
+    ones = np.ones(elements.shape[0])
+    unit = {name: kits[name].assemble(ones) for name in {mass, *energy}}
+    K_V = unit[energy[0]]
+    for name in energy[1:]:
+        K_V = K_V + unit[name]
+    nvert = elements.shape[1]
+    lumped = np.zeros(nodes.shape[0])
+    np.add.at(lumped, elements.ravel(), np.repeat(sizes / nvert, nvert))
+    return Discretization(
+        problem=problem,
+        dim=dim,
+        n_components=n_components,
+        nodes=nodes,
+        elements=elements,
+        element_sizes=sizes,
+        boundary_nodes=np.nonzero(on_boundary)[0],
+        free_nodes=free_nodes,
+        free_dofs=free_dofs,
+        n_dofs=n_dofs,
+        M=unit[mass],
+        K_V=K_V,
+        M_load=kits[mass].assemble_full(ones)[free_dofs, :],
+        kits=kits,
+        lumped_node_measure=lumped,
     )
-    disc.lumped_node_measure = lumped
-    return disc
 
 
 # ---------------------------------------------------------------------------

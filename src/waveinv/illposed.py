@@ -41,7 +41,7 @@ from .errors import (
 )
 from .evolve import y_norm
 from .forward import forward_map, trapezoid_weights
-from .galerkin import FIELD_NAMES, FORMS, ParameterField, parameter_norm
+from .galerkin import FIELD_NAMES, FORMS, ParameterField, parameter_norm, per_axis
 from .sensitivity import derivative_apply_many
 
 # ---------------------------------------------------------------------------
@@ -416,23 +416,18 @@ def svd_probe(
 
     The target field varies on a tensor grid of ``time_knots`` x
     ``space_knots`` hat functions prolonged to the simulation grid by linear
-    interpolation.  The coarse basis directions go through the exact discrete
+    interpolation; ``space_knots`` is one count for every axis of the mesh,
+    or one per axis.  The coarse basis directions go through the exact discrete
     derivative together, as the columns of batched marches
     (:func:`~.sensitivity.derivative_apply_many`), and the image trajectories
     are flattened with the trapezoid-in-time, mass-Cholesky-in-space
     weighting so Euclidean length equals the data norm.  Refuses more than
-    400 coarse parameters, and a target the problem does not have.
+    400 coarse parameters, a target the problem does not have, and a
+    ``space_knots`` that gives neither one count nor one per axis.
     """
     if target not in FIELD_NAMES[disc.problem]:
         raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
-    if disc.dim == 1:
-        space_shape = (int(space_knots),)
-    else:
-        space_shape = (
-            (int(space_knots), int(space_knots))
-            if np.isscalar(space_knots)
-            else tuple(int(s) for s in space_knots)
-        )
+    space_shape = per_axis("space_knots", space_knots, disc.dim, int, DirectionShapeError)
     n_params = int(time_knots) * int(np.prod(space_shape))
     if n_params > 400:
         raise TooLargeError(
@@ -444,17 +439,11 @@ def svd_probe(
     t_knots = np.linspace(tg[0], tg[-1], int(time_knots))
     t_basis = _hat_basis(t_knots, tg)
 
-    axis_bases = []
-    for axis, nk in enumerate(space_shape):
-        coords = disc.nodes if disc.dim == 1 else disc.nodes[:, axis]
-        knots = np.linspace(coords.min(), coords.max(), nk)
-        axis_bases.append(_hat_basis(knots, coords))
-    if disc.dim == 1:
-        space_basis = axis_bases[0]
-    else:
-        space_basis = np.einsum("im,jm->ijm", axis_bases[0], axis_bases[1]).reshape(
-            -1, disc.n_nodes
-        )
+    # the tensor product of the hat bases of the axes, the last axis fastest
+    space_basis = np.ones((1, disc.n_nodes))
+    for coords, nk in zip(disc.axes, space_shape):
+        axis_basis = _hat_basis(np.linspace(coords.min(), coords.max(), nk), coords)
+        space_basis = np.einsum("im,jm->ijm", space_basis, axis_basis).reshape(-1, disc.n_nodes)
 
     w = trapezoid_weights(tg)
     chol = scipy.linalg.cholesky(disc.M.toarray())

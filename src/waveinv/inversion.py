@@ -37,7 +37,6 @@ class InversionConfig:
     targets: tuple | None = None
     outer_iterations: int = 1
     divergence_patience: int = 5
-    store_points: bool = False
 
     def __post_init__(self):
         if self.method not in ("landweber", "cgne"):
@@ -65,9 +64,7 @@ class IterateHistory:
     stopping_reason: str = ""
     n_iterations: int = 0
     step_size: float | None = None
-    points: list = field(default_factory=list)
     outer_starts: list = field(default_factory=list)
-    final_point: object = None
 
 
 def _active_targets(problem, config):
@@ -159,8 +156,6 @@ def landweber(disc, x0, data, f, config, u0=None, u1=None):
         resid = data_difference(out, data)
         res_norm = data_norm(resid, disc)
         history.residuals.append(res_norm)
-        if config.store_points:
-            history.points.append(x.copy())
         if res_norm <= threshold:
             history.stopping_reason = "discrepancy"
             break
@@ -185,7 +180,6 @@ def landweber(disc, x0, data, f, config, u0=None, u1=None):
         x = project_point(x)
 
     history.n_iterations = len(history.residuals) - 1
-    history.final_point = x
     return history, x
 
 
@@ -248,13 +242,10 @@ def cgne(disc, x0, data, f, config, u0=None, u1=None):
         for name in targets:
             x.fields[name].values = x.fields[name].values + h[name]
         x = project_point(x)
-        if config.store_points:
-            history.points.append(x.copy())
         if stopped in ("discrepancy", "zero-gradient"):
             break
 
     history.n_iterations = len(history.residuals) - len(history.outer_starts)
-    history.final_point = x
     return history, x
 
 

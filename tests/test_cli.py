@@ -495,6 +495,9 @@ def _misspelled_option(cfg):
         ("forward_wave", lambda c: c["experiment"].update(k=3), "experiment/k"),
         ("forward_wave", lambda c: c["experiment"].update(kind="backward"), "experiment/kind"),
         ("illposed_maxwell_mu", lambda c: c.update(experiment={"kind": "convergence"}), "problem"),
+        ("forward_wave", lambda c: c["fields"]["rho"].update(axis=1), "fields/rho/axis"),
+        ("forward_wave", lambda c: c["source"].update(component=1), "source/component"),
+        ("svd_probe", lambda c: c["experiment"].update(space_knots=[3, 3]), "experiment/space_knots"),
     ],
     ids=[
         "misspelled-experiment-option",
@@ -513,6 +516,9 @@ def _misspelled_option(cfg):
         "k-out-of-range",
         "unknown-experiment",
         "convergence-off-wave1d",
+        "layered-axis-beyond-the-mesh",
+        "source-component-beyond-the-problem",
+        "space-knots-per-axis-beyond-the-mesh",
     ],
 )
 def test_validate_rejects_what_run_rejects_with_the_same_path(tmp_path, capsys, name, edit, where):

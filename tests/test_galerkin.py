@@ -56,6 +56,15 @@ def test_bad_meshes_rejected():
         wi.build_grid("wave1d", 10, extent=-1.0)
     with pytest.raises(InvalidMeshError):
         wi.build_grid("plate3d", 10)
+    # n and extent give one entry, or one per axis of the problem's mesh
+    for problem, n, extent in (
+        ("wave1d", [4, 4], None),
+        ("maxwell1d", 4, (1.0, 2.0)),
+        ("elastic2d", 4, (1.0, 2.0, 3.0)),
+        ("elastic2d", [4, 4, 4], None),
+    ):
+        with pytest.raises(InvalidMeshError, match="one per axis of the"):
+            wi.build_grid(problem, n, extent)
 
 
 def test_non_symmetric_local_matrix_rejected():

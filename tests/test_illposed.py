@@ -243,5 +243,7 @@ def test_svd_probe_guards(wave_disc):
         svd_probe(wave_disc, point, "a", f, time_knots=25, space_knots=20)
     with pytest.raises(DirectionShapeError, match="no parameter 'lam'"):
         svd_probe(wave_disc, point, "lam", f)
+    with pytest.raises(DirectionShapeError, match="space_knots must give one entry or one per"):
+        svd_probe(wave_disc, point, "a", f, space_knots=[3, 3])
     with pytest.raises(DirectionShapeError, match="no parameter 'lam'"):
         illposed_experiment(wave_disc, point, "lam", 0.1, [4], f)
