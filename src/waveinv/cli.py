@@ -279,18 +279,15 @@ def _smooth_direction(disc, tg, scale=1.0):
 
 def _run_forward(disc, point, tg, f, opts, seed, base_dir):
     traj = forward_map(disc, point, f)
-    data = observe(traj)
+    norm = data_norm(observe(traj), disc)
     return (
         {
             "trajectory.csv": traj.u,
             "velocity.csv": traj.du,
             "time_grid.csv": tg[:, None],
-            "forward.json": {
-                "data_norm": data_norm(data, disc),
-                "max_abs_u": float(np.max(np.abs(traj.u))),
-            },
+            "forward.json": {"data_norm": norm, "max_abs_u": float(np.max(np.abs(traj.u)))},
         },
-        {"data_norm": data_norm(data, disc)},
+        {"data_norm": norm},
     )
 
 

@@ -108,21 +108,25 @@ class Trajectory:
 
     ``solve`` is the :class:`SolveRecord` of a forward solve, which the
     derivative and adjoint sweeps reuse; it is None for derivative, backward
-    and difference trajectories, and it is never serialized.
+    and difference trajectories, and it is never serialized.  The step ``dt``
+    is read off ``time_grid``, as :attr:`~.galerkin.OperatorTimeline.dt` is.
     """
 
     u: np.ndarray
     du: np.ndarray
     ddu: np.ndarray | None
     time_grid: np.ndarray
-    dt: float
     solve: SolveRecord | None = None
+
+    @property
+    def dt(self):
+        return float(self.time_grid[1] - self.time_grid[0])
 
     def __sub__(self, other):
         ddu = None
         if self.ddu is not None and other.ddu is not None:
             ddu = self.ddu - other.ddu
-        return Trajectory(self.u - other.u, self.du - other.du, ddu, self.time_grid, self.dt)
+        return Trajectory(self.u - other.u, self.du - other.du, ddu, self.time_grid)
 
 
 def make_source(disc, time_grid, fn):
@@ -380,7 +384,7 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     resid = fv - pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
     ddu = solve_each(c_factors, resid)
     record = SolveRecord(timeline, factors, t_vals, c_half, c_factors, p, loads)
-    return Trajectory(u=u, du=du, ddu=ddu, time_grid=tg, dt=dt, solve=record)
+    return Trajectory(u=u, du=du, ddu=ddu, time_grid=tg, solve=record)
 
 
 def _march(pattern, factors, t_vals, c_half, two_dt, x, y, b, c=None):
@@ -493,7 +497,7 @@ def solve_backward(timeline, v, like=None):
         reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()), None, None, steps, c_factors
     )
     w, dw, ddw = back.u[::-1].copy(), -back.du[::-1], back.ddu[::-1].copy()
-    return Trajectory(w, dw, ddw, timeline.time_grid, timeline.dt)
+    return Trajectory(w, dw, ddw, timeline.time_grid)
 
 
 # ---------------------------------------------------------------------------

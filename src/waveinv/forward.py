@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ObservationError
-from .evolve import compatibility_check, solve_forward
+from .evolve import solve_forward
 from .galerkin import assemble_operators, check_time_grid
 
 
@@ -26,7 +26,8 @@ class ObservationSpec:
 
     ``full-field`` observes every free DOF and pairs data with the mass
     matrix; ``node-subset`` records the listed free-DOF columns and pairs them
-    with positive per-DOF weights (defaulting to one).
+    with finite positive per-DOF weights (defaulting to one), given by a 1-D
+    integer array of indices.
     """
 
     kind: str = "full-field"
@@ -37,16 +38,17 @@ class ObservationSpec:
         if self.kind not in ("full-field", "node-subset"):
             raise ObservationError(f"unknown observation kind '{self.kind}'")
         if self.kind == "node-subset":
-            if self.indices is None:
-                raise ObservationError("node-subset observation needs indices")
-            self.indices = np.asarray(self.indices, dtype=np.int64)
+            given = np.asarray(self.indices)
+            if given.ndim != 1 or given.dtype.kind not in "iu":
+                raise ObservationError(f"indices must be a 1-D integer array, got {given!r}")
+            self.indices = given.astype(np.int64)
             if self.weights is None:
                 self.weights = np.ones(self.indices.size)
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.indices.shape:
                 raise ObservationError("weights must match indices")
-            if np.any(self.weights <= 0):
-                raise ObservationError("observation weights must be positive")
+            if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+                raise ObservationError("observation weights must be finite and positive")
 
     def matches(self, other):
         if self.kind != other.kind:
@@ -60,7 +62,7 @@ class ObservationSpec:
 
 @dataclass
 class DataVector:
-    """Observed samples (time node x observed DOF) with their pairing spec."""
+    """Finite observed samples (time node x observed DOF) with their pairing spec."""
 
     values: np.ndarray
     time_grid: np.ndarray
@@ -72,6 +74,13 @@ class DataVector:
         check_time_grid(self.time_grid)
         if self.spec is None:
             self.spec = ObservationSpec()
+        shape = self.values.shape
+        n_cols = self.spec.indices.size if self.spec.kind == "node-subset" else None
+        if len(shape) != 2 or shape[0] != self.time_grid.size or n_cols not in (None, shape[1]):
+            raise ObservationError(f"data values have shape {shape}, expected "
+                                   f"({self.time_grid.size}, {n_cols or 'observed DOFs'})")
+        if not np.all(np.isfinite(self.values)):
+            raise ObservationError("data values contain non-finite entries")
 
     def copy(self):
         return DataVector(self.values.copy(), self.time_grid, self.spec)
@@ -86,15 +95,14 @@ def trapezoid_weights(time_grid):
     return w
 
 
-def forward_map(disc, point, f, u0=None, u1=None, k=None, *, like=None):
+def forward_map(disc, point, f, u0=None, u1=None, *, like=None):
     """Evaluate the forward operator at a parameter point.
 
-    Optionally enforces the compatibility conditions at smoothness level
-    ``k`` (skipped when ``k`` is None; experiment configurations own the
-    default), assembles the operator timeline (validating admissibility) and
-    runs the midpoint solver.  The trajectory's ``solve`` keeps the timeline,
-    with its copy of the field values of ``point``, and the factorizations
-    for reuse.
+    Assembles the operator timeline (validating the fields' shapes and
+    admissibility) and runs the midpoint solver; it checks no compatibility
+    condition (``compatibility_check(f, u0, u1, k).require()`` does).  The
+    trajectory's ``solve`` keeps the timeline, with its copy of the field
+    values of ``point``, and the factorizations for reuse.
 
     ``like`` is a forward solve on the same mesh and time grid, typically at
     a point that differs from ``point`` only on a time window.  The solve
@@ -104,8 +112,6 @@ def forward_map(disc, point, f, u0=None, u1=None, k=None, *, like=None):
     ``like``'s are factorized.  A ``like`` on another mesh or time grid, or
     without a solve record, raises RequiresForwardSolveError.
     """
-    if k is not None:
-        compatibility_check(f, u0, u1, k).require()
     return solve_forward(assemble_operators(disc, point), f, u0=u0, u1=u1, like=like)
 
 

@@ -413,15 +413,13 @@ class Discretization:
     samples of a source can be turned into load vectors without losing the
     boundary-adjacent couplings.  ``nodes`` is ``(n_nodes,)`` on an interval
     and ``(n_nodes, dim)`` otherwise; :attr:`axes` views it one axis at a time.
+    ``dim`` and ``n_components`` are read off the problem's row of :data:`MESHES`.
     """
 
     problem: str
-    dim: int
-    n_components: int
     nodes: np.ndarray
     elements: np.ndarray
     element_sizes: np.ndarray
-    boundary_nodes: np.ndarray
     free_nodes: np.ndarray
     free_dofs: np.ndarray
     n_dofs: int
@@ -430,6 +428,14 @@ class Discretization:
     M_load: sp.csr_matrix
     kits: dict
     lumped_node_measure: np.ndarray
+
+    @property
+    def dim(self):
+        return MESHES[self.problem][1]
+
+    @property
+    def n_components(self):
+        return MESHES[self.problem][2]
 
     @property
     def n_nodes(self):
@@ -475,13 +481,17 @@ class Discretization:
 def per_axis(name, value, dim, kind, error=InvalidMeshError):
     """``value`` as ``dim`` entries of type ``kind``: one per axis, or one for all.
 
-    Raises ``error`` when ``value`` gives neither.
+    Raises ``error`` when ``value`` gives neither, or an int with a fractional part.
     """
     try:
-        return tuple(kind(v) for v in np.broadcast_to(value, dim))
+        entries = np.broadcast_to(value, dim)
+        out = tuple(kind(v) for v in entries)
     except (TypeError, ValueError) as exc:
         raise error(f"{name} must give one entry or one per axis of the {dim}-D mesh, "
                     f"got {value!r}") from exc
+    if kind is int and any(v != e for v, e in zip(out, entries)):
+        raise error(f"{name} must be whole numbers, got {value!r}")
+    return out
 
 
 def build_grid(problem, n, extent=None):
@@ -493,6 +503,7 @@ def build_grid(problem, n, extent=None):
         One of :data:`PROBLEMS`; its row of :data:`MESHES` gives the mesh.
     n : int or sequence of int
         Number of elements along each axis; one number serves every axis.
+        A count with a fractional part raises InvalidMeshError.
     extent : float or sequence of float, optional
         Side length along each axis; one number serves every axis.
         Defaults to 1 (unit interval / unit square).
@@ -537,12 +548,9 @@ def build_grid(problem, n, extent=None):
     np.add.at(lumped, elements.ravel(), np.repeat(sizes / nvert, nvert))
     return Discretization(
         problem=problem,
-        dim=dim,
-        n_components=n_components,
         nodes=nodes,
         elements=elements,
         element_sizes=sizes,
-        boundary_nodes=np.nonzero(on_boundary)[0],
         free_nodes=free_nodes,
         free_dofs=free_dofs,
         n_dofs=n_dofs,
@@ -630,13 +638,16 @@ class ParameterPoint:
             raise DirectionShapeError(
                 f"fields {sorted(extra)} unknown to problem '{self.problem}'"
             )
+        self.check_shape(self.fields[self.field_names[0]].values.shape[1])
+
+    def check_shape(self, n_space):
+        """Raise DirectionShapeError unless all fields are (time node x ``n_space``)
+        on the point's time grid."""
         tg = self.time_grid
-        n_space = self.fields[self.field_names[0]].values.shape[1]
         for name, f in self.fields.items():
-            if f.values.shape != (tg.size, n_space):
-                raise DirectionShapeError(
-                    f"field '{name}' has shape {f.values.shape}, inconsistent with the point"
-                )
+            if np.shape(f.values) != (tg.size, n_space):
+                raise DirectionShapeError(f"parameter field '{name}' has shape "
+                                          f"{np.shape(f.values)}, expected {(tg.size, n_space)}")
             if not np.array_equal(f.time_grid, tg):
                 raise DirectionShapeError(f"field '{name}' uses a different time grid")
 
@@ -730,10 +741,6 @@ class OperatorTimeline:
         self._rates = {}
 
     @property
-    def n_free(self):
-        return self.pattern.n
-
-    @property
     def dt(self):
         return float(self.time_grid[1] - self.time_grid[0])
 
@@ -777,12 +784,15 @@ def _check_problem(disc, point):
 def assemble_operators(disc, point):
     """Assemble the node-sampled operator quadruple for a parameter point.
 
-    Raises ConstraintViolationError if the point leaves the admissible box.
-    The timeline's ``point`` holds copies of the field values, and its time
-    grid is a copy of the point's, both taken now, so a later write into the
+    Raises DirectionShapeError unless every field is (time node x mesh node)
+    (:meth:`ParameterPoint.check_shape`), also after a write into the point,
+    and ConstraintViolationError if the point leaves the admissible box.  The
+    timeline's ``point`` holds copies of the field values, and its time grid
+    is a copy of the point's, both taken now, so a later write into the
     point does not reach it.
     """
     _check_problem(disc, point)
+    point.check_shape(disc.n_nodes)
     point.check_admissible()
     tg = point.time_grid
     if tg.size < 3:

@@ -15,12 +15,12 @@ grid and reports its singular-value decay — the finite-dimensional shadow of
 the derivative's compactness.
 
 Norm bookkeeping: difference-quotient norms of the scaled bumps are measured
-on a dedicated fine uniform grid (default 32768 intervals).  On a coarse
-grid the r-th difference quotient of ``psi(j*.)`` under-resolves the sharp
-derivative peak by O((j*dt)**2) with a large constant (about 27 percent at
-j=64 on 4096 intervals), which would corrupt the norm sandwich; the analytic
-profile is cheap to resample, so the measurement grid is decoupled from the
-simulation grid.
+on a dedicated fine uniform grid of :data:`FINE_INTERVALS` (32768)
+intervals.  On a coarse grid the r-th difference quotient of ``psi(j*.)``
+under-resolves the sharp derivative peak by O((j*dt)**2) with a large
+constant (about 27 percent at j=64 on 4096 intervals), which would corrupt
+the norm sandwich; the analytic profile is cheap to resample, so the
+measurement grid is decoupled from the simulation grid.
 """
 
 from __future__ import annotations
@@ -43,6 +43,13 @@ from .evolve import y_norm
 from .forward import forward_map, trapezoid_weights
 from .galerkin import FIELD_NAMES, FORMS, ParameterField, parameter_norm, per_axis
 from .sensitivity import derivative_apply_many
+
+#: intervals of the fine uniform grid on which the bump norms are measured
+FINE_INTERVALS = 32768
+#: points of [-1, 1] at which :func:`mother_bump` samples the derivative sups
+BUMP_SAMPLES = 20001
+#: the fraction of the largest singular value that the numerical rank counts from
+RANK_THRESHOLD = 1e-8
 
 # ---------------------------------------------------------------------------
 # mother bump
@@ -70,14 +77,17 @@ class MotherBump:
     ``scale`` divides the raw bump exp(-1/(1-t^2)) so that the largest sup
     norm among derivative orders 0..order equals 1; ``gamma`` is a certified
     lower bound (0.8 of the grid maximum) for the sup of the order-th
-    derivative of the normalized bump.
+    derivative of the normalized bump, and ``peak`` is its value at 0.
     """
 
     order: int
     scale: float
     gamma: float
-    peak: float
     _polys: list = field(repr=False)
+
+    @property
+    def peak(self):
+        return float(self(np.array(0.0)))
 
     def derivative(self, t, i=0):
         """i-th derivative of the normalized bump, zero outside (-1, 1)."""
@@ -96,22 +106,18 @@ class MotherBump:
         return self.derivative(t, 0)
 
 
-def mother_bump(order, n_grid=20001):
+def mother_bump(order):
     """Build the normalized mother bump controlling derivatives up to order."""
     order = int(order)
     if order < 0:
         raise RegularityError(f"smoothness order must be nonnegative; got {order}")
     polys = _bump_polynomials(order)
-    tt = np.linspace(-1.0, 1.0, n_grid)
-    sups = []
-    for i in range(order + 1):
-        raw = MotherBump(order=order, scale=1.0, gamma=0.0, peak=0.0, _polys=polys)
-        sups.append(float(np.max(np.abs(raw.derivative(tt, i)))))
+    tt = np.linspace(-1.0, 1.0, BUMP_SAMPLES)
+    raw = MotherBump(order=order, scale=1.0, gamma=0.0, _polys=polys)
+    sups = [float(np.max(np.abs(raw.derivative(tt, i)))) for i in range(order + 1)]
     scale = max(sups)
     gamma = 0.8 * sups[order] / scale
-    bump = MotherBump(order=order, scale=scale, gamma=gamma, peak=0.0, _polys=polys)
-    bump.peak = float(bump(np.array(0.0)))
-    return bump
+    return MotherBump(order=order, scale=scale, gamma=gamma, _polys=polys)
 
 
 # ---------------------------------------------------------------------------
@@ -126,18 +132,22 @@ class BumpSequence:
     t0: float
     j_values: list
     samples: dict
-    gamma: float
     time_grid: np.ndarray
     mother: MotherBump = field(repr=False)
+
+    @property
+    def gamma(self):
+        """The mother bump's certified lower bound (see :class:`MotherBump`)."""
+        return self.mother.gamma
 
     def profile(self, j, t):
         """Analytic alpha_j at arbitrary times."""
         return float(j) ** (-self.r) * self.mother(np.asarray(t, dtype=float) * j - j * self.t0)
 
-    def certified_norms(self, n_fine=32768):
-        """Difference-quotient norms of each alpha_j on a fine uniform grid."""
+    def certified_norms(self):
+        """Difference-quotient norms of each alpha_j on the grid of :data:`FINE_INTERVALS`."""
         t_end = float(self.time_grid[-1])
-        tt = np.linspace(0.0, t_end, n_fine + 1)
+        tt = np.linspace(0.0, t_end, FINE_INTERVALS + 1)
         out = {}
         for j in self.j_values:
             prof = ParameterField(self.profile(j, tt)[:, None], tt)
@@ -173,15 +183,8 @@ def bump_sequence(r, t0, t_end, time_grid, j_list):
                 f"bump j={j} has only {inside} grid nodes inside its support; "
                 "need at least 8 (refine the time grid or lower j)"
             )
-    mother = mother_bump(r)
     seq = BumpSequence(
-        r=r,
-        t0=t0,
-        j_values=j_list,
-        samples={},
-        gamma=mother.gamma,
-        time_grid=time_grid,
-        mother=mother,
+        r=r, t0=t0, j_values=j_list, samples={}, time_grid=time_grid, mother=mother_bump(r)
     )
     for j in j_list:
         seq.samples[j] = seq.profile(j, time_grid)
@@ -208,8 +211,6 @@ class RankOneSequence:
     eigenvalues: np.ndarray
     gram: object = field(repr=False)
     first_vector: np.ndarray = field(repr=False)
-    upper_constant: float = 1.0
-    lower_constant: float = 1.0
 
     def apply(self, k, v):
         phi = self.vectors[k]
@@ -286,29 +287,18 @@ class IllposedResult:
         ]
 
 
-def illposed_experiment(
-    disc,
-    point,
-    target,
-    delta,
-    j_list,
-    f,
-    u0=None,
-    u1=None,
-    k=2,
-    t0=None,
-    fine_intervals=32768,
-):
+def illposed_experiment(disc, point, target, delta, j_list, f, u0=None, u1=None, k=2, t0=None):
     """Drive one parameter with collapsing bumps and tabulate both distances.
 
     The coefficient that the target feeds into its :data:`FORMS` term (the
     field, or its reciprocal where the term's map is ``RECIPROCAL``) is moved
     by half the bump amplitude; each map is its own inverse, so applying it
     again gives the perturbed field.  Parameter distance is the
-    difference-quotient norm of the analytic perturbation profile on a fine
-    grid; output distance is the solution-space norm of the trajectory
-    difference at regularity level k - 1.  Perturbed points that leave the
-    admissible set raise a slack error suggesting a smaller delta.
+    difference-quotient norm of the analytic perturbation profile on the fine
+    grid of :data:`FINE_INTERVALS` intervals; output distance is the
+    solution-space norm of the trajectory difference at regularity level
+    k - 1.  Perturbed points that leave the admissible set raise a slack
+    error suggesting a smaller delta.
 
     Each perturbed point differs from ``point`` only near the bump support
     [t0 - 1/j, t0 + 1/j], so its solve resumes from the base solve
@@ -331,7 +321,7 @@ def illposed_experiment(
 
     param_distances = np.empty(len(bumps.j_values))
     output_distances = np.empty(len(bumps.j_values))
-    fine_t = np.linspace(0.0, t_end, fine_intervals + 1)
+    fine_t = np.linspace(0.0, t_end, FINE_INTERVALS + 1)
     for idx, j in enumerate(bumps.j_values):
         shift = 0.5 * delta * bumps.samples[j]
         perturbed = point.copy()
@@ -401,16 +391,7 @@ def _hat_basis(knots, points):
 
 
 def svd_probe(
-    disc,
-    point,
-    target,
-    f,
-    u0=None,
-    u1=None,
-    n_sing=None,
-    time_knots=6,
-    space_knots=5,
-    threshold=1e-8,
+    disc, point, target, f, u0=None, u1=None, n_sing=None, time_knots=6, space_knots=5
 ):
     """Top singular values of the target-restricted, coarsely gridded Jacobian.
 
@@ -421,9 +402,10 @@ def svd_probe(
     derivative together, as the columns of batched marches
     (:func:`~.sensitivity.derivative_apply_many`), and the image trajectories
     are flattened with the trapezoid-in-time, mass-Cholesky-in-space
-    weighting so Euclidean length equals the data norm.  Refuses more than
-    400 coarse parameters, a target the problem does not have, and a
-    ``space_knots`` that gives neither one count nor one per axis.
+    weighting so Euclidean length equals the data norm; the numerical rank
+    counts from :data:`RANK_THRESHOLD` of the largest.  Refuses more
+    than 400 coarse parameters, a target the problem does not have, and a
+    ``space_knots`` that gives neither one whole count nor one per axis.
     """
     if target not in FIELD_NAMES[disc.problem]:
         raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
@@ -459,14 +441,14 @@ def svd_probe(
     if n_sing is not None:
         sing = sing[: int(n_sing)]
     ratios = sing / sing[0] if sing[0] > 0 else np.zeros_like(sing)
-    rank = int(np.count_nonzero(sing >= threshold * sing[0])) if sing[0] > 0 else 0
+    rank = int(np.count_nonzero(sing >= RANK_THRESHOLD * sing[0])) if sing[0] > 0 else 0
     return SvdReport(
         problem=disc.problem,
         target=target,
         singular_values=sing,
         ratios=ratios,
         numerical_rank=rank,
-        threshold=threshold,
+        threshold=RANK_THRESHOLD,
         n_parameters=n_params,
         time_knots=int(time_knots),
         space_knots=space_shape,

@@ -24,6 +24,9 @@ from .forward import DataVector, data_difference, data_norm, forward_map, observ
 from .galerkin import FIELD_NAMES, project_point
 from .sensitivity import adjoint_apply_discrete, derivative_apply, nodal_gradient
 
+#: power iterations behind the automatic Landweber step size
+POWER_ITERATIONS = 6
+
 
 @dataclass
 class InversionConfig:
@@ -97,8 +100,8 @@ def _restricted_gradient(disc, point, resid, base, targets):
     return {name: grad[name] for name in targets}
 
 
-def _estimate_step_size(disc, point, f, targets, u0, u1, spec=None, iterations=6):
-    """1 / (largest eigenvalue of J* J) in the nodal metric, by power iteration.
+def _estimate_step_size(disc, point, f, targets, u0, u1, spec=None):
+    """0.9 / (largest eigenvalue of J* J) in the nodal metric, by power iteration.
 
     The eigenvalue is taken in the same (data, nodal) metric pair the
     iteration itself uses, so the observation spec of the data must be
@@ -111,7 +114,7 @@ def _estimate_step_size(disc, point, f, targets, u0, u1, spec=None, iterations=6
     for name in h:
         h[name] = h[name] / h_norm
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(POWER_ITERATIONS):
         jh = observe(derivative_apply(disc, point, h, base), spec)
         jh_norm = data_norm(jh, disc)
         if jh_norm == 0.0:

@@ -383,9 +383,7 @@ def test_y_norm_levels_and_homogeneity(wave_disc, time_grid, wave_point):
     n0 = wi.y_norm(traj, wave_disc, k=0)
     n1 = wi.y_norm(traj, wave_disc, k=1)
     assert 0 < n0 <= n1
-    doubled = wi.Trajectory(
-        2 * traj.u, 2 * traj.du, 2 * traj.ddu, traj.time_grid, traj.dt
-    )
+    doubled = wi.Trajectory(2 * traj.u, 2 * traj.du, 2 * traj.ddu, traj.time_grid)
     assert wi.y_norm(doubled, wave_disc, k=1) == pytest.approx(2 * n1, rel=1e-12)
 
 

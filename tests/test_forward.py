@@ -34,6 +34,37 @@ def test_observation_spec_validation():
         wi.ObservationSpec(kind="node-subset", indices=[1, 2], weights=[1.0])
 
 
+@pytest.mark.parametrize(
+    "indices, weights, message",
+    [
+        ([1, 2], [np.nan, 1.0], "finite and positive"),
+        ([1, 2], [np.inf, 1.0], "finite and positive"),
+        ([1.7, 2], None, "1-D integer array"),
+    ],
+    ids=["nan-weight", "inf-weight", "fractional-index"],
+)
+def test_observation_spec_rejects_bad_weights_and_indices(indices, weights, message):
+    with pytest.raises(ObservationError, match=message):
+        wi.ObservationSpec("node-subset", indices, weights)
+
+
+@pytest.mark.parametrize(
+    "values, indices",
+    [
+        (np.ones((5, 3)), None),  # 5 rows on a 7-node time grid
+        (np.ones(7), None),  # not 2-D
+        (np.full((7, 3), np.nan), None),
+        (np.ones((7, 3)), [1, 2]),  # 3 columns for 2 observed DOFs
+    ],
+    ids=["rows", "one-dimensional", "non-finite", "subset-columns"],
+)
+def test_data_vector_rejects_values_that_do_not_fit(values, indices):
+    tg = np.linspace(0.0, 1.0, 7)
+    spec = None if indices is None else wi.ObservationSpec("node-subset", indices)
+    with pytest.raises(ObservationError):
+        wi.DataVector(values, tg, spec)
+
+
 def test_observation_spec_matching():
     a = wi.ObservationSpec(kind="node-subset", indices=[0, 2], weights=[1.0, 2.0])
     b = wi.ObservationSpec(kind="node-subset", indices=[0, 2], weights=[1.0, 2.0])
@@ -164,11 +195,12 @@ def test_forward_map_caches_solver_state(wave_disc, time_grid):
 def test_forward_map_compatibility_gate(wave_disc, time_grid):
     point = varied_point(wave_disc, time_grid)
     good = modal_source(wave_disc, time_grid)  # ~ t^2, vanishing traces
-    wi.forward_map(wave_disc, point, good, k=2)
+    wi.compatibility_check(good, None, None, 2).require()
+    wi.forward_map(wave_disc, point, good)
     flat = wi.make_source(wave_disc, time_grid, lambda t, x: np.ones_like(x))
     with pytest.raises(CompatibilityError):
-        wi.forward_map(wave_disc, point, flat, k=2)
-    # skipping the gate is the default
+        wi.compatibility_check(flat, None, None, 2).require()
+    # the forward map itself makes no compatibility check
     wi.forward_map(wave_disc, point, flat)
 
 

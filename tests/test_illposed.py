@@ -124,7 +124,6 @@ def test_rank_one_x_sequence_unit_norms(wave_disc):
     seq = rank_one_sequence(wave_disc, "X", [1, 2, 3, 5])
     for k in seq.k_values:
         assert seq.operator_norm(k) == pytest.approx(1.0, abs=1e-10)
-    assert seq.upper_constant == 1.0 and seq.lower_constant == 1.0
     # projection property in the pivot inner product
     v = np.sin(2.5 * np.arange(wave_disc.n_free))
     image = seq.apply(2, v)
@@ -176,9 +175,7 @@ def quick_instance(problem, n, n_steps):
 def test_illposed_experiment_structure():
     # 128 steps so the narrowest bump (j=16) still covers >= 8 grid nodes
     disc, tg, point, f = quick_instance("wave1d", 10, 128)
-    result = illposed_experiment(
-        disc, point, "q", 0.4, [4, 8, 16], f, fine_intervals=8192
-    )
+    result = illposed_experiment(disc, point, "q", 0.4, [4, 8, 16], f)
     assert result.problem == "wave1d" and result.target == "q"
     assert len(result.rows()) == 3
     assert result.param_lower_ok
@@ -196,12 +193,8 @@ def test_illposed_param_distance_same_for_additive_and_reciprocal_targets():
     # so its certified norm must agree across problems and targets
     disc_w, tg, point_w, f_w = quick_instance("wave1d", 8, 64)
     disc_m, _, point_m, f_m = quick_instance("maxwell1d", 8, 64)
-    res_w = illposed_experiment(
-        disc_w, point_w, "a", 0.3, [4, 8], f_w, fine_intervals=8192
-    )
-    res_m = illposed_experiment(
-        disc_m, point_m, "mu", 0.3, [4, 8], f_m, fine_intervals=8192
-    )
+    res_w = illposed_experiment(disc_w, point_w, "a", 0.3, [4, 8], f_w)
+    res_m = illposed_experiment(disc_m, point_m, "mu", 0.3, [4, 8], f_m)
     assert np.allclose(res_w.param_distances, res_m.param_distances, rtol=1e-12)
 
 
@@ -210,7 +203,7 @@ def test_illposed_experiment_slack_error():
     # rejected; the normalized bump peak is ~2e-3, hence the large delta
     disc, tg, point, f = quick_instance("elastic2d", 3, 32)
     with pytest.raises(SlackError) as info:
-        illposed_experiment(disc, point, "mu", 1e6, [4], f, fine_intervals=4096)
+        illposed_experiment(disc, point, "mu", 1e6, [4], f)
     assert info.value.delta == pytest.approx(1e6)
     assert "delta" in str(info.value)
 
@@ -233,6 +226,13 @@ def test_svd_probe_report(wave_disc):
     assert 0 < report.numerical_rank <= 12
     assert report.n_parameters == 12
     assert np.allclose(report.ratios, sv / sv[0])
+
+
+def test_svd_probe_rejects_non_integral_knots(wave_disc):
+    tg = np.linspace(0.0, 1.0, 33)
+    point = varied_point(wave_disc, tg, amplitude=0.1)
+    with pytest.raises(DirectionShapeError, match="space_knots must be whole numbers"):
+        svd_probe(wave_disc, point, "a", modal_source(wave_disc, tg), space_knots=2.5)
 
 
 def test_svd_probe_guards(wave_disc):

@@ -217,7 +217,7 @@ def test_cgne_zero_curvature_is_a_breakdown(instance, monkeypatch):
 
     def vanishing(disc, point, direction, base):
         zeros = np.zeros_like(base.u)
-        return wi.Trajectory(zeros, zeros.copy(), zeros.copy(), base.time_grid, base.dt)
+        return wi.Trajectory(zeros, zeros.copy(), zeros.copy(), base.time_grid)
 
     monkeypatch.setattr(inversion, "derivative_apply", vanishing)
     cfg = InversionConfig(method="cgne", max_iterations=5)

@@ -96,7 +96,7 @@ def test_derivative_validates_direction(wave_disc, time_grid):
 
 def test_derivative_requires_cached_solve(wave_disc, time_grid):
     point, f, base = wave_base(wave_disc, time_grid)
-    bare = wi.Trajectory(base.u, base.du, base.ddu, base.time_grid, base.dt)
+    bare = wi.Trajectory(base.u, base.du, base.ddu, base.time_grid)
     with pytest.raises(RequiresForwardSolveError):
         derivative_apply(
             wave_disc, point, smooth_direction(wave_disc, time_grid, ("a",)), bare
@@ -355,7 +355,7 @@ def test_dot_test_error_paths(wave_disc, time_grid):
     point, f, base = wave_base(wave_disc, time_grid)
     direction = smooth_direction(wave_disc, time_grid, ("a",))
     v = wi.DataVector(np.ones((time_grid.size, wave_disc.n_free)), time_grid)
-    with pytest.raises(RequiresForwardSolveError):
+    with pytest.raises(TypeError, match="base"):
         dot_test(wave_disc, point, direction, v)
     with pytest.raises(DegenerateTestError, match="'discrete' or 'continuous'"):
         dot_test(wave_disc, point, direction, v, mode="sideways", base=base)
