@@ -465,7 +465,6 @@ EXPERIMENTS = {
     }),
     "svd": (_run_svd, {
         "target": PATH,
-        "n_sing": {**COUNT, "default": None},  # None: all of them
         "time_knots": {**COUNT, "default": 6},
         # one count for every axis, or one per axis (see _problem_rules)
         "space_knots": {"type": ["integer", "array"], "minimum": 1, "items": COUNT, "default": 5},

@@ -108,25 +108,19 @@ class Trajectory:
 
     ``solve`` is the :class:`SolveRecord` of a forward solve, which the
     derivative and adjoint sweeps reuse; it is None for derivative, backward
-    and difference trajectories, and it is never serialized.  The step ``dt``
-    is read off ``time_grid``, as :attr:`~.galerkin.OperatorTimeline.dt` is.
+    and difference trajectories, and it is never serialized.
     """
 
     u: np.ndarray
     du: np.ndarray
-    ddu: np.ndarray | None
+    ddu: np.ndarray
     time_grid: np.ndarray
     solve: SolveRecord | None = None
 
-    @property
-    def dt(self):
-        return float(self.time_grid[1] - self.time_grid[0])
-
     def __sub__(self, other):
-        ddu = None
-        if self.ddu is not None and other.ddu is not None:
-            ddu = self.ddu - other.ddu
-        return Trajectory(self.u - other.u, self.du - other.du, ddu, self.time_grid)
+        return Trajectory(
+            self.u - other.u, self.du - other.du, self.ddu - other.ddu, self.time_grid
+        )
 
 
 def make_source(disc, time_grid, fn):
@@ -605,20 +599,16 @@ def y_norm(trajectory, disc, k=0):
     """Solution-space norm: sup-in-time energy norms of the state and rates.
 
     k = 0: max_n |u|_V + max_n |du|_H;  k = 1 additionally max_n |du|_V +
-    max_n |ddu|_H.  Requires the acceleration for k = 1.
+    max_n |ddu|_H.
     """
     if k not in (0, 1):
         raise RegularityError(f"norm level must be 0 or 1, got {k}")
 
     def sup_norm(rows, gram):
-        if rows is None:
-            return 0.0
         prods = np.einsum("ni,ni->n", rows, (gram @ rows.T).T)
         return float(np.sqrt(np.maximum(prods, 0.0)).max())
 
     total = sup_norm(trajectory.u, disc.K_V) + sup_norm(trajectory.du, disc.M)
     if k == 1:
-        if trajectory.ddu is None:
-            raise RegularityError("level-1 norm needs the acceleration samples")
         total += sup_norm(trajectory.du, disc.K_V) + sup_norm(trajectory.ddu, disc.M)
     return total

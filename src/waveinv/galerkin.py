@@ -807,9 +807,9 @@ def assemble_operators(disc, point):
 def assemble_direction(disc, point, direction):
     """Linearization of the parameter-to-operator map in a given direction.
 
-    ``direction`` maps field names to ParameterFields or arrays (missing
-    names are treated as zero).  Each form term contributes its kit with the
-    linearized coefficient map, e.g. for maxwell1d
+    ``direction`` maps field names to (time node x mesh node) arrays
+    (missing names are treated as zero).  Each form term contributes its kit
+    with the linearized coefficient map, e.g. for maxwell1d
     (-stiffness(mu_bar / mu^2), 0, mass(eps_bar), 0).
 
     ``direction`` may also be a list of k such mappings.  The timeline's
@@ -829,9 +829,7 @@ def assemble_direction(disc, point, direction):
                 f"direction has fields {sorted(unknown)} unknown to problem '{disc.problem}'"
             )
         for name, f in one.items():
-            if f is None:
-                continue
-            vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
+            vals = np.asarray(f, dtype=float)
             if vals.shape != shape:
                 raise DirectionShapeError(
                     f"direction field '{name}' has shape {vals.shape}, expected {shape}"

@@ -39,7 +39,7 @@ from .errors import (
     SpectralError,
     TooLargeError,
 )
-from .evolve import y_norm
+from .evolve import compatibility_check, y_norm
 from .forward import forward_map, trapezoid_weights
 from .galerkin import FIELD_NAMES, FORMS, ParameterField, parameter_norm, per_axis
 from .sensitivity import derivative_apply_many
@@ -77,17 +77,13 @@ class MotherBump:
     ``scale`` divides the raw bump exp(-1/(1-t^2)) so that the largest sup
     norm among derivative orders 0..order equals 1; ``gamma`` is a certified
     lower bound (0.8 of the grid maximum) for the sup of the order-th
-    derivative of the normalized bump, and ``peak`` is its value at 0.
+    derivative of the normalized bump.
     """
 
     order: int
     scale: float
     gamma: float
     _polys: list = field(repr=False)
-
-    @property
-    def peak(self):
-        return float(self(np.array(0.0)))
 
     def derivative(self, t, i=0):
         """i-th derivative of the normalized bump, zero outside (-1, 1)."""
@@ -287,7 +283,7 @@ class IllposedResult:
         ]
 
 
-def illposed_experiment(disc, point, target, delta, j_list, f, u0=None, u1=None, k=2, t0=None):
+def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
     """Drive one parameter with collapsing bumps and tabulate both distances.
 
     The coefficient that the target feeds into its :data:`FORMS` term (the
@@ -300,6 +296,12 @@ def illposed_experiment(disc, point, target, delta, j_list, f, u0=None, u1=None,
     k - 1.  Perturbed points that leave the admissible set raise a slack
     error suggesting a smaller delta.
 
+    The solves start from rest, and the output norm at level k - 1 needs the
+    regularity of level k: before any solve, ``k`` must be 1 or 2
+    (RegularityError otherwise) and the source must pass
+    :func:`~.evolve.compatibility_check` at level k (CompatibilityError
+    otherwise).
+
     Each perturbed point differs from ``point`` only near the bump support
     [t0 - 1/j, t0 + 1/j], so its solve resumes from the base solve
     (``forward_map(..., like=base)``): the steps before the support are
@@ -308,6 +310,9 @@ def illposed_experiment(disc, point, target, delta, j_list, f, u0=None, u1=None,
     """
     if target not in FIELD_NAMES[disc.problem]:
         raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
+    if k not in (1, 2):
+        raise RegularityError(f"level k must be 1 or 2, got {k}")
+    compatibility_check(f, None, None, k).require()
     delta = float(delta)
     r = int(k) + 1
     tg = point.time_grid
@@ -316,7 +321,7 @@ def illposed_experiment(disc, point, target, delta, j_list, f, u0=None, u1=None,
         t0 = 0.5 * t_end
     bumps = bump_sequence(r, t0, t_end, tg, j_list)
 
-    base = forward_map(disc, point, f, u0=u0, u1=u1)
+    base = forward_map(disc, point, f)
     fmap = next(term[3][0] for term in FORMS[disc.problem] if term[2] == target)
 
     param_distances = np.empty(len(bumps.j_values))
@@ -333,7 +338,7 @@ def illposed_experiment(disc, point, target, delta, j_list, f, u0=None, u1=None,
             raise SlackError(
                 exc.bound, exc.field, exc.index, exc.value, exc.limit, delta=delta
             ) from exc
-        traj = forward_map(disc, perturbed, f, u0=u0, u1=u1, like=base)
+        traj = forward_map(disc, perturbed, f, like=base)
         output_distances[idx] = y_norm(traj - base, disc, k=k - 1)
         fine_profile = 0.5 * delta * bumps.profile(j, fine_t)
         param_distances[idx] = parameter_norm(
@@ -376,8 +381,6 @@ class SvdReport:
     numerical_rank: int
     threshold: float
     n_parameters: int
-    time_knots: int
-    space_knots: tuple
 
 
 def _hat_basis(knots, points):
@@ -390,9 +393,7 @@ def _hat_basis(knots, points):
     return basis
 
 
-def svd_probe(
-    disc, point, target, f, u0=None, u1=None, n_sing=None, time_knots=6, space_knots=5
-):
+def svd_probe(disc, point, target, f, time_knots=6, space_knots=5):
     """Top singular values of the target-restricted, coarsely gridded Jacobian.
 
     The target field varies on a tensor grid of ``time_knots`` x
@@ -417,7 +418,7 @@ def svd_probe(
         )
 
     tg = point.time_grid
-    base = forward_map(disc, point, f, u0=u0, u1=u1)
+    base = forward_map(disc, point, f)
     t_knots = np.linspace(tg[0], tg[-1], int(time_knots))
     t_basis = _hat_basis(t_knots, tg)
 
@@ -438,8 +439,6 @@ def svd_probe(
         columns[:, col] = (sqrt_w[:, None] * (deriv.u @ chol.T)).ravel()
 
     sing = np.linalg.svd(columns, compute_uv=False)
-    if n_sing is not None:
-        sing = sing[: int(n_sing)]
     ratios = sing / sing[0] if sing[0] > 0 else np.zeros_like(sing)
     rank = int(np.count_nonzero(sing >= RANK_THRESHOLD * sing[0])) if sing[0] > 0 else 0
     return SvdReport(
@@ -450,6 +449,4 @@ def svd_probe(
         numerical_rank=rank,
         threshold=RANK_THRESHOLD,
         n_parameters=n_params,
-        time_knots=int(time_knots),
-        space_knots=space_shape,
     )

@@ -100,14 +100,14 @@ def _restricted_gradient(disc, point, resid, base, targets):
     return {name: grad[name] for name in targets}
 
 
-def _estimate_step_size(disc, point, f, targets, u0, u1, spec=None):
+def _estimate_step_size(disc, point, f, targets, spec=None):
     """0.9 / (largest eigenvalue of J* J) in the nodal metric, by power iteration.
 
     The eigenvalue is taken in the same (data, nodal) metric pair the
     iteration itself uses, so the observation spec of the data must be
     supplied when it is not full-field.
     """
-    base = forward_map(disc, point, f, u0=u0, u1=u1)
+    base = forward_map(disc, point, f)
     tg = point.time_grid
     h = {name: np.ones((tg.size, disc.n_nodes)) for name in targets}
     h_norm = _nodal_norm(disc, h, tg)
@@ -133,7 +133,7 @@ def _estimate_step_size(disc, point, f, targets, u0, u1, spec=None):
     return 0.9 / lam
 
 
-def landweber(disc, x0, data, f, config, u0=None, u1=None):
+def landweber(disc, x0, data, f, config):
     """Projected Landweber iteration with discrepancy stopping.
 
     Updates x <- clip(x - omega * grad) with the nodal gradient of the
@@ -146,7 +146,7 @@ def landweber(disc, x0, data, f, config, u0=None, u1=None):
     history = IterateHistory()
     omega = config.step_size
     if omega is None:
-        omega = _estimate_step_size(disc, x0, f, targets, u0, u1, spec=data.spec)
+        omega = _estimate_step_size(disc, x0, f, targets, spec=data.spec)
     history.step_size = omega
     threshold = config.tau * config.noise_level
 
@@ -154,7 +154,7 @@ def landweber(disc, x0, data, f, config, u0=None, u1=None):
     tg = x.time_grid
     growth = 0
     while True:
-        traj = forward_map(disc, x, f, u0=u0, u1=u1)
+        traj = forward_map(disc, x, f)
         out = observe(traj, data.spec)
         resid = data_difference(out, data)
         res_norm = data_norm(resid, disc)
@@ -186,7 +186,7 @@ def landweber(disc, x0, data, f, config, u0=None, u1=None):
     return history, x
 
 
-def cgne(disc, x0, data, f, config, u0=None, u1=None):
+def cgne(disc, x0, data, f, config):
     """Conjugate gradients on the normal equations of the linearization.
 
     Each outer pass linearizes the forward map at the current point and runs
@@ -203,7 +203,7 @@ def cgne(disc, x0, data, f, config, u0=None, u1=None):
 
     for outer in range(config.outer_iterations):
         history.outer_starts.append(len(history.residuals))
-        base = forward_map(disc, x, f, u0=u0, u1=u1)
+        base = forward_map(disc, x, f)
         out = observe(base, data.spec)
         rhs = data_difference(data, out)
         h = {name: np.zeros((tg.size, disc.n_nodes)) for name in targets}

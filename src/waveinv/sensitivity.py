@@ -65,7 +65,7 @@ from .forward import (
     observe,
     trapezoid_weights,
 )
-from .galerkin import FORMS, ParameterField, assemble_direction
+from .galerkin import FORMS, assemble_direction
 
 
 @dataclass
@@ -106,8 +106,7 @@ def shift_point(point, direction, s):
     """The parameter point with fields moved by s times the direction."""
     out = point.copy()
     for name, f in direction.items():
-        vals = f.values if isinstance(f, ParameterField) else np.asarray(f, dtype=float)
-        out.fields[name].values = out.fields[name].values + s * vals
+        out.fields[name].values = out.fields[name].values + s * np.asarray(f, dtype=float)
     return out
 
 
@@ -358,8 +357,7 @@ def parameter_pairing(disc, grad, direction):
         h = direction.get(name)
         if h is None:
             continue
-        vals = h.values if isinstance(h, ParameterField) else np.asarray(h, dtype=float)
-        h_e = disc.element_means(vals)
+        h_e = disc.element_means(np.asarray(h, dtype=float))
         total += float(
             np.einsum("n,ne,ne->", w, dens * disc.element_sizes[None, :], h_e)
         )
@@ -380,8 +378,7 @@ def direction_norm(disc, direction, time_grid):
     w = trapezoid_weights(time_grid)
     total = 0.0
     for h in direction.values():
-        vals = h.values if isinstance(h, ParameterField) else np.asarray(h, dtype=float)
-        h_e = disc.element_means(vals)
+        h_e = disc.element_means(np.asarray(h, dtype=float))
         total += float(np.einsum("n,ne->", w, h_e**2 * disc.element_sizes[None, :]))
     return float(np.sqrt(max(total, 0.0)))
 

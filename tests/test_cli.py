@@ -208,6 +208,17 @@ def test_forward_run_writes_artifacts_and_manifest(tmp_path, capsys):
         assert hashlib.sha256(payload).hexdigest() == digest, name
 
 
+def test_zero_source_keeps_the_trajectory_at_rest(tmp_path, capsys):
+    path = write_config(tmp_path, base_config(source={"kind": "zero"}))
+    assert main(["validate", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["data_norm"] == 0.0
+    traj = np.loadtxt(out / "trajectory.csv", delimiter=",")
+    assert traj.shape == (21, 5) and np.all(traj == 0.0)
+
+
 def test_manifest_records_thread_variables(tmp_path, capsys, monkeypatch):
     for var in THREAD_VARIABLES:
         monkeypatch.delenv(var, raising=False)
@@ -498,6 +509,7 @@ def _misspelled_option(cfg):
         ("forward_wave", lambda c: c["fields"]["rho"].update(axis=1), "fields/rho/axis"),
         ("forward_wave", lambda c: c["source"].update(component=1), "source/component"),
         ("svd_probe", lambda c: c["experiment"].update(space_knots=[3, 3]), "experiment/space_knots"),
+        ("svd_probe", lambda c: c["experiment"].update(n_sing=3), "experiment"),
     ],
     ids=[
         "misspelled-experiment-option",
@@ -519,6 +531,7 @@ def _misspelled_option(cfg):
         "layered-axis-beyond-the-mesh",
         "source-component-beyond-the-problem",
         "space-knots-per-axis-beyond-the-mesh",
+        "svd-singular-value-cut",
     ],
 )
 def test_validate_rejects_what_run_rejects_with_the_same_path(tmp_path, capsys, name, edit, where):

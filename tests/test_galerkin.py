@@ -197,6 +197,72 @@ def test_fields_that_do_not_fit_the_mesh_are_rejected():
             wi.forward_map(disc, bad, f)
 
 
+#: 21 time nodes on [0, 1], the grid of the cases below
+TG21 = np.linspace(0.0, 1.0, 21)
+
+
+def _wave_point(tg=TG21, n_space=9):
+    return wi.ParameterPoint.from_constants("wave1d", tg, n_space, a=1.0, b=0.0, q=0.0, rho=1.0)
+
+
+def _field_on_another_grid():
+    fields = _wave_point().fields
+    fields["b"] = wi.ParameterField.constant(0.0, np.linspace(0.0, 2.0, 21), 9)
+    return wi.ParameterPoint("wave1d", fields)
+
+
+#: case -> (call on a wave1d mesh of 8 elements, error class, message)
+TYPED_VALIDATIONS = {
+    "field-not-2d": (
+        lambda disc: wi.ParameterField(np.ones(21), TG21),
+        DirectionShapeError, "field values must be 2-D (time x space), got shape (21,)",
+    ),
+    "field-time-rows": (
+        lambda disc: wi.ParameterField(np.ones((20, 9)), TG21),
+        DirectionShapeError, "field has 20 time rows but the grid has 21 nodes",
+    ),
+    "field-non-finite": (
+        lambda disc: wi.ParameterField(np.full((21, 9), np.inf), TG21),
+        DirectionShapeError, "field contains non-finite entries",
+    ),
+    "point-missing-fields": (
+        lambda disc: wi.ParameterPoint("wave1d", {"a": _wave_point().fields["a"]}),
+        DirectionShapeError, "missing parameter fields ['b', 'q', 'rho']",
+    ),
+    "point-unknown-field": (
+        lambda disc: wi.ParameterPoint(
+            "wave1d", {**_wave_point().fields, "mu": wi.ParameterField.constant(1.0, TG21, 9)}
+        ),
+        DirectionShapeError, "fields ['mu'] unknown to problem 'wave1d'",
+    ),
+    "field-on-another-time-grid": (
+        lambda disc: _field_on_another_grid(),
+        DirectionShapeError, "field 'b' uses a different time grid",
+    ),
+    "point-for-another-problem": (
+        lambda disc: wi.assemble_operators(wi.build_grid("maxwell1d", 8), _wave_point()),
+        DirectionShapeError, "point is for 'wave1d' but the mesh is for 'maxwell1d'",
+    ),
+    "two-time-nodes": (
+        lambda disc: wi.assemble_operators(disc, _wave_point(np.linspace(0.0, 1.0, 2))),
+        ResolutionError, "timelines need at least three time nodes",
+    ),
+    "norm-order-beyond-the-grid": (
+        lambda disc: wi.parameter_norm(_wave_point(np.linspace(0.0, 1.0, 3)).fields["a"], 2),
+        ResolutionError, "order 2 norm needs at least 4 time nodes, grid has 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_VALIDATIONS))
+def test_typed_validations(case):
+    call, error, message = TYPED_VALIDATIONS[case]
+    disc = wi.build_grid("wave1d", 8)
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call(disc)
+    assert type(info.value) is error
+
+
 def test_timeline_derivative_matches_stencil(wave_disc, time_grid):
     point = varied_point(wave_disc, time_grid)
     tl = wi.assemble_operators(wave_disc, point)

@@ -1,5 +1,7 @@
 """Bump families, rank-one sequences, and the instability experiments."""
 
+import re
+
 import numpy as np
 import pytest
 import sympy
@@ -7,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveinv as wi
+from waveinv import illposed
 from waveinv.errors import (
+    CompatibilityError,
     DirectionShapeError,
     RegularityError,
     ResolutionError,
@@ -15,6 +19,7 @@ from waveinv.errors import (
     SpectralError,
     TooLargeError,
 )
+from waveinv.forward import forward_map
 from waveinv.illposed import (
     bump_sequence,
     illposed_experiment,
@@ -65,7 +70,7 @@ def test_mother_bump_compact_support():
     outside = np.array([-5.0, -1.0, 1.0, 3.0])
     for i in range(3):
         assert np.all(bump.derivative(outside, i) == 0.0)
-    assert bump(np.array(0.0)) == bump.peak > 0
+    assert bump(np.array(0.0)) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +82,7 @@ def test_bump_sequence_scaling_and_support():
     seq = bump_sequence(3, 0.5, 1.0, tg, [4, 8, 16])
     bump = seq.mother
     for j in (4, 8, 16):
-        assert seq.profile(j, 0.5) == pytest.approx(float(j) ** (-3) * bump.peak)
+        assert seq.profile(j, 0.5) == pytest.approx(float(j) ** (-3) * bump(np.array(0.0)))
         assert seq.profile(j, 0.5 + 1.01 / j) == 0.0
         assert seq.profile(j, 0.5 - 1.01 / j) == 0.0
         assert np.array_equal(seq.samples[j], None) is False
@@ -206,6 +211,46 @@ def test_illposed_experiment_slack_error():
         illposed_experiment(disc, point, "mu", 1e6, [4], f)
     assert info.value.delta == pytest.approx(1e6)
     assert "delta" in str(info.value)
+
+
+def counted_instance(monkeypatch, trace):
+    """quick_instance on wave1d with the source (trace + t^2) sin(pi x), whose
+    value at t = 0 is ``trace``, and a list that grows by one per solve."""
+    disc, tg, point, _ = quick_instance("wave1d", 8, 64)
+    f = wi.make_source(disc, tg, lambda t, x: (trace + t**2) * np.sin(np.pi * x))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward_map(*args, **kwargs)
+
+    monkeypatch.setattr(illposed, "forward_map", counted)
+    return disc, point, f, calls
+
+
+@pytest.mark.parametrize(
+    "k, trace, error, message",
+    [
+        (2, 1.0, CompatibilityError, "smoothness-2 compatibility conditions: f^(0)(0) = 0"),
+        (0, 0.0, RegularityError, "level k must be 1 or 2, got 0"),
+        (3, 0.0, RegularityError, "level k must be 1 or 2, got 3"),
+    ],
+    ids=["source-trace-at-level-2", "level-0", "level-3"],
+)
+def test_illposed_experiment_checks_its_data_before_solving(monkeypatch, k, trace, error, message):
+    # the output norm at level k - 1 needs the level-k regularity of a solve
+    # from rest: k is 1 or 2, and at k = 2 the source must vanish at t = 0
+    disc, point, f, calls = counted_instance(monkeypatch, trace)
+    with pytest.raises(error, match=re.escape(message)):
+        illposed_experiment(disc, point, "a", 0.3, [4, 8], f, k=k)
+    assert calls == []
+
+
+def test_illposed_experiment_at_level_1_takes_a_source_trace(monkeypatch):
+    # level 1 asks only for rest at t = 0, which every solve here starts from
+    disc, point, f, calls = counted_instance(monkeypatch, 1.0)
+    result = illposed_experiment(disc, point, "a", 0.3, [4, 8], f, k=1)
+    assert len(calls) == 3 and result.param_lower_ok
 
 
 # ---------------------------------------------------------------------------

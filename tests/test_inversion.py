@@ -229,6 +229,37 @@ def test_cgne_zero_curvature_is_a_breakdown(instance, monkeypatch):
         cgne(disc, x0, clean, f, cfg)
 
 
+@pytest.fixture(scope="module")
+def at_rest():
+    """A zero source: the base trajectory and its linearization vanish, so
+    nonzero data leave a residual that no update can reduce."""
+    disc = wi.build_grid("wave1d", 8)
+    tg = np.linspace(0.0, 1.0, 161)
+    x0 = wi.ParameterPoint.from_constants("wave1d", tg, disc.n_nodes, a=1.0, b=0.3, q=0.6, rho=1.0)
+    f = wi.SourceTerm.zero(tg.size, disc.n_free)
+    data = wi.DataVector(np.ones((tg.size, disc.n_free)), tg)
+    return disc, x0, data, f
+
+
+def test_landweber_automatic_step_size_fails_on_a_vanishing_linearization(at_rest):
+    disc, x0, data, f = at_rest
+    with pytest.raises(
+        StepSizeError,
+        match="automatic step size failed: the linearization vanishes on the targets",
+    ):
+        landweber(disc, x0, data, f, InversionConfig(step_size=None))
+
+
+def test_cgne_stops_on_a_zero_gradient(at_rest):
+    disc, x0, data, f = at_rest
+    history, final = cgne(disc, x0, data, f, InversionConfig(method="cgne"))
+    assert history.stopping_reason == "zero-gradient"
+    assert history.n_iterations == 0
+    assert history.residuals[0] > 0
+    for name, field in final.fields.items():
+        assert np.array_equal(field.values, x0.fields[name].values), name
+
+
 def test_cgne_outer_restarts(instance):
     disc, tg, truth, x0, f, clean = instance
     cfg = InversionConfig(method="cgne", max_iterations=4, outer_iterations=2)
