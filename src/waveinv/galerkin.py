@@ -804,36 +804,42 @@ def assemble_operators(disc, point):
     return timeline
 
 
-def assemble_direction(disc, point, direction):
-    """Linearization of the parameter-to-operator map in a given direction.
+def check_direction(problem, shape, direction):
+    """A direction's float tables by field name: DirectionShapeError unless it maps field
+    names of ``problem`` to finite tables of ``shape`` (a name it leaves out is zero)."""
+    if not isinstance(direction, Mapping):
+        raise DirectionShapeError(f"a direction maps field names to arrays, got {direction!r:.40}")
+    unknown = set(direction) - set(FIELD_NAMES[problem])
+    if unknown:
+        raise DirectionShapeError(
+            f"direction has fields {sorted(unknown)} unknown to problem '{problem}'"
+        )
+    tables = {}
+    for name, f in direction.items():
+        tables[name] = np.asarray(f, dtype=float) if np.shape(f) == shape else None
+        if tables[name] is None or not np.all(np.isfinite(tables[name])):
+            raise DirectionShapeError(f"direction field '{name}' must be a finite table of "
+                                      f"shape {shape}, got shape {np.shape(f)}")
+    return tables
 
-    ``direction`` maps field names to (time node x mesh node) arrays
-    (missing names are treated as zero).  Each form term contributes its kit
-    with the linearized coefficient map, e.g. for maxwell1d
-    (-stiffness(mu_bar / mu^2), 0, mass(eps_bar), 0).
 
-    ``direction`` may also be a list of k such mappings.  The timeline's
-    slots are then (time node x k x nnz) arrays, filled by one
-    (k * time node, element) product per form term; a field that only some
-    of the directions have is zero in the others.
+def assemble_direction(disc, point, directions):
+    """Linearization of the parameter-to-operator map along k directions.
+
+    ``directions`` holds k directions, each checked by
+    :func:`check_direction`.  Each form term contributes its kit with the
+    linearized coefficient map, e.g. for maxwell1d
+    (-stiffness(mu_bar / mu^2), 0, mass(eps_bar), 0).  The timeline's slots
+    are (time node x k x nnz) arrays, filled by one (k * time node, element)
+    product per form term; a field that only some of the directions have is
+    zero in the others.
     """
     _check_problem(disc, point)
-    single = isinstance(direction, Mapping)
-    directions = [direction] if single else list(direction)
+    directions = list(directions)
     shape = (point.time_grid.size, disc.n_nodes)
     means = {}
     for j, one in enumerate(directions):
-        unknown = set(one) - set(FIELD_NAMES[disc.problem])
-        if unknown:
-            raise DirectionShapeError(
-                f"direction has fields {sorted(unknown)} unknown to problem '{disc.problem}'"
-            )
-        for name, f in one.items():
-            vals = np.asarray(f, dtype=float)
-            if vals.shape != shape:
-                raise DirectionShapeError(
-                    f"direction field '{name}' has shape {vals.shape}, expected {shape}"
-                )
+        for name, vals in check_direction(disc.problem, shape, one).items():
             if name not in means:
                 means[name] = np.zeros((shape[0], len(directions), disc.elements.shape[0]))
             means[name][:, j] = disc.element_means(vals)
@@ -844,11 +850,7 @@ def assemble_direction(disc, point, direction):
         base = disc.element_means(point.fields[name].values)[:, None]
         return fmap[1](base, means[name])
 
-    timeline = _assemble(disc, point.time_grid, coefficient)
-    if single:
-        for slot, values in timeline.values.items():
-            timeline.values[slot] = None if values is None else values[:, 0]
-    return timeline
+    return _assemble(disc, point.time_grid, coefficient)
 
 
 # ---------------------------------------------------------------------------

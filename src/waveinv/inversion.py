@@ -70,7 +70,9 @@ class IterateHistory:
     outer_starts: list = field(default_factory=list)
 
 
-def _active_targets(problem, config):
+def _active_targets(problem, config, method):
+    if config.method != method:
+        raise InversionConfigError(f"{method} was given a config for method {config.method!r}")
     names = FIELD_NAMES[problem]
     if config.targets is None:
         return tuple(names)
@@ -100,14 +102,13 @@ def _restricted_gradient(disc, point, resid, base, targets):
     return {name: grad[name] for name in targets}
 
 
-def _estimate_step_size(disc, point, f, targets, spec=None):
+def _estimate_step_size(disc, point, base, targets, spec=None):
     """0.9 / (largest eigenvalue of J* J) in the nodal metric, by power iteration.
 
-    The eigenvalue is taken in the same (data, nodal) metric pair the
-    iteration itself uses, so the observation spec of the data must be
-    supplied when it is not full-field.
+    ``base`` is the forward solve at ``point``.  The eigenvalue is taken in
+    the same (data, nodal) metric pair the iteration itself uses, so the
+    observation spec of the data must be supplied when it is not full-field.
     """
-    base = forward_map(disc, point, f)
     tg = point.time_grid
     h = {name: np.ones((tg.size, disc.n_nodes)) for name in targets}
     h_norm = _nodal_norm(disc, h, tg)
@@ -138,16 +139,14 @@ def landweber(disc, x0, data, f, config):
 
     Updates x <- clip(x - omega * grad) with the nodal gradient of the
     squared data misfit; omega is taken from the config or estimated as
-    0.9 over the largest linearization eigenvalue at the starting point.
-    Raises a step-size error if the residual grows for
-    ``divergence_patience`` consecutive iterations.
+    0.9 over the largest linearization eigenvalue at the starting point, on
+    the forward solve of the first iteration.  Raises a step-size error if
+    the residual grows for ``divergence_patience`` consecutive iterations.
+    ``config.method`` must be "landweber".
     """
-    targets = _active_targets(disc.problem, config)
+    targets = _active_targets(disc.problem, config, "landweber")
     history = IterateHistory()
-    omega = config.step_size
-    if omega is None:
-        omega = _estimate_step_size(disc, x0, f, targets, spec=data.spec)
-    history.step_size = omega
+    omega = history.step_size = config.step_size
     threshold = config.tau * config.noise_level
 
     x = x0.copy()
@@ -155,6 +154,8 @@ def landweber(disc, x0, data, f, config):
     growth = 0
     while True:
         traj = forward_map(disc, x, f)
+        if omega is None:
+            omega = history.step_size = _estimate_step_size(disc, x, traj, targets, data.spec)
         out = observe(traj, data.spec)
         resid = data_difference(out, data)
         res_norm = data_norm(resid, disc)
@@ -193,9 +194,9 @@ def cgne(disc, x0, data, f, config):
     CGLS on  J h = data - F(x)  in the (data, nodal) inner products, where
     the adjoint is exact; the inner residual therefore decreases
     monotonically.  The accumulated correction is clipped into the
-    admissible box before any re-linearization.
+    admissible box before any re-linearization.  ``config.method`` must be "cgne".
     """
-    targets = _active_targets(disc.problem, config)
+    targets = _active_targets(disc.problem, config, "cgne")
     history = IterateHistory()
     threshold = config.tau * config.noise_level
     x = x0.copy()

@@ -65,7 +65,7 @@ from .forward import (
     observe,
     trapezoid_weights,
 )
-from .galerkin import FORMS, assemble_direction
+from .galerkin import FORMS, assemble_direction, check_direction
 
 
 @dataclass
@@ -103,10 +103,11 @@ def _solve_at(point, base):
 
 
 def shift_point(point, direction, s):
-    """The parameter point with fields moved by s times the direction."""
+    """The point with fields moved by s times a direction (:func:`~.galerkin.check_direction`)."""
     out = point.copy()
-    for name, f in direction.items():
-        out.fields[name].values = out.fields[name].values + s * np.asarray(f, dtype=float)
+    shape = point.fields[point.field_names[0]].values.shape
+    for name, h in check_direction(point.problem, shape, direction).items():
+        out.fields[name].values = out.fields[name].values + s * h
     return out
 
 
@@ -350,14 +351,15 @@ def _gradient(disc, point, time_grid, density):
 
 
 def parameter_pairing(disc, grad, direction):
-    """<g, h>: trapezoid in time, measure-weighted vertex-mean in space."""
+    """<g, h> for a direction h (:func:`~.galerkin.check_direction`): trapezoid in time,
+    measure-weighted vertex-mean in space, summed in the gradient's field order."""
     w = trapezoid_weights(grad.time_grid)
+    h = check_direction(disc.problem, (w.size, disc.n_nodes), direction)
     total = 0.0
     for name, dens in grad.fields.items():
-        h = direction.get(name)
-        if h is None:
+        if name not in h:
             continue
-        h_e = disc.element_means(np.asarray(h, dtype=float))
+        h_e = disc.element_means(h[name])
         total += float(
             np.einsum("n,ne,ne->", w, dens * disc.element_sizes[None, :], h_e)
         )
@@ -374,11 +376,11 @@ def gradient_norm(disc, grad):
 
 
 def direction_norm(disc, direction, time_grid):
-    """Norm of a nodal direction in the same element-measure pairing."""
+    """Norm of a direction (:func:`~.galerkin.check_direction`) in the element-measure pairing."""
     w = trapezoid_weights(time_grid)
     total = 0.0
-    for h in direction.values():
-        h_e = disc.element_means(np.asarray(h, dtype=float))
+    for h in check_direction(disc.problem, (w.size, disc.n_nodes), direction).values():
+        h_e = disc.element_means(h)
         total += float(np.einsum("n,ne->", w, h_e**2 * disc.element_sizes[None, :]))
     return float(np.sqrt(max(total, 0.0)))
 

@@ -100,3 +100,11 @@ def smooth_direction(disc, time_grid, names, scale=1.0, shift=0):
         x = disc.nodes[:, 0] - disc.nodes[:, 1]
     bump = np.outer(np.sin(np.pi * tg + 0.2 * shift), np.cos(2.0 * x + shift))
     return {name: scale * np.roll(bump, i, axis=1) for i, name in enumerate(names)}
+
+
+def direction_timeline(disc, point, direction):
+    """The timeline of one direction: ``assemble_direction`` of a list of one,
+    with its (time node x 1 x nnz) slots taken at that direction."""
+    tl = wi.assemble_direction(disc, point, [direction])
+    values = {slot: None if v is None else v[:, 0] for slot, v in tl.values.items()}
+    return wi.galerkin.OperatorTimeline(tl.problem, tl.time_grid, tl.pattern, values)

@@ -26,7 +26,7 @@ from waveinv.sensitivity import (
     derivative_apply_many,
 )
 
-from conftest import modal_source, smooth_direction, varied_point
+from conftest import direction_timeline, modal_source, smooth_direction, varied_point
 
 MESHES = {"wave1d": 10, "elastic2d": 3, "maxwell1d": 10}
 
@@ -83,7 +83,7 @@ def one_at_a_time_derivative(disc, point, direction, base):
     record = base.solve
     timeline = record.timeline
     pattern = timeline.pattern
-    tlh = wi.assemble_direction(disc, point, direction)
+    tlh = direction_timeline(disc, point, direction)
     n_steps = timeline.time_grid.size - 1
     two_dt = 2.0 / timeline.dt
     factors, t_vals, c_half = record.factors, record.t_vals, record.c_half

@@ -78,11 +78,18 @@ def test_unknown_target_rejected(instance):
         landweber(disc, x0, clean, f, cfg)
 
 
+@pytest.mark.parametrize(("method", "other"), [(landweber, "cgne"), (cgne, "landweber")])
+def test_a_config_for_the_other_method_is_rejected(instance, method, other):
+    disc, tg, truth, x0, f, clean = instance
+    with pytest.raises(InversionConfigError, match=f"{method.__name__} .*'{other}'"):
+        method(disc, x0, clean, f, InversionConfig(method=other, max_iterations=1))
+
+
 @pytest.mark.parametrize("method", [landweber, cgne])
 def test_data_of_another_shape_is_rejected(instance, method):
     disc, tg, truth, x0, f, clean = instance
     one_column = wi.DataVector(clean.values[:, :1], tg)  # full-field data has n_free columns
-    cfg = InversionConfig(step_size=1.0, max_iterations=2, targets=("q",))
+    cfg = InversionConfig(method=method.__name__, step_size=1.0, max_iterations=2, targets=("q",))
     with pytest.raises(ObservationError, match="data shapes differ"):
         method(disc, x0, one_column, f, cfg)
 
@@ -114,6 +121,21 @@ def test_landweber_noiseless_residuals_decrease(instance):
     assert len(history.gradient_norms) == 8
     assert np.all(np.diff(history.residuals) < 0)
     assert history.step_size is not None and history.step_size > 0
+
+
+def test_landweber_solves_once_per_residual(instance, monkeypatch):
+    # the automatic step size is estimated on the first iterate's forward solve
+    disc, tg, truth, x0, f, clean = instance
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return forward_map(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "forward_map", counted)
+    history, _ = landweber(disc, x0, clean, f, InversionConfig(step_size=None, max_iterations=4))
+    assert len(history.residuals) == 5
+    assert len(solves) == len(history.residuals)
 
 
 def test_landweber_auto_step_respects_observation_metric(instance):

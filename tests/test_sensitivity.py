@@ -26,7 +26,7 @@ from waveinv.sensitivity import (
     taylor_test,
 )
 
-from conftest import modal_source, smooth_direction, varied_point
+from conftest import direction_timeline, modal_source, smooth_direction, varied_point
 
 
 def wave_base(wave_disc, time_grid):
@@ -76,7 +76,7 @@ def test_derivative_initial_velocity_term(wave_disc, time_grid):
     base = wi.forward_map(wave_disc, point, f, u1=u1)
     direction = smooth_direction(wave_disc, time_grid, ("rho",))
     deriv = derivative_apply(wave_disc, point, direction, base)
-    cbar = wi.assemble_direction(wave_disc, point, direction)
+    cbar = direction_timeline(wave_disc, point, direction)
     expected = -np.linalg.solve(
         tl.matrix("C", 0).toarray(), cbar.matrix("C", 0) @ base.du[0]
     )
@@ -92,6 +92,51 @@ def test_derivative_validates_direction(wave_disc, time_grid):
         derivative_apply(
             wave_disc, point, {"lam": np.zeros((time_grid.size, wave_disc.n_nodes))}, base
         )
+
+
+#: directions that break the rule of ``galerkin.check_direction``, as
+#: functions of (time nodes, mesh nodes, point)
+BAD_DIRECTIONS = {
+    "parameter-field": lambda nt, n, point: {"a": point.fields["a"]},
+    "none": lambda nt, n, point: {"a": None},
+    "single-time-row": lambda nt, n, point: {"a": np.ones((1, n))},
+    "no-time-axis": lambda nt, n, point: {"a": np.ones(n)},
+    "unknown-field": lambda nt, n, point: {"lam": np.ones((nt, n))},
+    "nan-table": lambda nt, n, point: {"a": np.full((nt, n), np.nan)},
+    "not-a-mapping": lambda nt, n, point: np.ones((nt, n)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DIRECTIONS))
+@pytest.mark.parametrize(
+    "name",
+    ["assemble_direction", "derivative_apply", "shift_point", "parameter_pairing", "direction_norm"],
+)
+def test_every_function_taking_a_direction_rejects_a_bad_one(wave_disc, time_grid, name, bad):
+    point, f, base = wave_base(wave_disc, time_grid)
+    n_el = wave_disc.elements.shape[0]
+    grad = wi.GradientFields(
+        "wave1d", {n: np.ones((time_grid.size, n_el)) for n in wi.FIELD_NAMES["wave1d"]}, time_grid
+    )
+    calls = {
+        "assemble_direction": lambda h: wi.assemble_direction(wave_disc, point, [h]),
+        "derivative_apply": lambda h: derivative_apply(wave_disc, point, h, base),
+        "shift_point": lambda h: shift_point(point, h, 0.1),
+        "parameter_pairing": lambda h: parameter_pairing(wave_disc, grad, h),
+        "direction_norm": lambda h: direction_norm(wave_disc, h, time_grid),
+    }
+    direction = BAD_DIRECTIONS[bad](time_grid.size, wave_disc.n_nodes, point)
+    with pytest.raises(DirectionShapeError):
+        calls[name](direction)
+
+
+def test_a_single_direction_where_a_list_goes_is_rejected(wave_disc, time_grid):
+    point, f, base = wave_base(wave_disc, time_grid)
+    direction = smooth_direction(wave_disc, time_grid, ("a",))
+    with pytest.raises(DirectionShapeError, match="maps field names to arrays"):
+        wi.assemble_direction(wave_disc, point, direction)
+    with pytest.raises(DirectionShapeError, match="maps field names to arrays"):
+        list(derivative_apply_many(wave_disc, point, direction, base))
 
 
 def test_derivative_requires_cached_solve(wave_disc, time_grid):

@@ -15,7 +15,7 @@ import waveinv as wi
 from waveinv.errors import SolverFailureError
 from waveinv.evolve import factorize_rows
 
-from conftest import modal_source, smooth_direction, varied_point
+from conftest import direction_timeline, modal_source, smooth_direction, varied_point
 
 SIZES = {"wave1d": 12, "elastic2d": 3, "maxwell1d": 12}
 SLOTS = ("A", "B", "C", "Q")
@@ -93,7 +93,7 @@ def test_direction_timeline_matches_per_node_assembly(discs, problem):
     direction = smooth_direction(disc, tg, names, shift=1)
     base_means = {name: disc.element_means(f.values) for name, f in point.fields.items()}
     h_means = {name: disc.element_means(direction[name]) for name in names}
-    tlh = wi.assemble_direction(disc, point, direction)
+    tlh = direction_timeline(disc, point, direction)
     assert_slots_match(tlh, lambda n: kit_slots(disc, h_means, n, base_means), tg.size)
 
 
@@ -168,7 +168,7 @@ def test_every_slot_is_exactly_symmetric(discs, problem):
     point = varied_point(disc, tg)
     direction = smooth_direction(disc, tg, wi.FIELD_NAMES[problem], shift=1)
     perm = transpose_positions(disc.pattern)
-    for tl in (wi.assemble_operators(disc, point), wi.assemble_direction(disc, point, direction)):
+    for tl in (wi.assemble_operators(disc, point), direction_timeline(disc, point, direction)):
         for slot, values in tl.values.items():
             if values is not None:
                 assert np.array_equal(values[:, perm], values), slot
