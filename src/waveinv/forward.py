@@ -2,11 +2,12 @@
 
 Composes operator assembly with the midpoint solver and provides the data
 space: observation extraction, the trapezoidal/mass-weighted inner product,
-and distances.  A forward solve returns its trajectory with the solve record
-(:class:`~.evolve.SolveRecord`: the timeline, which holds a copy of the
-point's field values, and the factorizations) as ``solve``, so derivative and
-adjoint sweeps at that point can reuse it.  Two data vectors are compared or
-subtracted only once their observation specs, shapes and time grids agree.
+distances, and the adjoints' data load.  A forward solve returns its
+trajectory with the solve record (:class:`~.evolve.SolveRecord`: the timeline,
+which holds a copy of the point's field values, and the factorizations) as
+``solve``, so derivative and adjoint sweeps at that point can reuse it.  Data
+are compared, subtracted or loaded into an adjoint only once their
+observation specs, shapes and time grids agree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObservationError
+from .errors import ObservationError, ResolutionError
 from .evolve import solve_forward
 from .galerkin import assemble_operators, check_time_grid
 
@@ -87,8 +88,10 @@ class DataVector:
 
 
 def trapezoid_weights(time_grid):
-    """Composite trapezoid quadrature weights for uniform time nodes."""
+    """Composite trapezoid weights for uniform time nodes (at least two)."""
     tg = np.asarray(time_grid, dtype=float)
+    if tg.size < 2:
+        raise ResolutionError(f"trapezoid weights need at least two time nodes, got {tg.size}")
     dt = tg[1] - tg[0]
     w = np.full(tg.size, dt)
     w[0] = w[-1] = dt / 2.0
@@ -131,8 +134,7 @@ def observe(trajectory, spec=None):
 
 
 def _check_pair(d1, d2):
-    """Raise ObservationError unless two data vectors share spec, shape and
-    time grid."""
+    """Raise ObservationError unless two data vectors share spec, shape and time grid."""
     if not d1.spec.matches(d2.spec):
         raise ObservationError("data vectors carry different observation specs")
     if d1.values.shape != d2.values.shape:
@@ -156,6 +158,20 @@ def data_inner(d1, d2, disc):
     else:
         pair = np.einsum("ni,ni->n", d1.values, d2.values * d1.spec.weights)
     return float(w @ pair)
+
+
+def data_load(v, disc, trajectory):
+    """Load form of u -> <observe(u, v.spec), v> per time node, without time weights.
+
+    Raises ObservationError unless ``v`` pairs with ``trajectory``'s own
+    observation (spec, shape, time grid, indices inside the mesh).
+    """
+    _check_pair(v, observe(trajectory, v.spec))
+    if v.spec.kind == "full-field":
+        return (disc.M @ v.values.T).T
+    load = np.zeros(trajectory.u.shape)
+    np.add.at(load, (slice(None), v.spec.indices), v.values * v.spec.weights)
+    return load
 
 
 def data_norm(d, disc):

@@ -724,9 +724,12 @@ def project_point(point):
 class OperatorTimeline:
     """Time-sampled operator quadruple (A, B, C, Q) on one sparsity pattern.
 
-    ``values[slot]`` is a (time node x nnz) array of pattern values, or None
-    for a slot that vanishes identically; ``rate(slot)`` is its second-order
-    time derivative, and ``matrix(slot, n)`` builds the CSR matrix of one node.
+    ``values[slot]`` holds pattern values, or None for a slot that vanishes
+    identically: (time node x nnz) from :func:`assemble_operators` and
+    :func:`~.evolve.reverse_timeline`, (time node x k x nnz) for k directions
+    from :func:`assemble_direction`.  ``rate(slot)`` is its second-order time
+    derivative, and ``matrix(slot, n)`` builds one node's CSR matrix from the
+    first layout only.
     ``point`` maps each field name to a copy of its values in the parameter
     point the operators were assembled from (see :func:`assemble_operators`);
     it is None for any other timeline.

@@ -154,16 +154,18 @@ class BumpSequence:
 def bump_sequence(r, t0, t_end, time_grid, j_list):
     """Build the collapsing-support bump family on a simulation time grid.
 
-    Requires 0 < t0 < t_end, every j large enough that the support
-    [t0 - 1/j, t0 + 1/j] stays inside (0, t_end), and at least 8 grid nodes
-    strictly inside the support of the narrowest bump — otherwise the sampled
-    profile would alias and the experiment would be meaningless.
+    Requires 0 < t0 < t_end, a nonempty ``j_list``, every j large enough that
+    the support [t0 - 1/j, t0 + 1/j] stays inside (0, t_end), and at least 8
+    grid nodes strictly inside the support of the narrowest bump — otherwise
+    the sampled profile would alias and the experiment would be meaningless.
     """
     t0 = float(t0)
     t_end = float(t_end)
     if not 0.0 < t0 < t_end:
         raise ResolutionError(f"bump center must lie inside (0, {t_end}); got {t0}")
     j_list = [int(j) for j in j_list]
+    if not j_list:
+        raise ResolutionError("the bump family needs at least one index j")
     j_min_admissible = max(1.0 / t0, 1.0 / (t_end - t0))
     for j in j_list:
         if j <= j_min_admissible:
@@ -404,23 +406,23 @@ def svd_probe(disc, point, target, f, time_knots=6, space_knots=5):
     (:func:`~.sensitivity.derivative_apply_many`), and the image trajectories
     are flattened with the trapezoid-in-time, mass-Cholesky-in-space
     weighting so Euclidean length equals the data norm; the numerical rank
-    counts from :data:`RANK_THRESHOLD` of the largest.  Refuses more
-    than 400 coarse parameters, a target the problem does not have, and a
-    ``space_knots`` that gives neither one whole count nor one per axis.
+    counts from :data:`RANK_THRESHOLD` of the largest.  Before any solve, it
+    refuses an unknown target, over 400 coarse parameters, and knot counts
+    that are not whole and at least 1 (``space_knots``: one, or one per axis).
     """
     if target not in FIELD_NAMES[disc.problem]:
         raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
+    (n_time,) = per_axis("time_knots", time_knots, 1, int, DirectionShapeError)
     space_shape = per_axis("space_knots", space_knots, disc.dim, int, DirectionShapeError)
-    n_params = int(time_knots) * int(np.prod(space_shape))
+    if min(n_time, *space_shape) < 1:
+        raise DirectionShapeError(f"knot counts must be at least 1, got {n_time}, {space_shape}")
+    n_params = n_time * int(np.prod(space_shape))
     if n_params > 400:
-        raise TooLargeError(
-            f"{n_params} coarse parameters exceed the 400-column probe limit"
-        )
+        raise TooLargeError(f"{n_params} coarse parameters exceed the 400-column probe limit")
 
     tg = point.time_grid
     base = forward_map(disc, point, f)
-    t_knots = np.linspace(tg[0], tg[-1], int(time_knots))
-    t_basis = _hat_basis(t_knots, tg)
+    t_basis = _hat_basis(np.linspace(tg[0], tg[-1], n_time), tg)
 
     # the tensor product of the hat bases of the axes, the last axis fastest
     space_basis = np.ones((1, disc.n_nodes))

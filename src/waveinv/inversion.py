@@ -102,12 +102,11 @@ def _restricted_gradient(disc, point, resid, base, targets):
     return {name: grad[name] for name in targets}
 
 
-def _estimate_step_size(disc, point, base, targets, spec=None):
+def _estimate_step_size(disc, point, base, targets, spec):
     """0.9 / (largest eigenvalue of J* J) in the nodal metric, by power iteration.
 
     ``base`` is the forward solve at ``point``.  The eigenvalue is taken in
-    the same (data, nodal) metric pair the iteration itself uses, so the
-    observation spec of the data must be supplied when it is not full-field.
+    the (data, nodal) metric pair the iteration uses, with the data's ``spec``.
     """
     tg = point.time_grid
     h = {name: np.ones((tg.size, disc.n_nodes)) for name in targets}

@@ -60,6 +60,7 @@ from .forward import (
     DataVector,
     data_distance,
     data_inner,
+    data_load,
     data_norm,
     forward_map,
     observe,
@@ -211,23 +212,6 @@ def _derivative_block(disc, point, directions, base, record):
     ]
 
 
-def _adjoint_seeds(disc, v, time_grid):
-    """Load-form seeds of the data functional <., v> at every node."""
-    w = trapezoid_weights(time_grid)
-    seeds = np.zeros((time_grid.size, disc.n_free))
-    if v.spec.kind == "full-field":
-        seeds[:] = w[:, None] * (disc.M @ v.values.T).T
-        return seeds
-    idx = v.spec.indices
-    if np.any(idx < 0) or np.any(idx >= disc.n_free):
-        raise ObservationError(
-            f"observation indices {idx.tolist()} out of range for {disc.n_free} free DOFs"
-        )
-    # a repeated index observes its DOF twice, so its seeds add up
-    np.add.at(seeds, (slice(None), idx), w[:, None] * (v.values * v.spec.weights))
-    return seeds
-
-
 def _steps_to_nodes(step_density):
     """Distribute half-node step densities to time nodes (1/2 each side)."""
     n_steps, n_el = step_density.shape
@@ -238,7 +222,8 @@ def _steps_to_nodes(step_density):
 
 
 def adjoint_apply_discrete(disc, point, v, base):
-    """Exact transpose of ``observe(derivative_apply(.))`` against data ``v``.
+    """Exact transpose of ``observe(derivative_apply(.))`` against data ``v``
+    (which :func:`~.forward.data_load` checks against the base and loads).
 
     Runs the midpoint recursion backward over the stored factorizations
     (the step matrices are symmetric, so their factors solve the transposed
@@ -260,8 +245,9 @@ def adjoint_apply_discrete(disc, point, v, base):
     t_vals = record.t_vals
     c_vals = two_dt * record.c_half
     u = base.u
+    w = trapezoid_weights(tg)
 
-    seeds = _adjoint_seeds(disc, v, tg)
+    seeds = w[:, None] * data_load(v, disc, base)
     p = seeds[n_steps].copy()
     # r_n goes to beta[n] and q_n to gamma[n]; the recursion starts from q = 0
     beta = np.empty((n_steps, disc.n_free))
@@ -294,7 +280,6 @@ def adjoint_apply_discrete(disc, point, v, base):
     # the step sum through the midpoint average.
     aq = (-(dt / 2.0) * beta, su_step)
     pairs = {"A": aq, "Q": aq, "B": (-beta, du_step), "C": (two_dt * (gamma - beta), du_step)}
-    w = trapezoid_weights(tg)
     scale = 1.0 / (w[:, None] * disc.element_sizes[None, :])
     return _gradient(
         disc,
@@ -307,8 +292,8 @@ def adjoint_apply_discrete(disc, point, v, base):
 def adjoint_apply_continuous(disc, point, v, base):
     """Gradient densities via the backward adjoint equation.
 
-    Solves the end-condition adjoint problem with source ``v`` (full-field
-    only) on the factors of the base solve (see
+    Solves the end-condition adjoint problem with the load of ``v``
+    (full-field only; :func:`~.forward.data_load`) on the base's factors (see
     :func:`~.evolve.solve_backward`), then samples the classical densities
     with the same per-element quadrature as the forward bilinear forms, so
     the pairing with a direction reproduces the defining integrals discretely.
@@ -318,7 +303,7 @@ def adjoint_apply_continuous(disc, point, v, base):
             "the continuous-mode adjoint supports full-field data only"
         )
     timeline = _solve_at(point, base).timeline
-    load = SourceTerm((disc.M @ v.values.T).T)
+    load = SourceTerm(data_load(v, disc, base))
     w = solve_backward(timeline, load, like=base)
     # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
     aq = (-base.u, w.u)

@@ -16,9 +16,9 @@ import scipy.linalg
 import waveinv as wi
 from waveinv import evolve, sensitivity
 from waveinv.evolve import factorize_rows, solve_each, step_values
+from waveinv.forward import data_load
 from waveinv.illposed import svd_probe
 from waveinv.sensitivity import (
-    _adjoint_seeds,
     _gradient,
     _steps_to_nodes,
     adjoint_apply_discrete,
@@ -119,7 +119,7 @@ def loop_adjoint(disc, point, v, base):
     factors, t_vals = record.factors, record.t_vals
     c_vals = two_dt * record.c_half
     u = base.u
-    seeds = _adjoint_seeds(disc, v, tg)
+    seeds = wi.trapezoid_weights(tg)[:, None] * data_load(v, disc, base)
     p = seeds[n_steps].copy()
     q = np.zeros_like(p)
     beta = np.empty((n_steps, disc.n_free))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveinv as wi
-from waveinv.errors import CompatibilityError, ObservationError, WaveinvError
+from waveinv.errors import CompatibilityError, ObservationError, ResolutionError, WaveinvError
 
 from conftest import modal_source, varied_point
 
@@ -17,6 +17,14 @@ def test_trapezoid_weights():
     assert w.sum() == pytest.approx(2.0)
     assert w[0] == pytest.approx(w[-1]) == pytest.approx(0.125)
     assert np.all(w[1:-1] == 0.25)
+
+
+def test_trapezoid_weights_need_two_time_nodes(wave_disc):
+    with pytest.raises(ResolutionError, match="at least two time nodes, got 1"):
+        wi.trapezoid_weights([0.0])
+    one_node = wi.DataVector(np.ones((1, wave_disc.n_free)), [0.0])
+    with pytest.raises(ResolutionError, match="at least two time nodes, got 1"):
+        wi.data_norm(one_node, wave_disc)
 
 
 def test_observation_spec_validation():

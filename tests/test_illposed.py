@@ -246,6 +246,15 @@ def test_illposed_experiment_checks_its_data_before_solving(monkeypatch, k, trac
     assert calls == []
 
 
+def test_an_empty_index_list_is_rejected_before_solving(monkeypatch):
+    disc, point, f, calls = counted_instance(monkeypatch, 0.0)
+    with pytest.raises(ResolutionError, match="at least one index j"):
+        illposed_experiment(disc, point, "a", 0.3, [], f)
+    assert calls == []
+    with pytest.raises(ResolutionError, match="at least one index j"):
+        bump_sequence(3, 0.5, 1.0, np.linspace(0.0, 1.0, 65), [])
+
+
 def test_illposed_experiment_at_level_1_takes_a_source_trace(monkeypatch):
     # level 1 asks only for rest at t = 0, which every solve here starts from
     disc, point, f, calls = counted_instance(monkeypatch, 1.0)
@@ -292,3 +301,25 @@ def test_svd_probe_guards(wave_disc):
         svd_probe(wave_disc, point, "a", f, space_knots=[3, 3])
     with pytest.raises(DirectionShapeError, match="no parameter 'lam'"):
         illposed_experiment(wave_disc, point, "lam", 0.1, [4], f)
+
+
+@pytest.mark.parametrize(
+    "time_knots, space_knots, message",
+    [
+        (2.5, 5, "time_knots must be whole numbers"),
+        (0, 5, "knot counts must be at least 1"),
+        (-3, 5, "knot counts must be at least 1"),
+        (6, 0, "knot counts must be at least 1"),
+    ],
+)
+def test_svd_probe_checks_its_knot_counts_before_solving(
+    monkeypatch, wave_disc, time_knots, space_knots, message
+):
+    tg = np.linspace(0.0, 1.0, 33)
+    point = varied_point(wave_disc, tg, amplitude=0.1)
+    f = modal_source(wave_disc, tg)
+    calls = []
+    monkeypatch.setattr(illposed, "forward_map", lambda *args: calls.append(1))
+    with pytest.raises(DirectionShapeError, match=message):
+        svd_probe(wave_disc, point, "a", f, time_knots=time_knots, space_knots=space_knots)
+    assert calls == []

@@ -368,6 +368,36 @@ def test_subset_indices_checked_against_the_mesh(time_grid, indices):
         adjoint_apply_discrete(disc, point, v, base)
 
 
+def subset_data(tg, indices):
+    spec = wi.ObservationSpec(kind="node-subset", indices=indices)
+    return wi.DataVector(np.ones((tg.size, len(indices))), tg, spec)
+
+
+#: data that do not pair with the observation of a base solved on the time
+#: grid ``tg`` with ``n`` free DOFs, by (tg, n)
+UNPAIRED_DATA = {
+    "another-grid-of-the-same-size": lambda tg, n: wi.DataVector(
+        np.ones((tg.size, n)), np.linspace(0.0, 5.0, tg.size)
+    ),
+    "one-row": lambda tg, n: wi.DataVector(np.ones((1, n)), tg[:1]),
+    "17-rows": lambda tg, n: wi.DataVector(np.ones((17, n)), tg[::2]),
+    "3-columns": lambda tg, n: wi.DataVector(np.ones((tg.size, 3)), tg),
+    "subset-index-past-the-mesh": lambda tg, n: subset_data(tg, [2, 40]),
+    "negative-subset-index": lambda tg, n: subset_data(tg, [2, -1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNPAIRED_DATA))
+@pytest.mark.parametrize("adjoint", [adjoint_apply_discrete, adjoint_apply_continuous])
+def test_both_adjoints_reject_data_that_do_not_pair_with_the_base(adjoint, case):
+    disc = wi.build_grid("wave1d", 8)
+    tg = np.linspace(0.0, 1.0, 33)
+    point, f, base = wave_base(disc, tg)
+    v = UNPAIRED_DATA[case](tg, disc.n_free)
+    with pytest.raises(ObservationError):
+        adjoint(disc, point, v, base)
+
+
 def test_dot_test_discrete_repeated_subset_index(wave_disc, time_grid):
     point, f, base = wave_base(wave_disc, time_grid)
     direction = smooth_direction(wave_disc, time_grid, ("a", "q"))
