@@ -25,7 +25,9 @@ adjoint sweeps in :mod:`.sensitivity`; the timeline of
 was assembled from, so those sweeps can check that they linearize there.
 The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
 factors and step values in reverse order wherever its matrices are the same
-by construction.
+by construction.  A solve recovers the velocity and acceleration the first
+time each is read (see :class:`Trajectory`), so a sweep that reads only the
+state runs none of those recovery solves.
 
 One march kernel, :func:`_march`, advances both the forward recursion and
 the linearized one of :mod:`.sensitivity`,
@@ -58,7 +60,7 @@ from .errors import (
     ResolutionError,
     SolverFailureError,
 )
-from .galerkin import OperatorTimeline, combine
+from .galerkin import OperatorTimeline, combine, time_difference
 
 
 @dataclass
@@ -102,20 +104,44 @@ class SolveRecord:
     loads: np.ndarray
 
 
-@dataclass
 class Trajectory:
     """Node samples of the state, its velocity, and its acceleration.
+
+    ``du`` and ``ddu`` are given as arrays, or recovered the first time each
+    is read, and only once, by ``recover = (velocity, acceleration)``:
+    ``velocity()`` returns du and ``acceleration(u, du)`` returns ddu.  The
+    solves pass recoveries that read only arrays the library made, never
+    the caller's inputs, and hold no trajectory, so a trajectory never sits
+    in a reference cycle.  They do read the solve's own arrays when they
+    run: a forward or backward trajectory's ``u`` (and a forward one's
+    ``solve.p``), and a derivative trajectory's base's ``u``, ``du`` and
+    ``ddu``.  So a write into those arrays before the first read of ``du``
+    or ``ddu`` can change the rates, where it left them as they were when
+    every solve computed its rates at once.
 
     ``solve`` is the :class:`SolveRecord` of a forward solve, which the
     derivative and adjoint sweeps reuse; it is None for derivative, backward
     and difference trajectories, and it is never serialized.
     """
 
-    u: np.ndarray
-    du: np.ndarray
-    ddu: np.ndarray
-    time_grid: np.ndarray
-    solve: SolveRecord | None = None
+    def __init__(self, u, du, ddu, time_grid, solve=None, *, recover=(None, None)):
+        self.u = u
+        self.time_grid = time_grid
+        self.solve = solve
+        self._du, self._ddu = du, ddu
+        self._velocity, self._acceleration = recover
+
+    @property
+    def du(self):
+        if self._du is None:
+            self._du, self._velocity = self._velocity(), None
+        return self._du
+
+    @property
+    def ddu(self):
+        if self._ddu is None:
+            self._ddu, self._acceleration = self._acceleration(self.u, self.du), None
+        return self._ddu
 
     def __sub__(self, other):
         return Trajectory(
@@ -218,7 +244,8 @@ def solve_each(factors, rhs):
     """Solve factors[n] x[n] = rhs[n] with one multi-column solve per distinct factor.
 
     ``rhs`` is (node, dof) or (node, k, dof): every right-hand side of the
-    nodes that share a factor is one column of that factor's solve.
+    nodes that share a factor is one column of that factor's solve; a
+    factor of one node solves its rows as they are.
     """
     groups = {}
     for n, factor in enumerate(factors):
@@ -226,6 +253,10 @@ def solve_each(factors, rhs):
     out = np.empty_like(rhs)
     n_dof = rhs.shape[-1]
     for factor, nodes in groups.values():
+        if len(nodes) == 1:
+            n = nodes[0]
+            out[n] = factor.solve(rhs[n].T).T
+            continue
         block = rhs[nodes]
         out[nodes] = factor.solve(block.reshape(-1, n_dof).T).T.reshape(block.shape)
     return out
@@ -275,10 +306,13 @@ def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
     -------
     Trajectory
         With velocity ``du`` recovered from C(t_n) du = p_n and acceleration
-        ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du.
+        ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du,
+        each at every node the first time it is read (from a copy of the
+        loads, so a later write into ``f.values`` does not reach them).
         Its ``solve`` is the :class:`SolveRecord` of this solve.
     """
-    return _solve(timeline, f, u0, u1, like=like)
+    u, record, recover = _solve(timeline, f, u0, u1, like=like)
+    return Trajectory(u, None, None, timeline.time_grid, record, recover=recover)
 
 
 def _rows_differ(new, old):
@@ -333,11 +367,13 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     factors of ``timeline`` from ``steps = (factors, t_vals, c_half)`` and
     ``c_factors`` where they are given (see :func:`solve_backward`).
 
-    With ``like``, the states up to node m0 of :func:`_reuse` are copied
-    from it and only the steps after m0 are marched; only the step matrices
-    and C(t_n) whose values differ from ``like``'s are factorized.  The
-    velocity and acceleration are recovered at every node, so each of them
-    is exact node by node.
+    Returns the states u, the :class:`SolveRecord` and the
+    ``(velocity, acceleration)`` recovery of a :class:`Trajectory`.  With
+    ``like``, the states up to node m0 of :func:`_reuse` are copied from it
+    and only the steps after m0 are marched; only the step matrices and
+    C(t_n) whose values differ from ``like``'s are factorized.  The velocity
+    and acceleration are recovered at every node, so each of them is exact
+    node by node.
     """
     tg = timeline.time_grid
     dt = timeline.dt
@@ -374,11 +410,14 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     v = timeline.values
     if c_factors is None:
         c_factors = factorize_rows(pattern, v["C"], known_c)
-    du = solve_each(c_factors, p)
-    resid = fv - pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
-    ddu = solve_each(c_factors, resid)
+    source = fv.copy()  # the caller may write into f.values before ddu is read
+
+    def acceleration(u, du):
+        rates = pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
+        return solve_each(c_factors, source - rates)
+
     record = SolveRecord(timeline, factors, t_vals, c_half, c_factors, p, loads)
-    return Trajectory(u=u, du=du, ddu=ddu, time_grid=tg, solve=record)
+    return u, record, (partial(solve_each, c_factors, p), acceleration)
 
 
 def _march(pattern, factors, t_vals, c_half, two_dt, x, y, b, c=None):
@@ -459,7 +498,8 @@ def reverse_timeline(timeline):
     def flip(values):
         return None if values is None else values[::-1]
 
-    q_t = combine((1.0, v["Q"]), (-1.0, timeline.rate("B")))
+    b_rate = None if v["B"] is None else time_difference(v["B"], timeline.dt)
+    q_t = combine((1.0, v["Q"]), (-1.0, b_rate))
     values = {"A": flip(v["A"]), "B": flip(v["B"]), "C": flip(v["C"]), "Q": flip(q_t)}
     return OperatorTimeline(timeline.problem, timeline.time_grid, timeline.pattern, values)
 
@@ -470,7 +510,8 @@ def solve_backward(timeline, v, like=None):
     ``v`` is the adjoint source in load form.  The equation is reversed to an
     initial-value problem (see :func:`reverse_timeline`), marched like
     :func:`solve_forward`, and the output is flipped back; velocities change
-    sign under the reversal.
+    sign under the reversal.  Like the forward solve, it recovers the
+    velocity and acceleration at every node the first time each is read.
 
     ``like`` is a forward solve on this same timeline.  The reversed march
     then takes its factors and step values, in reverse order, wherever they
@@ -487,11 +528,15 @@ def solve_backward(timeline, v, like=None):
         c_factors = record.c_factors[::-1]
         if timeline.values["B"] is None:
             steps = (record.factors[::-1], record.t_vals[::-1], record.c_half[::-1])
-    back = _solve(
-        reverse_timeline(timeline), SourceTerm(v.values[::-1].copy()), None, None, steps, c_factors
+    back, _, (velocity, acceleration) = _solve(
+        reverse_timeline(timeline), SourceTerm(v.values[::-1]), None, None, steps, c_factors
     )
-    w, dw, ddw = back.u[::-1].copy(), -back.du[::-1], back.ddu[::-1].copy()
-    return Trajectory(w, dw, ddw, timeline.time_grid)
+    # -dw[::-1] is the reversed solve's own velocity again, bit for bit
+    recover = (
+        lambda: -velocity()[::-1],
+        lambda w, dw: acceleration(w[::-1], -dw[::-1])[::-1].copy(),
+    )
+    return Trajectory(back[::-1].copy(), None, None, timeline.time_grid, recover=recover)
 
 
 # ---------------------------------------------------------------------------

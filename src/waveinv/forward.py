@@ -28,7 +28,8 @@ class ObservationSpec:
     ``full-field`` observes every free DOF and pairs data with the mass
     matrix; ``node-subset`` records the listed free-DOF columns and pairs them
     with finite positive per-DOF weights (defaulting to one), given by a 1-D
-    integer array of indices.
+    array of non-negative integer indices; :func:`observe` checks them
+    against the mesh.
     """
 
     kind: str = "full-field"
@@ -43,6 +44,8 @@ class ObservationSpec:
             if given.ndim != 1 or given.dtype.kind not in "iu":
                 raise ObservationError(f"indices must be a 1-D integer array, got {given!r}")
             self.indices = given.astype(np.int64)
+            if np.any(self.indices < 0):
+                raise ObservationError(f"indices must not be negative, got {self.indices}")
             if self.weights is None:
                 self.weights = np.ones(self.indices.size)
             self.weights = np.asarray(self.weights, dtype=float)

@@ -15,10 +15,11 @@ remainder is purely quadratic in the direction and its transpose can be run
 exactly over the stored factorizations.  The recursion is the forward one
 with the extra terms b_n and c_n, so it runs on the same march kernel
 (:func:`~.evolve._march`).  ``derivative_apply_many`` carries k directions
-through one march as the k columns of its states, assembling them, forming
-their b_n and c_n and recovering their velocities and accelerations together;
-the directions go in blocks whose (k, time node, nnz) value arrays stay
-within a fixed byte budget.  ``derivative_apply`` is its one-direction case.
+through one march as the k columns of its states, assembling them and
+forming their b_n and c_n together; the first read of any of their
+velocities or accelerations recovers those of all k together.  The
+directions go in blocks whose (k, time node, nnz) value arrays stay within a
+fixed byte budget.  ``derivative_apply`` is its one-direction case.
 
 Two adjoints are provided: ``adjoint_apply_discrete`` reverses the recursion
 above (dot test exact to rounding at any step size), while
@@ -66,7 +67,7 @@ from .forward import (
     observe,
     trapezoid_weights,
 )
-from .galerkin import FORMS, assemble_direction, check_direction
+from .galerkin import FORMS, ParameterField, ParameterPoint, assemble_direction, check_direction
 
 
 @dataclass
@@ -118,8 +119,9 @@ def derivative_apply(disc, point, direction, base):
     Differentiates the midpoint recursion exactly (see the module docstring),
     reusing the base factorizations; initial data of the derivative are
     homogeneous.  Returns a Trajectory whose velocity and acceleration are
-    the exact derivatives of the base recovery formulas.  This is the one
-    direction case of :func:`derivative_apply_many`.
+    the exact derivatives of the base recovery formulas, recovered the first
+    time either is read.  This is the one direction case of
+    :func:`derivative_apply_many`.
     """
     return next(derivative_apply_many(disc, point, [direction], base))
 
@@ -135,9 +137,11 @@ def derivative_apply_many(disc, point, directions, base):
     Returns an iterator with one Trajectory per direction, in order, each
     equal bit for bit to what :func:`derivative_apply` gives for that
     direction alone.  The directions go through in blocks: one direction
-    assembly, one set of base-trajectory terms b_n and c_n, one march with
-    the block's directions as the k columns of its states, and one recovery
-    solve per distinct C(t_n) factor serve a whole block.  A block holds as
+    assembly, one set of base-trajectory terms b_n and c_n and one march
+    with the block's directions as the k columns of its states serve a whole
+    block.  So does the recovery of the velocities and accelerations, one
+    solve per distinct C(t_n) factor each, made when the first of them is
+    read; a sweep that reads only the states runs none.  A block holds as
     many directions as keep each of its (k, time node, nnz) value arrays
     within ``_BLOCK_BYTES``, and at least one.  ``directions`` may be any
     iterable; it is read, and its trajectories computed, one block at a
@@ -153,28 +157,32 @@ def derivative_apply_many(disc, point, directions, base):
     )
 
 
+def _per_direction(rows, k):
+    """(time, m) rows of the base, the same for each of k directions: (time, k, m)."""
+    if rows is None:
+        return None
+    return np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1]))
+
+
 def _derivative_block(disc, point, directions, base, record):
-    """The derivative trajectories of one block of k directions."""
+    """The derivative trajectories of one block of k directions, whose
+    velocities and accelerations :class:`_BlockRates` recovers on first read."""
     timeline = record.timeline
     pattern = timeline.pattern
-    tlh = assemble_direction(disc, point, directions)
     tg = timeline.time_grid
+    tlh = assemble_direction(disc, point, directions)
+    # copies: the caller may write into a direction before the rates are read
+    tables = [{name: np.array(h, dtype=float) for name, h in one.items()} for one in directions]
     two_dt = 2.0 / timeline.dt
-    k = len(directions)
+    k = len(tables)
     u = base.u
-
-    def per_direction(rows):
-        """(time, m) rows of the base, the same for each direction: (time, k, m)."""
-        if rows is None:
-            return None
-        return np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1]))
 
     # the base trajectory's share of the recursion, for all steps and directions at once
     s_dot, t_dot, c_dot = step_values(tlh)
-    b = pattern.apply((t_dot, per_direction(u[:-1]))) - pattern.apply(
-        (s_dot, per_direction(u[1:]))
+    b = pattern.apply((t_dot, _per_direction(u[:-1], k))) - pattern.apply(
+        (s_dot, _per_direction(u[1:], k))
     )
-    c = two_dt * pattern.apply((c_dot, per_direction(u[1:] - u[:-1])))
+    c = two_dt * pattern.apply((c_dot, _per_direction(u[1:] - u[:-1], k)))
     # the march carries the k directions as the columns of (dof, k) states
     eta = np.zeros((tg.size, pattern.n, k))
     pi = np.zeros_like(eta)
@@ -183,33 +191,66 @@ def _derivative_block(disc, point, directions, base, record):
         eta, pi, b.transpose(0, 2, 1), c.transpose(0, 2, 1),
     )
     eta = eta.transpose(0, 2, 1)
-    pi = pi.transpose(0, 2, 1)
-
-    c_factors = record.c_factors
-    vb, vh = timeline.values, tlh.values
-    deta = solve_each(c_factors, pi - pattern.apply((vh["C"], per_direction(base.du))))
-    resid = -pattern.apply(
-        (vh["A"], per_direction(base.u)),
-        (vh["B"], per_direction(base.du)),
-        (vh["Q"], per_direction(base.u)),
-        (vh["C"], per_direction(base.ddu)),
-        (per_direction(vb["A"]), eta),
-        (per_direction(vb["B"]), deta),
-        (per_direction(vb["Q"]), eta),
-        (tlh.rate("C"), per_direction(base.du)),
-        (per_direction(timeline.rate("C")), deta),
-    )
-    ddeta = solve_each(c_factors, resid)
-
+    rates = _BlockRates(disc, tables, base, eta, pi.transpose(0, 2, 1))
     return [
-        Trajectory(
-            np.ascontiguousarray(eta[:, j]),
-            np.ascontiguousarray(deta[:, j]),
-            np.ascontiguousarray(ddeta[:, j]),
-            tg,
-        )
+        Trajectory(np.ascontiguousarray(eta[:, j]), None, None, tg, recover=rates.column(j))
         for j in range(k)
     ]
+
+
+class _BlockRates:
+    """The velocities and accelerations of one block of derivative trajectories.
+
+    The first read of any of them recovers the whole block, with one
+    multi-column solve per distinct C(t_n) factor, from what the block
+    keeps: copies of its direction tables, the base solve, and the block's
+    states eta and momenta pi, (time, k, dof) each.  The direction timeline
+    is assembled again then, at the point the base's timeline keeps.
+    """
+
+    def __init__(self, disc, tables, base, eta, pi):
+        self._inputs = (disc, tables, base, eta, pi)
+        self._rates = None
+
+    def column(self, j):
+        """The ``(velocity, acceleration)`` recovery of the j-th trajectory."""
+        return (lambda: self._take(0, j)), (lambda u, du: self._take(1, j))
+
+    def _take(self, which, j):
+        if self._rates is None:
+            blocks = _recover_block(*self._inputs)
+            self._inputs = None
+            self._rates = [[np.ascontiguousarray(col) for col in x.swapaxes(0, 1)] for x in blocks]
+        return self._rates[which][j]
+
+
+def _recover_block(disc, tables, base, eta, pi):
+    """(deta, ddeta), (time, k, dof) each: the exact derivatives of the base
+    recovery formulas along the k directions ``tables``."""
+    timeline = base.solve.timeline
+    pattern = timeline.pattern
+    tg = timeline.time_grid
+    point = ParameterPoint(
+        timeline.problem, {name: ParameterField(vals, tg) for name, vals in timeline.point.items()}
+    )
+    tlh = assemble_direction(disc, point, tables)
+    k = len(tables)
+    c_factors = base.solve.c_factors
+    vb, vh = timeline.values, tlh.values
+    du = _per_direction(base.du, k)
+    deta = solve_each(c_factors, pi - pattern.apply((vh["C"], du)))
+    resid = -pattern.apply(
+        (vh["A"], _per_direction(base.u, k)),
+        (vh["B"], du),
+        (vh["Q"], _per_direction(base.u, k)),
+        (vh["C"], _per_direction(base.ddu, k)),
+        (_per_direction(vb["A"], k), eta),
+        (_per_direction(vb["B"], k), deta),
+        (_per_direction(vb["Q"], k), eta),
+        (tlh.rate("C"), du),
+        (_per_direction(timeline.rate("C"), k), deta),
+    )
+    return deta, solve_each(c_factors, resid)
 
 
 def _steps_to_nodes(step_density):

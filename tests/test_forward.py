@@ -48,8 +48,9 @@ def test_observation_spec_validation():
         ([1, 2], [np.nan, 1.0], "finite and positive"),
         ([1, 2], [np.inf, 1.0], "finite and positive"),
         ([1.7, 2], None, "1-D integer array"),
+        ([2, -1], None, "must not be negative"),
     ],
-    ids=["nan-weight", "inf-weight", "fractional-index"],
+    ids=["nan-weight", "inf-weight", "fractional-index", "negative-index"],
 )
 def test_observation_spec_rejects_bad_weights_and_indices(indices, weights, message):
     with pytest.raises(ObservationError, match=message):

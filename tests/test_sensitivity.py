@@ -358,7 +358,7 @@ def test_dot_test_discrete_subset_observation(wave_disc, time_grid):
     assert dot_test(wave_disc, point, direction, v, base=base) <= 1e-12
 
 
-@pytest.mark.parametrize("indices", [[2, 50], [2, -1]])
+@pytest.mark.parametrize("indices", [[2, 50]])
 def test_subset_indices_checked_against_the_mesh(time_grid, indices):
     disc = wi.build_grid("wave1d", 10)  # 9 free DOFs
     point, f, base = wave_base(disc, time_grid)
@@ -373,6 +373,13 @@ def subset_data(tg, indices):
     return wi.DataVector(np.ones((tg.size, len(indices))), tg, spec)
 
 
+def reassigned_negative_index(tg, n):
+    """Subset data whose spec's indices were set to a negative one after it was built."""
+    v = subset_data(tg, [2, 3])
+    v.spec.indices = np.array([2, -1])
+    return v
+
+
 #: data that do not pair with the observation of a base solved on the time
 #: grid ``tg`` with ``n`` free DOFs, by (tg, n)
 UNPAIRED_DATA = {
@@ -383,7 +390,7 @@ UNPAIRED_DATA = {
     "17-rows": lambda tg, n: wi.DataVector(np.ones((17, n)), tg[::2]),
     "3-columns": lambda tg, n: wi.DataVector(np.ones((tg.size, 3)), tg),
     "subset-index-past-the-mesh": lambda tg, n: subset_data(tg, [2, 40]),
-    "negative-subset-index": lambda tg, n: subset_data(tg, [2, -1]),
+    "negative-subset-index": reassigned_negative_index,
 }
 
 
