@@ -21,8 +21,8 @@ Every step matrix is symmetric, so a factor solves with the transpose as
 well.  A forward solve keeps its timeline, factors and step values in one
 :class:`SolveRecord`, the trajectory's ``solve``, for the exact-transpose
 adjoint sweeps in :mod:`.sensitivity`; the timeline of
-:func:`~.galerkin.assemble_operators` holds a copy of the field values it
-was assembled from, so those sweeps can check that they linearize there.
+:func:`~.galerkin.assemble_operators` holds the point it was assembled
+from, so those sweeps can check that they linearize there.
 The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
 factors and step values in reverse order wherever its matrices are the same
 by construction.  A solve recovers the velocity and acceleration the first
@@ -60,17 +60,17 @@ from .errors import (
     ResolutionError,
     SolverFailureError,
 )
-from .galerkin import OperatorTimeline, combine, time_difference
+from .galerkin import OperatorTimeline, combine, read_only, time_difference
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceTerm:
     """Load vectors (time node x free DOF): entries are (f(t_n), basis_i)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", read_only(self.values))
         if self.values.ndim != 2:
             raise DirectionShapeError(
                 f"source must be 2-D (time x dof), got {self.values.shape}"
@@ -91,8 +91,7 @@ class SolveRecord:
     ``timeline`` is the solved timeline, ``factors`` the factor of every step
     matrix S_n, ``t_vals`` and ``c_half`` the (step x nnz) values of T_n and
     C_h, and ``c_factors`` the factor of every C(t_n).  ``p`` holds the
-    momentum at every node and ``loads`` the load term of every step; both
-    are arrays the solve made itself, never the caller's.
+    momentum at every node and ``loads`` the load term of every step.
     """
 
     timeline: OperatorTimeline
@@ -110,14 +109,12 @@ class Trajectory:
     ``du`` and ``ddu`` are given as arrays, or recovered the first time each
     is read, and only once, by ``recover = (velocity, acceleration)``:
     ``velocity()`` returns du and ``acceleration(u, du)`` returns ddu.  The
-    solves pass recoveries that read only arrays the library made, never
-    the caller's inputs, and hold no trajectory, so a trajectory never sits
-    in a reference cycle.  They do read the solve's own arrays when they
-    run: a forward or backward trajectory's ``u`` (and a forward one's
-    ``solve.p``), and a derivative trajectory's base's ``u``, ``du`` and
-    ``ddu``.  So a write into those arrays before the first read of ``du``
-    or ``ddu`` can change the rates, where it left them as they were when
-    every solve computed its rates at once.
+    solves pass recoveries that hold no trajectory, so a trajectory never
+    sits in a reference cycle.  The recoveries read the solve's own arrays,
+    which stay writable, when they run: a forward or backward trajectory's
+    ``u`` (and a forward one's ``solve.p``), and a derivative trajectory's
+    base's ``u``, ``du`` and ``ddu``; a write into those arrays before the
+    first read of ``du`` or ``ddu`` changes the rates.
 
     ``solve`` is the :class:`SolveRecord` of a forward solve, which the
     derivative and adjoint sweeps reuse; it is None for derivative, backward
@@ -166,7 +163,7 @@ def make_source(disc, time_grid, fn):
         nodal = nodal.transpose(0, 2, 1)
     # component c of node j is DOF n_components * j + c
     nodal = nodal.reshape(tg.size, disc.n_dofs)
-    return SourceTerm(np.ascontiguousarray((disc.M_load @ nodal.T).T))
+    return SourceTerm((disc.M_load @ nodal.T).T)
 
 
 def momentum_from_velocity(timeline, velocity):
@@ -294,6 +291,9 @@ def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
     u1 : array, optional
         Initial momentum datum p(0) = (C u')(0) in load form (defaults to
         zero).  Use :func:`momentum_from_velocity` to build it from a velocity.
+        Each of u0 and u1 must be a finite (free DOF,) vector:
+        ResolutionError for another shape, DirectionShapeError for a
+        non-finite entry.
     like : Trajectory, optional
         A forward solve on the same pattern and time grid, at another point
         or with other data.  The solve then resumes from it (see
@@ -307,9 +307,8 @@ def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
     Trajectory
         With velocity ``du`` recovered from C(t_n) du = p_n and acceleration
         ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du,
-        each at every node the first time it is read (from a copy of the
-        loads, so a later write into ``f.values`` does not reach them).
-        Its ``solve`` is the :class:`SolveRecord` of this solve.
+        each at every node the first time it is read.  Its ``solve`` is
+        the :class:`SolveRecord` of this solve.
     """
     u, record, recover = _solve(timeline, f, u0, u1, like=like)
     return Trajectory(u, None, None, timeline.time_grid, record, recover=recover)
@@ -386,10 +385,14 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
 
     u = np.zeros((tg.size, pattern.n))
     p = np.zeros((tg.size, pattern.n))
-    if u0 is not None:
-        u[0] = np.asarray(u0, dtype=float)
-    if u1 is not None:
-        p[0] = np.asarray(u1, dtype=float)
+    for name, states, data in (("u0", u, u0), ("u1", p, u1)):
+        if data is None:
+            continue
+        if np.shape(data) != (pattern.n,):
+            raise ResolutionError(f"{name} has shape {np.shape(data)}, expected ({pattern.n},)")
+        states[0] = data
+        if not np.all(np.isfinite(states[0])):
+            raise DirectionShapeError(f"{name} contains non-finite entries")
     loads = dt * 0.5 * (fv[:-1] + fv[1:])
 
     m0, known_steps, known_c = 0, None, None
@@ -403,18 +406,17 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     else:
         factors, t_vals, c_half = steps
     _march(pattern, factors[m0:], t_vals[m0:], c_half[m0:], 2.0 / dt, u[m0:], p[m0:], loads[m0:])
-    bad = ~np.all(np.isfinite(u[1:]), axis=1)
+    bad = ~np.all(np.isfinite(u), axis=1)
     if bad.any():
         raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")
 
     v = timeline.values
     if c_factors is None:
         c_factors = factorize_rows(pattern, v["C"], known_c)
-    source = fv.copy()  # the caller may write into f.values before ddu is read
 
     def acceleration(u, du):
         rates = pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
-        return solve_each(c_factors, source - rates)
+        return solve_each(c_factors, fv - rates)
 
     record = SolveRecord(timeline, factors, t_vals, c_half, c_factors, p, loads)
     return u, record, (partial(solve_each, c_factors, p), acceleration)

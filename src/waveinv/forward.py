@@ -4,10 +4,10 @@ Composes operator assembly with the midpoint solver and provides the data
 space: observation extraction, the trapezoidal/mass-weighted inner product,
 distances, and the adjoints' data load.  A forward solve returns its
 trajectory with the solve record (:class:`~.evolve.SolveRecord`: the timeline,
-which holds a copy of the point's field values, and the factorizations) as
-``solve``, so derivative and adjoint sweeps at that point can reuse it.  Data
-are compared, subtracted or loaded into an adjoint only once their
-observation specs, shapes and time grids agree.
+which holds the point, and the factorizations) as ``solve``, so derivative and
+adjoint sweeps at that point can reuse it.  Data are compared, subtracted or
+loaded into an adjoint only once their observation specs, shapes and time
+grids agree.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ import numpy as np
 
 from .errors import ObservationError, ResolutionError
 from .evolve import solve_forward
-from .galerkin import assemble_operators, check_time_grid
+from .galerkin import assemble_operators, check_time_grid, read_only
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservationSpec:
     """What part of the state is recorded.
 
@@ -43,12 +43,11 @@ class ObservationSpec:
             given = np.asarray(self.indices)
             if given.ndim != 1 or given.dtype.kind not in "iu":
                 raise ObservationError(f"indices must be a 1-D integer array, got {given!r}")
-            self.indices = given.astype(np.int64)
+            object.__setattr__(self, "indices", read_only(given, np.int64))
             if np.any(self.indices < 0):
                 raise ObservationError(f"indices must not be negative, got {self.indices}")
-            if self.weights is None:
-                self.weights = np.ones(self.indices.size)
-            self.weights = np.asarray(self.weights, dtype=float)
+            weights = np.ones(self.indices.size) if self.weights is None else self.weights
+            object.__setattr__(self, "weights", read_only(weights))
             if self.weights.shape != self.indices.shape:
                 raise ObservationError("weights must match indices")
             if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
@@ -64,7 +63,7 @@ class ObservationSpec:
         return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataVector:
     """Finite observed samples (time node x observed DOF) with their pairing spec."""
 
@@ -73,11 +72,10 @@ class DataVector:
     spec: ObservationSpec = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
+        object.__setattr__(self, "values", read_only(self.values))
+        object.__setattr__(self, "time_grid", read_only(self.time_grid))
         check_time_grid(self.time_grid)
-        if self.spec is None:
-            self.spec = ObservationSpec()
+        object.__setattr__(self, "spec", self.spec or ObservationSpec())
         shape = self.values.shape
         n_cols = self.spec.indices.size if self.spec.kind == "node-subset" else None
         if len(shape) != 2 or shape[0] != self.time_grid.size or n_cols not in (None, shape[1]):
@@ -85,9 +83,6 @@ class DataVector:
                                    f"({self.time_grid.size}, {n_cols or 'observed DOFs'})")
         if not np.all(np.isfinite(self.values)):
             raise ObservationError("data values contain non-finite entries")
-
-    def copy(self):
-        return DataVector(self.values.copy(), self.time_grid, self.spec)
 
 
 def trapezoid_weights(time_grid):
@@ -107,8 +102,8 @@ def forward_map(disc, point, f, u0=None, u1=None, *, like=None):
     Assembles the operator timeline (validating the fields' shapes and
     admissibility) and runs the midpoint solver; it checks no compatibility
     condition (``compatibility_check(f, u0, u1, k).require()`` does).  The
-    trajectory's ``solve`` keeps the timeline, with its copy of the field
-    values of ``point``, and the factorizations for reuse.
+    trajectory's ``solve`` keeps the timeline, with the point, and the
+    factorizations for reuse.
 
     ``like`` is a forward solve on the same mesh and time grid, typically at
     a point that differs from ``point`` only on a time window.  The solve
@@ -125,15 +120,11 @@ def observe(trajectory, spec=None):
     """Extract the observed data from a trajectory."""
     spec = spec or ObservationSpec()
     if spec.kind == "full-field":
-        vals = trajectory.u.copy()
-    else:
-        n_free = trajectory.u.shape[1]
-        if np.any(spec.indices < 0) or np.any(spec.indices >= n_free):
-            raise ObservationError(
-                f"observation indices out of range for {n_free} free DOFs"
-            )
-        vals = trajectory.u[:, spec.indices].copy()
-    return DataVector(vals, trajectory.time_grid, spec)
+        return DataVector(trajectory.u, trajectory.time_grid, spec)
+    n_free = trajectory.u.shape[1]
+    if np.any(spec.indices >= n_free):
+        raise ObservationError(f"observation indices out of range for {n_free} free DOFs")
+    return DataVector(trajectory.u[:, spec.indices], trajectory.time_grid, spec)
 
 
 def _check_pair(d1, d2):

@@ -41,6 +41,7 @@ product per form term.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import partial
@@ -566,6 +567,19 @@ def build_grid(problem, n, extent=None):
 # parameter fields and admissibility
 
 
+def read_only(array, dtype=float):
+    """A C-ordered ``dtype`` copy of ``array`` held by an immutable ``bytes`` object, which no
+    view can write into.  An array held so already, as one this function made, comes back as
+    it is; any other is copied, even a read-only one, as an older view may write into it."""
+    owner = array
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if isinstance(owner, bytes) and array.dtype == dtype:
+        return array
+    data = np.asarray(array, dtype=dtype)
+    return np.frombuffer(data.tobytes(), dtype).reshape(data.shape)
+
+
 def check_time_grid(time_grid):
     """Raise ResolutionError unless the grid increases with uniform steps.
 
@@ -583,34 +597,42 @@ def check_time_grid(time_grid):
 
 @dataclass
 class ParameterField:
-    """A scalar coefficient tabulated on (time node x mesh node)."""
+    """A scalar coefficient tabulated on (time node x mesh node).  ``values`` and ``time_grid``
+    are :func:`read_only`; assigning either checks the new pair as construction does, and a
+    rejected pair changes nothing."""
 
     values: np.ndarray
     time_grid: np.ndarray
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.time_grid = np.asarray(self.time_grid, dtype=float)
-        if self.values.ndim != 2:
-            raise DirectionShapeError(
-                f"field values must be 2-D (time x space), got shape {self.values.shape}"
-            )
-        if self.values.shape[0] != self.time_grid.size:
-            raise DirectionShapeError(
-                f"field has {self.values.shape[0]} time rows but the grid has "
-                f"{self.time_grid.size} nodes"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DirectionShapeError("field contains non-finite entries")
-        check_time_grid(self.time_grid)
+    def __setattr__(self, name, value):
+        pair = {**vars(self), name: read_only(value)}
+        if "time_grid" in pair:  # construction sets values first, then time_grid
+            _check_field(pair["values"], pair["time_grid"])
+        super().__setattr__(name, pair[name])
 
     @classmethod
     def constant(cls, value, time_grid, n_space):
         vals = np.full((np.asarray(time_grid).size, n_space), float(value))
         return cls(vals, time_grid)
 
-    def copy(self):
-        return ParameterField(self.values.copy(), self.time_grid.copy())
+
+def _check_field(values, time_grid):
+    """Raise DirectionShapeError unless ``values`` has one finite row per node of the grid."""
+    if values.ndim != 2:
+        raise DirectionShapeError(
+            f"field values must be 2-D (time x space), got shape {values.shape}"
+        )
+    if values.shape[0] != time_grid.size:
+        raise DirectionShapeError(
+            f"field has {values.shape[0]} time rows but the grid has {time_grid.size} nodes"
+        )
+    finite = np.isfinite(values)
+    first = finite.argmin()
+    if not finite.flat[first]:
+        idx = divmod(int(first), values.shape[1])
+        raise DirectionShapeError(f"field value {values[idx]} at (time node, mesh node) {idx} "
+                                  "is not finite")
+    check_time_grid(time_grid)
 
 
 def _weighted_sum(fields, weights, skip=None):
@@ -668,17 +690,13 @@ class ParameterPoint:
         return cls(problem, fields)
 
     def copy(self):
-        return ParameterPoint(self.problem, {n: f.copy() for n, f in self.fields.items()})
+        """A point with fields of its own, sharing this point's read-only arrays unchecked."""
+        out = copy.copy(self)
+        out.fields = {name: copy.copy(f) for name, f in self.fields.items()}
+        return out
 
     def check_admissible(self):
-        """Raise ConstraintViolationError on the first non-finite value of a
-        field, or else on the first violated bound of :data:`BOUNDS`."""
-        for name, f in self.fields.items():
-            finite = np.isfinite(f.values)
-            first = finite.argmin()
-            if not finite.flat[first]:
-                idx = np.unravel_index(first, finite.shape)
-                raise ConstraintViolationError("finite", name, idx, float(f.values[idx]), np.inf)
+        """Raise ConstraintViolationError on the first violated bound of :data:`BOUNDS`."""
         for label, name, weights, lower, upper in BOUNDS[self.problem]:
             arr = self.fields[name].values
             if weights is not None:
@@ -708,7 +726,7 @@ def project_point(point):
     for _, name, weights, lower, upper in BOUNDS[point.problem]:
         lo, hi = lower + SLACK, upper - SLACK
         if weights is None:
-            np.clip(fields[name].values, lo, hi, out=fields[name].values)
+            fields[name].values = np.clip(fields[name].values, lo, hi)
             continue
         total, rest = _weighted_sum(fields, weights), _weighted_sum(fields, weights, name)
         w = weights[name]
@@ -729,18 +747,17 @@ class OperatorTimeline:
     :func:`~.evolve.reverse_timeline`, (time node x k x nnz) for k directions
     from :func:`assemble_direction`.  ``rate(slot)`` is its second-order time
     derivative, and ``matrix(slot, n)`` builds one node's CSR matrix from the
-    first layout only.
-    ``point`` maps each field name to a copy of its values in the parameter
-    point the operators were assembled from (see :func:`assemble_operators`);
-    it is None for any other timeline.
+    first layout only.  ``point`` and ``directions`` are what the timeline
+    was assembled from, a copy of a parameter point or checked direction
+    tables, and None on any other timeline.
     """
 
-    def __init__(self, problem, time_grid, pattern, values):
+    def __init__(self, problem, time_grid, pattern, values, point=None, directions=None):
         self.problem = problem
-        self.time_grid = np.asarray(time_grid, dtype=float)
+        self.time_grid = read_only(time_grid)
         self.pattern = pattern
         self.values = {slot: values.get(slot) for slot in SLOTS}
-        self.point = None
+        self.point, self.directions = point, directions
         self._rates = {}
 
     @property
@@ -762,11 +779,11 @@ class OperatorTimeline:
         return self.pattern.matrix(values[n])
 
 
-def _assemble(disc, time_grid, coefficient):
+def _assemble(disc, time_grid, coefficient, **kept):
     """Timeline whose slots sum the kit values of the problem's form terms.
 
     ``coefficient(field, fmap)`` gives a term's (time x element) coefficients,
-    or None for a term that vanishes.
+    or None for a term that vanishes; ``kept`` names what the timeline keeps.
     """
     values = {}
     for slot, kit, field, fmap in FORMS[disc.problem]:
@@ -774,7 +791,7 @@ def _assemble(disc, time_grid, coefficient):
         if coeff is not None:
             part = disc.kits[kit].values(coeff)
             values[slot] = values[slot] + part if slot in values else part
-    return OperatorTimeline(disc.problem, time_grid, disc.pattern, values)
+    return OperatorTimeline(disc.problem, time_grid, disc.pattern, values, **kept)
 
 
 def _check_problem(disc, point):
@@ -788,11 +805,8 @@ def assemble_operators(disc, point):
     """Assemble the node-sampled operator quadruple for a parameter point.
 
     Raises DirectionShapeError unless every field is (time node x mesh node)
-    (:meth:`ParameterPoint.check_shape`), also after a write into the point,
-    and ConstraintViolationError if the point leaves the admissible box.  The
-    timeline's ``point`` holds copies of the field values, and its time grid
-    is a copy of the point's, both taken now, so a later write into the
-    point does not reach it.
+    (:meth:`ParameterPoint.check_shape`), also after a field was replaced,
+    and ConstraintViolationError if the point leaves the admissible box.
     """
     _check_problem(disc, point)
     point.check_shape(disc.n_nodes)
@@ -800,16 +814,15 @@ def assemble_operators(disc, point):
     tg = point.time_grid
     if tg.size < 3:
         raise ResolutionError("timelines need at least three time nodes")
-    timeline = _assemble(
-        disc, tg.copy(), lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values))
+    return _assemble(
+        disc, tg, lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values)),
+        point=point.copy(),
     )
-    timeline.point = {name: f.values.copy() for name, f in point.fields.items()}
-    return timeline
 
 
 def check_direction(problem, shape, direction):
-    """A direction's float tables by field name: DirectionShapeError unless it maps field
-    names of ``problem`` to finite tables of ``shape`` (a name it leaves out is zero)."""
+    """A direction's :func:`read_only` tables by field name: DirectionShapeError unless it
+    maps field names of ``problem`` to finite tables of ``shape`` (a name it leaves out is zero)."""
     if not isinstance(direction, Mapping):
         raise DirectionShapeError(f"a direction maps field names to arrays, got {direction!r:.40}")
     unknown = set(direction) - set(FIELD_NAMES[problem])
@@ -819,7 +832,7 @@ def check_direction(problem, shape, direction):
         )
     tables = {}
     for name, f in direction.items():
-        tables[name] = np.asarray(f, dtype=float) if np.shape(f) == shape else None
+        tables[name] = read_only(f) if np.shape(f) == shape else None
         if tables[name] is None or not np.all(np.isfinite(tables[name])):
             raise DirectionShapeError(f"direction field '{name}' must be a finite table of "
                                       f"shape {shape}, got shape {np.shape(f)}")
@@ -838,13 +851,13 @@ def assemble_direction(disc, point, directions):
     zero in the others.
     """
     _check_problem(disc, point)
-    directions = list(directions)
     shape = (point.time_grid.size, disc.n_nodes)
+    tables = [check_direction(disc.problem, shape, one) for one in directions]
     means = {}
-    for j, one in enumerate(directions):
-        for name, vals in check_direction(disc.problem, shape, one).items():
+    for j, one in enumerate(tables):
+        for name, vals in one.items():
             if name not in means:
-                means[name] = np.zeros((shape[0], len(directions), disc.elements.shape[0]))
+                means[name] = np.zeros((shape[0], len(tables), disc.elements.shape[0]))
             means[name][:, j] = disc.element_means(vals)
 
     def coefficient(name, fmap):
@@ -853,7 +866,7 @@ def assemble_direction(disc, point, directions):
         base = disc.element_means(point.fields[name].values)[:, None]
         return fmap[1](base, means[name])
 
-    return _assemble(disc, point.time_grid, coefficient)
+    return _assemble(disc, point.time_grid, coefficient, directions=tables)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def cgne(disc, x0, data, f, config):
         r = rhs
         s = _restricted_gradient(disc, x, r, base, targets)
         gamma = _nodal_inner(disc, s, s, tg)
-        p = {name: g.copy() for name, g in s.items()}
+        p = s
         stopped = ""
         while True:
             res_norm = data_norm(r, disc)
@@ -257,12 +257,12 @@ def add_noise(data, level, seed, disc):
 
     The perturbation is scaled after sampling so that
     data_distance(noisy, clean) = level * data_norm(clean); the draw is
-    reproducible from the seed.
+    reproducible from the seed.  At level 0 the data come back as they are.
     """
     if level < 0.0:
         raise InversionConfigError(f"noise level must be nonnegative, got {level}")
     if level == 0.0:
-        return data.copy()
+        return data
     rng = np.random.default_rng(seed)
     draw = rng.standard_normal(data.values.shape)
     draw_norm = data_norm(DataVector(draw, data.time_grid, data.spec), disc)

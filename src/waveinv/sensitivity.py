@@ -67,7 +67,7 @@ from .forward import (
     observe,
     trapezoid_weights,
 )
-from .galerkin import FORMS, ParameterField, ParameterPoint, assemble_direction, check_direction
+from .galerkin import FORMS, assemble_direction, check_direction
 
 
 @dataclass
@@ -92,11 +92,15 @@ def _solve_at(point, base):
             "this operation needs the forward solve at the point; call forward_map first"
         )
     tl = record.timeline
+
+    def same(a, b):
+        return a is b or np.array_equal(a, b)
+
     if (
         tl.point is None
         or tl.problem != point.problem
-        or not np.array_equal(tl.time_grid, point.time_grid)
-        or not all(np.array_equal(tl.point[n], f.values) for n, f in point.fields.items())
+        or not same(tl.time_grid, point.time_grid)
+        or not all(same(tl.point.fields[n].values, f.values) for n, f in point.fields.items())
     ):
         raise RequiresForwardSolveError(
             "the base was not solved at this point; call forward_map at the point first"
@@ -171,10 +175,8 @@ def _derivative_block(disc, point, directions, base, record):
     pattern = timeline.pattern
     tg = timeline.time_grid
     tlh = assemble_direction(disc, point, directions)
-    # copies: the caller may write into a direction before the rates are read
-    tables = [{name: np.array(h, dtype=float) for name, h in one.items()} for one in directions]
     two_dt = 2.0 / timeline.dt
-    k = len(tables)
+    k = len(directions)
     u = base.u
 
     # the base trajectory's share of the recursion, for all steps and directions at once
@@ -191,7 +193,7 @@ def _derivative_block(disc, point, directions, base, record):
         eta, pi, b.transpose(0, 2, 1), c.transpose(0, 2, 1),
     )
     eta = eta.transpose(0, 2, 1)
-    rates = _BlockRates(disc, tables, base, eta, pi.transpose(0, 2, 1))
+    rates = _BlockRates(disc, tlh.directions, base, eta, pi.transpose(0, 2, 1))
     return [
         Trajectory(np.ascontiguousarray(eta[:, j]), None, None, tg, recover=rates.column(j))
         for j in range(k)
@@ -203,7 +205,7 @@ class _BlockRates:
 
     The first read of any of them recovers the whole block, with one
     multi-column solve per distinct C(t_n) factor, from what the block
-    keeps: copies of its direction tables, the base solve, and the block's
+    keeps: its checked direction tables, the base solve, and the block's
     states eta and momenta pi, (time, k, dof) each.  The direction timeline
     is assembled again then, at the point the base's timeline keeps.
     """
@@ -229,11 +231,7 @@ def _recover_block(disc, tables, base, eta, pi):
     recovery formulas along the k directions ``tables``."""
     timeline = base.solve.timeline
     pattern = timeline.pattern
-    tg = timeline.time_grid
-    point = ParameterPoint(
-        timeline.problem, {name: ParameterField(vals, tg) for name, vals in timeline.point.items()}
-    )
-    tlh = assemble_direction(disc, point, tables)
+    tlh = assemble_direction(disc, timeline.point, tables)
     k = len(tables)
     c_factors = base.solve.c_factors
     vb, vh = timeline.values, tlh.values

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import waveinv as wi
-from waveinv.errors import DirectionShapeError, RegularityError
+from waveinv.errors import DirectionShapeError, RegularityError, SolverFailureError
 from waveinv.evolve import reverse_timeline
 
 from conftest import varied_point
@@ -200,7 +200,7 @@ def test_elastic_solver_matches_dense_oracle(elastic_disc):
     point = wi.ParameterPoint.from_constants(
         "elastic2d", tg, elastic_disc.n_nodes, lam=1.2, mu=0.9, rho=1.1
     )
-    point.fields["rho"].values += 0.2 * np.outer(
+    point.fields["rho"].values = point.fields["rho"].values + 0.2 * np.outer(
         np.sin(tg), np.cos(np.pi * elastic_disc.nodes[:, 0])
     )
     tl = wi.assemble_operators(elastic_disc, point)
@@ -406,3 +406,47 @@ def test_source_rows_must_match_the_time_grid(wave_disc, time_grid, wave_point):
     for rows in (time_grid.size - 1, time_grid.size + 1):
         with pytest.raises(wi.ResolutionError):
             wi.solve_forward(tl, wi.SourceTerm.zero(rows, wave_disc.n_free))
+
+
+def eight_element_wave():
+    """wave1d on 8 elements (7 free DOFs) and 16 steps at a constant point."""
+    disc = wi.build_grid("wave1d", 8)
+    tg = np.linspace(0.0, 1.0, 17)
+    point = wi.ParameterPoint.from_constants(
+        "wave1d", tg, disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0
+    )
+    return disc, tg, point
+
+
+@pytest.mark.parametrize("name", ["u0", "u1"])
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (np.array([0.5]), wi.ResolutionError),
+        (np.full(8, 0.5), wi.ResolutionError),
+        (np.array([0.0, 0.1, 0.2, np.nan, 0.2, 0.1, 0.0]), DirectionShapeError),
+    ],
+    ids=["length-1", "length-n_free+1", "nan"],
+)
+def test_initial_data_are_checked_where_they_enter(name, data, error):
+    disc, tg, point = eight_element_wave()
+    f = wi.SourceTerm.zero(tg.size, disc.n_free)
+    tl = wi.assemble_operators(disc, point)
+    for solve in (
+        lambda **data: wi.forward_map(disc, point, f, **data),
+        lambda **data: wi.solve_forward(tl, f, **data),
+    ):
+        with pytest.raises(error, match=name) as info:
+            solve(**{name: data})
+        assert type(info.value) is error
+
+
+def test_a_failed_march_names_the_first_non_finite_node():
+    disc, tg, point = eight_element_wave()
+    loads = np.zeros((tg.size, disc.n_free))
+    # the load of step 5 averages two huge rows and overflows, so u[6] is
+    # the first state that is not finite
+    loads[5:, 3] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(SolverFailureError) as info:
+        wi.forward_map(disc, point, wi.SourceTerm(loads))
+    assert info.value.node == 6

@@ -85,8 +85,11 @@ def test_observe_full_field_returns_copy(wave_disc, time_grid):
     point = varied_point(wave_disc, time_grid)
     traj = wi.forward_map(wave_disc, point, modal_source(wave_disc, time_grid))
     data = wi.observe(traj)
-    data.values[0, 0] = 123.0
-    assert traj.u[0, 0] != 123.0
+    with pytest.raises(ValueError, match="read-only"):
+        data.values[0, 0] = 123.0
+    # the states stay writable, and a write into them does not reach the data
+    traj.u[0, 0] = 123.0
+    assert data.values[0, 0] != 123.0
     assert data.spec.kind == "full-field"
 
 
@@ -102,10 +105,12 @@ def test_observe_subset_selects_columns(wave_disc, time_grid):
 
 
 def test_data_vector_defaults_and_copy(time_grid):
-    d = wi.DataVector(np.ones((time_grid.size, 3)), time_grid)
+    given = np.ones((time_grid.size, 3))
+    d = wi.DataVector(given, time_grid)
     assert d.spec.kind == "full-field"
-    d2 = d.copy()
-    d2.values[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        d.values[:] = 0.0
+    given[:] = 0.0  # the data hold a copy of the caller's array
     assert np.all(d.values == 1.0)
 
 

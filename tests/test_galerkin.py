@@ -169,14 +169,16 @@ def test_assemble_operators_rejects_inadmissible(wave_disc, time_grid):
     point = wi.ParameterPoint.from_constants(
         "wave1d", time_grid, wave_disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0
     )
-    point.fields["a"].values[5, 3] = 0.01  # below the lower bound
+    values = point.fields["a"].values.copy()
+    values[5, 3] = 0.01  # below the lower bound
+    point.fields["a"].values = values
     with pytest.raises(ConstraintViolationError):
         wi.assemble_operators(wave_disc, point)
 
 
 def test_fields_that_do_not_fit_the_mesh_are_rejected():
-    # checked when the operators are assembled, so a write into a field after
-    # the point was built is caught too
+    # checked when the operators are assembled, so a field replaced after the
+    # point was built is caught too
     disc = wi.build_grid("wave1d", 8)  # 9 nodes
     tg = np.linspace(0.0, 1.0, 21)
     f = wi.SourceTerm.zero(tg.size, disc.n_free)
@@ -189,7 +191,8 @@ def test_fields_that_do_not_fit_the_mesh_are_rejected():
     cases = [("a", point(disc.n_nodes + 4), (21, 13))]
     for shape in ((21, 12), (21, 3), (15, 9)):
         written = point(disc.n_nodes)
-        written.fields["q"].values = np.zeros(shape)
+        grid = np.linspace(0.0, 1.0, shape[0])
+        written.fields["q"] = wi.ParameterField(np.zeros(shape), grid)
         cases.append(("q", written, shape))
     for name, bad, shape in cases:
         message = f"field '{name}' has shape {shape}, expected (21, 9)"
@@ -223,7 +226,7 @@ TYPED_VALIDATIONS = {
     ),
     "field-non-finite": (
         lambda disc: wi.ParameterField(np.full((21, 9), np.inf), TG21),
-        DirectionShapeError, "field contains non-finite entries",
+        DirectionShapeError, "field value inf at (time node, mesh node) (0, 0) is not finite",
     ),
     "point-missing-fields": (
         lambda disc: wi.ParameterPoint("wave1d", {"a": _wave_point().fields["a"]}),
@@ -305,7 +308,9 @@ def test_constraint_violation_reports_location(wave_disc, time_grid):
     point = wi.ParameterPoint.from_constants(
         "wave1d", time_grid, wave_disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0
     )
-    point.fields["rho"].values[3, 2] = 0.05
+    values = point.fields["rho"].values.copy()
+    values[3, 2] = 0.05
+    point.fields["rho"].values = values
     with pytest.raises(ConstraintViolationError) as info:
         point.check_admissible()
     assert info.value.field == "rho"
@@ -313,36 +318,27 @@ def test_constraint_violation_reports_location(wave_disc, time_grid):
     assert info.value.index == (3, 2)
 
 
-def nan_in_bounded_field(point):
-    point.fields["a"].values[2, 2] = np.nan  # a >= a0 is bounded below
-    return "a", (2, 2)
-
-
-def inf_in_unbounded_field(point):
-    point.fields["b"].values[4, 1] = np.inf  # b has no bound at all
-    return "b", (4, 1)
-
-
-def nan_in_a_written_field(point):
-    # inversion iterates and perturbed points replace a field's array
-    values = point.fields["q"].values.copy()
-    values[7, 5] = np.nan
-    point.fields["q"].values = values
-    return "q", (7, 5)
-
-
 @pytest.mark.parametrize(
-    "spoil", [nan_in_bounded_field, inf_in_unbounded_field, nan_in_a_written_field]
+    "name, index, value",
+    # a >= a0 is bounded below, b has no bound at all, and inversion iterates
+    # and perturbed points assign a field's array
+    [("a", (2, 2), np.nan), ("b", (4, 1), np.inf), ("q", (7, 5), np.nan)],
+    ids=["nan_in_bounded_field", "inf_in_unbounded_field", "nan_in_a_written_field"],
 )
-def test_non_finite_values_are_rejected_with_their_place(wave_disc, time_grid, spoil):
+def test_non_finite_values_are_rejected_with_their_place(wave_disc, time_grid, name, index, value):
     point = varied_point(wave_disc, time_grid)
     f = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
-    name, index = spoil(point)
-    for check in (point.check_admissible, lambda: wi.forward_map(wave_disc, point, f)):
-        with pytest.raises(ConstraintViolationError, match=f"field '{name}'") as info:
-            check()
-        assert (info.value.bound, info.value.field, info.value.index) == ("finite", name, index)
-        assert not np.isfinite(info.value.value)
+    kept = point.fields[name].values
+    with pytest.raises(ValueError, match="read-only"):
+        kept[index] = value
+    spoiled = kept.copy()
+    spoiled[index] = value
+    message = f"field value {value} at (time node, mesh node) {index} is not finite"
+    with pytest.raises(DirectionShapeError, match=re.escape(message)):
+        point.fields[name].values = spoiled
+    assert point.fields[name].values is kept
+    point.check_admissible()
+    wi.forward_map(wave_disc, point, f)
 
 
 def test_unknown_problem_is_a_typed_error(time_grid):
@@ -358,7 +354,8 @@ def test_elastic_compound_bound(elastic_disc, time_grid):
     point = wi.ParameterPoint.from_constants(
         "elastic2d", time_grid, elastic_disc.n_nodes, lam=1.0, mu=1.0, rho=1.0
     )
-    point.fields["lam"].values[:] = 4.0  # 2 mu + 3 lam = 14 > alpha0
+    lam = point.fields["lam"]
+    lam.values = np.full(lam.values.shape, 4.0)  # 2 mu + 3 lam = 14 > alpha0
     with pytest.raises(ConstraintViolationError):
         point.check_admissible()
     projected = wi.project_point(point)
@@ -369,8 +366,10 @@ def test_project_point_clips_and_is_idempotent(wave_disc, time_grid):
     point = wi.ParameterPoint.from_constants(
         "wave1d", time_grid, wave_disc.n_nodes, a=1.0, b=0.0, q=0.0, rho=1.0
     )
-    point.fields["a"].values[0, 0] = -3.0
-    point.fields["q"].values[1, 1] = 1e9
+    for name, index, value in (("a", (0, 0), -3.0), ("q", (1, 1), 1e9)):
+        values = point.fields[name].values.copy()
+        values[index] = value
+        point.fields[name].values = values
     once = wi.project_point(point)
     once.check_admissible()
     twice = wi.project_point(once)
@@ -396,9 +395,10 @@ def test_project_point_always_lands_admissible(lam, mu, rho):
     point = wi.ParameterPoint.from_constants(
         "elastic2d", tg, disc.n_nodes, lam=1.0, mu=1.0, rho=1.0
     )
-    point.fields["lam"].values[:] = lam
-    point.fields["mu"].values[:] = mu
-    point.fields["rho"].values[:] = rho
+    shape = point.fields["lam"].values.shape
+    point.fields["lam"].values = np.full(shape, lam)
+    point.fields["mu"].values = np.full(shape, mu)
+    point.fields["rho"].values = np.full(shape, rho)
     once = wi.project_point(point)
     once.check_admissible()
     twice = wi.project_point(once)
@@ -476,19 +476,19 @@ def _ladder_project(point):
     s = b.slack
     f = out.fields
     if point.problem == "wave1d":
-        np.clip(f["a"].values, b.a0 + s, None, out=f["a"].values)
-        np.clip(f["rho"].values, b.c0 + s, None, out=f["rho"].values)
+        f["a"].values = np.clip(f["a"].values, b.a0 + s, None)
+        f["rho"].values = np.clip(f["rho"].values, b.c0 + s, None)
     elif point.problem == "elastic2d":
-        np.clip(f["rho"].values, b.rho0 + s, None, out=f["rho"].values)
-        np.clip(f["mu"].values, 1.0 / b.alpha0 + s, b.alpha0 - s, out=f["mu"].values)
+        f["rho"].values = np.clip(f["rho"].values, b.rho0 + s, None)
+        f["mu"].values = np.clip(f["mu"].values, 1.0 / b.alpha0 + s, b.alpha0 - s)
         mu, lam = f["mu"].values, f["lam"].values
         lo, hi = 1.0 / b.alpha0 + s, b.alpha0 - s
         combo = 2.0 * mu + 3.0 * lam
         lam = np.where(combo < lo, (lo + s - 2.0 * mu) / 3.0, lam)
         f["lam"].values = np.where(combo > hi, (hi - s - 2.0 * mu) / 3.0, lam)
     elif point.problem == "maxwell1d":
-        np.clip(f["eps"].values, b.eps0 + s, None, out=f["eps"].values)
-        np.clip(f["mu"].values, b.mu0 + s, b.mu1 - s, out=f["mu"].values)
+        f["eps"].values = np.clip(f["eps"].values, b.eps0 + s, None)
+        f["mu"].values = np.clip(f["mu"].values, b.mu0 + s, b.mu1 - s)
     return out
 
 
@@ -545,8 +545,9 @@ def test_bounds_table_matches_the_ladders(problem, data):
 
 
 def test_point_copy_is_deep(wave_point):
+    # the copy's fields are its own: assigning one leaves the original as it was
     other = wave_point.copy()
-    other.fields["a"].values[0, 0] = 9.0
+    other.fields["a"].values = np.full(other.fields["a"].values.shape, 9.0)
     assert wave_point.fields["a"].values[0, 0] == pytest.approx(1.0)
 
 

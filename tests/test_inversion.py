@@ -313,9 +313,11 @@ def test_add_noise_reproducible_and_seed_sensitive(instance):
 
 def test_add_noise_zero_level_copies(instance):
     disc, tg, truth, x0, f, clean = instance
-    copy = add_noise(clean, 0.0, 7, disc)
-    assert np.array_equal(copy.values, clean.values)
-    assert copy.values is not clean.values
+    # the data are read-only, so level 0 returns them as they are
+    same = add_noise(clean, 0.0, 7, disc)
+    assert same is clean
+    with pytest.raises(ValueError, match="read-only"):
+        same.values[0, 0] = 1.0
 
 
 def test_add_noise_rejects_negative_level(instance):

@@ -3,9 +3,9 @@
 A forward, backward or derivative trajectory recovers ``du`` and ``ddu``
 only when they are read, and only once.  The values must be those of the
 recovery formulas bit for bit, a write into the caller's source, point or
-direction after the call must not reach them, no trajectory may sit in a
-reference cycle, and a sweep that reads only the state must run no
-recovery solve at all.
+direction after the call must raise or not reach them, no trajectory may
+sit in a reference cycle, and a sweep that reads only the state must run
+no recovery solve at all.
 """
 
 import gc
@@ -114,16 +114,20 @@ def test_writes_into_the_inputs_do_not_reach_the_rates(instance):
     ref_w = solve_backward(ref_base.solve.timeline, SourceTerm(v.values.copy()), like=ref_base)
     wants = [(t.u, t.du, t.ddu) for t in (ref_base, ref_eta, ref_w)]
 
-    source = SourceTerm(f.values.copy())
+    given = f.values.copy()
+    source = SourceTerm(given)
     fwd = wi.forward_map(disc, point, source)
     eta = derivative_apply(disc, point, direction, fwd)
     w = solve_backward(fwd.solve.timeline, v, like=fwd)
-    source.values *= 3.0
-    v.values[:] = 1.0
+    # what the library keeps is read-only, and it copied the caller's arrays
+    for kept in (source.values, v.values, *(field.values for field in point.fields.values())):
+        with pytest.raises(ValueError, match="read-only"):
+            kept *= 3.0
+    given *= 3.0
     for h in direction.values():
         h *= -2.0
     for field in point.fields.values():
-        field.values *= 1.1
+        field.values = field.values * 1.1
     for traj, want in zip((fwd, eta, w), wants):
         assert_same(traj, *want)
 

@@ -26,6 +26,15 @@ def assert_same_solve(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def moved_rows(point, name, rows, move):
+    """A copy of ``point`` whose field ``name`` holds ``move(values[rows])`` on ``rows``."""
+    out = point.copy()
+    values = out.fields[name].values.copy()
+    values[rows] = move(values[rows])
+    out.fields[name].values = values
+    return out
+
+
 @pytest.fixture
 def work(monkeypatch):
     """The node of every BandLU built and the step count of every march."""
@@ -99,8 +108,7 @@ def test_only_the_rows_of_the_changed_window_are_factorized(
     wave_setup, work, target, slot_c, a, b
 ):
     disc, point, f, base = wave_setup
-    moved = point.copy()
-    moved.fields[target].values[a : b + 1] += 0.05
+    moved = moved_rows(point, target, slice(a, b + 1), lambda v: v + 0.05)
     resumed = forward_map(disc, moved, f, like=base)
     built, marched = work
     n_steps = point.time_grid.size - 1
@@ -143,10 +151,8 @@ def test_another_source_marches_from_its_first_change(wave_setup, work):
 
 def test_resuming_from_a_resumed_solve(wave_setup):
     disc, point, f, base = wave_setup
-    first = point.copy()
-    first.fields["a"].values[10:15] += 0.1
-    second = first.copy()
-    second.fields["b"].values[25:28] -= 0.1
+    first = moved_rows(point, "a", slice(10, 15), lambda v: v + 0.1)
+    second = moved_rows(first, "b", slice(25, 28), lambda v: v - 0.1)
     chained = forward_map(disc, second, f, like=forward_map(disc, first, f, like=base))
     assert_same_solve(chained, forward_map(disc, second, f))
 
@@ -154,8 +160,7 @@ def test_resuming_from_a_resumed_solve(wave_setup):
 def test_a_resumed_solve_serves_the_sweeps_as_a_full_one(wave_setup):
     disc, point, f, base = wave_setup
     tg = point.time_grid
-    moved = point.copy()
-    moved.fields["rho"].values[18:24] *= 1.1
+    moved = moved_rows(point, "rho", slice(18, 24), lambda v: v * 1.1)
     resumed, full = forward_map(disc, moved, f, like=base), forward_map(disc, moved, f)
     direction = smooth_direction(disc, tg, wi.FIELD_NAMES["wave1d"])
     assert_same_solve(

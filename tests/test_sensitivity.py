@@ -207,13 +207,17 @@ def test_a_base_solved_at_another_point_is_rejected(problem, name):
 def test_a_write_into_the_point_after_the_solve_is_caught(name):
     disc, tg, point, f, base = solved("maxwell1d")
     call = sweep(name, disc, tg)
-    mu = point.fields["mu"].values
-    kept = mu[4, 3]
-    mu[4, 3] = kept + 1e-9
+    mu = point.fields["mu"]
+    kept = mu.values
+    with pytest.raises(ValueError, match="read-only"):
+        kept[4, 3] += 1e-9
+    moved = kept.copy()
+    moved[4, 3] += 1e-9
+    mu.values = moved
     with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
         call(point, base)
-    mu[4, 3] = kept
-    call(point, base)  # the values of the solve again
+    mu.values = kept.copy()
+    call(point, base)  # the values of the solve again, in another array
     point.fields["eps"].values = point.fields["eps"].values[:, ::-1].copy()
     with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
         call(point, base)
@@ -223,8 +227,10 @@ def test_a_write_into_the_point_after_the_solve_is_caught(name):
 def test_a_write_into_the_time_grid_after_the_solve_is_caught(name):
     disc, tg, point, f, base = solved("wave1d")
     call = sweep(name, disc, tg)
-    assert base.solve.timeline.time_grid is not point.time_grid
-    point.time_grid[:] *= 2.0  # every field shares the grid array
+    with pytest.raises(ValueError, match="read-only"):
+        point.time_grid[:] *= 2.0
+    for field in point.fields.values():
+        field.time_grid = field.time_grid * 2.0
     with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
         call(point, base)
 
@@ -358,26 +364,9 @@ def test_dot_test_discrete_subset_observation(wave_disc, time_grid):
     assert dot_test(wave_disc, point, direction, v, base=base) <= 1e-12
 
 
-@pytest.mark.parametrize("indices", [[2, 50]])
-def test_subset_indices_checked_against_the_mesh(time_grid, indices):
-    disc = wi.build_grid("wave1d", 10)  # 9 free DOFs
-    point, f, base = wave_base(disc, time_grid)
-    spec = wi.ObservationSpec(kind="node-subset", indices=indices)
-    v = wi.DataVector(np.ones((time_grid.size, 2)), time_grid, spec)
-    with pytest.raises(ObservationError):
-        adjoint_apply_discrete(disc, point, v, base)
-
-
 def subset_data(tg, indices):
     spec = wi.ObservationSpec(kind="node-subset", indices=indices)
     return wi.DataVector(np.ones((tg.size, len(indices))), tg, spec)
-
-
-def reassigned_negative_index(tg, n):
-    """Subset data whose spec's indices were set to a negative one after it was built."""
-    v = subset_data(tg, [2, 3])
-    v.spec.indices = np.array([2, -1])
-    return v
 
 
 #: data that do not pair with the observation of a base solved on the time
@@ -390,7 +379,8 @@ UNPAIRED_DATA = {
     "17-rows": lambda tg, n: wi.DataVector(np.ones((17, n)), tg[::2]),
     "3-columns": lambda tg, n: wi.DataVector(np.ones((tg.size, 3)), tg),
     "subset-index-past-the-mesh": lambda tg, n: subset_data(tg, [2, 40]),
-    "negative-subset-index": reassigned_negative_index,
+    # refused where it enters: a spec cannot be changed once it is built
+    "negative-subset-index": lambda tg, n: subset_data(tg, [2, -1]),
 }
 
 
@@ -400,9 +390,8 @@ def test_both_adjoints_reject_data_that_do_not_pair_with_the_base(adjoint, case)
     disc = wi.build_grid("wave1d", 8)
     tg = np.linspace(0.0, 1.0, 33)
     point, f, base = wave_base(disc, tg)
-    v = UNPAIRED_DATA[case](tg, disc.n_free)
     with pytest.raises(ObservationError):
-        adjoint(disc, point, v, base)
+        adjoint(disc, point, UNPAIRED_DATA[case](tg, disc.n_free), base)
 
 
 def test_dot_test_discrete_repeated_subset_index(wave_disc, time_grid):
