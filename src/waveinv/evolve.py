@@ -18,9 +18,9 @@ each distinct C(t_n) is factorized once by LAPACK (:class:`BandLU`) from
 values scattered into band storage: tridiagonal LU on the 1D meshes, band
 Cholesky wherever the matrix is positive definite, and band LU otherwise.
 Every step matrix is symmetric, so a factor solves with the transpose as
-well.  A forward solve keeps its timeline, factors and step values in one
-:class:`SolveRecord`, the trajectory's ``solve``, for the exact-transpose
-adjoint sweeps in :mod:`.sensitivity`; the timeline of
+well.  A forward solve keeps its timeline, factors, step values and source
+in one :class:`SolveRecord`, the trajectory's ``solve``, for the adjoint
+sweeps and diagnostics in :mod:`.sensitivity`; the timeline of
 :func:`~.galerkin.assemble_operators` holds the point it was assembled
 from, so those sweeps can check that they linearize there.
 The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
@@ -91,7 +91,7 @@ class SolveRecord:
     ``timeline`` is the solved timeline, ``factors`` the factor of every step
     matrix S_n, ``t_vals`` and ``c_half`` the (step x nnz) values of T_n and
     C_h, and ``c_factors`` the factor of every C(t_n).  ``p`` holds the
-    momentum at every node and ``loads`` the load term of every step.
+    momentum at every node and ``source`` the :class:`SourceTerm` of the solve.
     """
 
     timeline: OperatorTimeline
@@ -100,7 +100,7 @@ class SolveRecord:
     c_half: np.ndarray
     c_factors: list
     p: np.ndarray
-    loads: np.ndarray
+    source: SourceTerm
 
 
 class Trajectory:
@@ -320,17 +320,17 @@ def _rows_differ(new, old):
     return (new.view(np.uint64) != old.view(np.uint64)).reshape(len(new), -1).any(axis=1)
 
 
-def _reuse(timeline, like, u, p, loads):
+def _reuse(timeline, like, u, p, f):
     """What a solve of ``timeline`` takes from the forward solve ``like``.
 
-    ``u``, ``p`` and ``loads`` are the new solve's states, holding the
-    initial data, and its step loads.  Returns ``(m0, known_steps,
-    known_c)``: the states up to node m0 are the same as in ``like``, and
-    the two lists give ``like``'s factor for each step matrix and each
-    C(t_n) whose values are the same, None for the others.  Step n couples
-    nodes n and n + 1, so it is the same when every slot row at both nodes
-    is the same, bit for bit; m0 is the first step that is not, or earlier
-    the first step whose load differs, or 0 when the initial data differ.
+    ``u`` and ``p`` are the new solve's states, holding the initial data,
+    and ``f`` its source.  Returns ``(m0, known_steps, known_c)``: the
+    states up to node m0 are the same as in ``like``, and the two lists
+    give ``like``'s factor for each step matrix and each C(t_n) whose
+    values are the same, None for the others.  Step n couples nodes n and
+    n + 1, so it is the same when every slot row at both nodes is the same,
+    bit for bit; m0 is the first step that is not, or earlier the first
+    step with a source row that differs, or 0 when the initial data differ.
     Raises RequiresForwardSolveError unless ``like`` is a forward solve on
     the same pattern and time grid.
     """
@@ -351,7 +351,8 @@ def _reuse(timeline, like, u, p, loads):
         elif new[slot] is not None:
             node |= _rows_differ(new[slot], old[slot])
     step = node[:-1] | node[1:]
-    changed = step | _rows_differ(loads, record.loads)
+    source = _rows_differ(f.values, record.source.values)
+    changed = step | source[:-1] | source[1:]
     m0 = int(changed.argmax()) if changed.any() else len(step)
     if _rows_differ(u[:1], like.u[:1])[0] or _rows_differ(p[:1], record.p[:1])[0]:
         m0 = 0
@@ -397,7 +398,7 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
 
     m0, known_steps, known_c = 0, None, None
     if like is not None:
-        m0, known_steps, known_c = _reuse(timeline, like, u, p, loads)
+        m0, known_steps, known_c = _reuse(timeline, like, u, p, f)
         u[1 : m0 + 1] = like.u[1 : m0 + 1]
         p[1 : m0 + 1] = like.solve.p[1 : m0 + 1]
     if steps is None:
@@ -418,7 +419,7 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
         rates = pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
         return solve_each(c_factors, fv - rates)
 
-    record = SolveRecord(timeline, factors, t_vals, c_half, c_factors, p, loads)
+    record = SolveRecord(timeline, factors, t_vals, c_half, c_factors, p, f)
     return u, record, (partial(solve_each, c_factors, p), acceleration)
 
 
@@ -606,15 +607,19 @@ class EnergyReport:
     lambda_hat: float | None = None
 
 
-def energy_monitor(trajectory, timeline, f=None, disc=None):
-    """Track the discrete energy along a trajectory.
+def energy_monitor(trajectory, disc=None):
+    """Track the discrete energy along a forward solve, on its own timeline.
 
     ``max_relative_drift`` is the largest per-step energy change relative to
-    the peak energy; ``lambda_hat`` (recorded only when a source and mesh are
-    supplied) is the observed stability ratio max E / ||f||^2 with the source
+    the peak energy; ``lambda_hat`` (recorded only when the mesh is supplied)
+    is the observed stability ratio max E / ||f||^2 with the solve's source
     measured in the time-integrated pivot norm through the inverse mass
-    matrix.  It is an empirical constant of this run, nothing more.
+    matrix, an empirical constant of this run.  A trajectory without a solve
+    record raises RequiresForwardSolveError.
     """
+    if trajectory.solve is None:
+        raise RequiresForwardSolveError("the energy needs a forward solve; call forward_map first")
+    timeline, f = trajectory.solve.timeline, trajectory.solve.source
     u = trajectory.u
     du = trajectory.du
     n_time = u.shape[0]
@@ -626,7 +631,7 @@ def energy_monitor(trajectory, timeline, f=None, disc=None):
     peak = float(energies.max()) if n_time else 0.0
     ref = peak if peak > 0 else 1.0
     lam = None
-    if f is not None and disc is not None:
+    if disc is not None:
         from .forward import trapezoid_weights  # local import to avoid a cycle
 
         wts = trapezoid_weights(trajectory.time_grid)

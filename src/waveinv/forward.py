@@ -116,26 +116,32 @@ def forward_map(disc, point, f, u0=None, u1=None, *, like=None):
     return solve_forward(assemble_operators(disc, point), f, u0=u0, u1=u1, like=like)
 
 
-def observe(trajectory, spec=None):
-    """Extract the observed data from a trajectory."""
-    spec = spec or ObservationSpec()
+def _observation(trajectory, spec):
+    """The spec, shape and time grid of ``observe(trajectory, spec)``, without its values;
+    raises ObservationError for subset indices past the trajectory's free DOFs."""
+    n_time, n_free = trajectory.u.shape
     if spec.kind == "full-field":
-        return DataVector(trajectory.u, trajectory.time_grid, spec)
-    n_free = trajectory.u.shape[1]
+        return spec, (n_time, n_free), trajectory.time_grid
     if np.any(spec.indices >= n_free):
         raise ObservationError(f"observation indices out of range for {n_free} free DOFs")
-    return DataVector(trajectory.u[:, spec.indices], trajectory.time_grid, spec)
+    return spec, (n_time, spec.indices.size), trajectory.time_grid
 
 
-def _check_pair(d1, d2):
-    """Raise ObservationError unless two data vectors share spec, shape and time grid."""
-    if not d1.spec.matches(d2.spec):
+def observe(trajectory, spec=None):
+    """Extract the observed data from a trajectory."""
+    spec, _, time_grid = _observation(trajectory, spec or ObservationSpec())
+    u = trajectory.u if spec.kind == "full-field" else trajectory.u[:, spec.indices]
+    return DataVector(u, time_grid, spec)
+
+
+def _check_pair(d, spec, shape, time_grid):
+    """Raise ObservationError unless the data ``d`` have the spec, shape and time grid
+    of the other side: another data vector, or an :func:`_observation`."""
+    if not d.spec.matches(spec):
         raise ObservationError("data vectors carry different observation specs")
-    if d1.values.shape != d2.values.shape:
-        raise ObservationError(
-            f"data shapes differ: {d1.values.shape} vs {d2.values.shape}"
-        )
-    if not np.array_equal(d1.time_grid, d2.time_grid):
+    if d.values.shape != shape:
+        raise ObservationError(f"data shapes differ: {d.values.shape} vs {shape}")
+    if not np.array_equal(d.time_grid, time_grid):
         raise ObservationError("data vectors are sampled on different time grids")
 
 
@@ -145,7 +151,7 @@ def data_inner(d1, d2, disc):
     Full-field data pair through the mass matrix; node subsets through their
     diagonal weights.  Time integration is trapezoidal.
     """
-    _check_pair(d1, d2)
+    _check_pair(d1, d2.spec, d2.values.shape, d2.time_grid)
     w = trapezoid_weights(d1.time_grid)
     if d1.spec.kind == "full-field":
         pair = np.einsum("ni,ni->n", d1.values, (disc.M @ d2.values.T).T)
@@ -160,7 +166,7 @@ def data_load(v, disc, trajectory):
     Raises ObservationError unless ``v`` pairs with ``trajectory``'s own
     observation (spec, shape, time grid, indices inside the mesh).
     """
-    _check_pair(v, observe(trajectory, v.spec))
+    _check_pair(v, *_observation(trajectory, v.spec))
     if v.spec.kind == "full-field":
         return (disc.M @ v.values.T).T
     load = np.zeros(trajectory.u.shape)
@@ -175,7 +181,7 @@ def data_norm(d, disc):
 def data_difference(d1, d2):
     """The data vector d1 - d2; raises ObservationError unless their specs,
     shapes and time grids agree, so a mismatch never broadcasts."""
-    _check_pair(d1, d2)
+    _check_pair(d1, d2.spec, d2.values.shape, d2.time_grid)
     return DataVector(d1.values - d2.values, d1.time_grid, d1.spec)
 
 

@@ -140,13 +140,14 @@ class BumpSequence:
         """Analytic alpha_j at arbitrary times."""
         return float(j) ** (-self.r) * self.mother(np.asarray(t, dtype=float) * j - j * self.t0)
 
-    def certified_norms(self):
-        """Difference-quotient norms of each alpha_j on the grid of :data:`FINE_INTERVALS`."""
+    def certified_norms(self, scale=1.0):
+        """Difference-quotient norms of each ``scale`` alpha_j on the grid of
+        :data:`FINE_INTERVALS`."""
         t_end = float(self.time_grid[-1])
         tt = np.linspace(0.0, t_end, FINE_INTERVALS + 1)
         out = {}
         for j in self.j_values:
-            prof = ParameterField(self.profile(j, tt)[:, None], tt)
+            prof = ParameterField(scale * self.profile(j, tt)[:, None], tt)
             out[j] = parameter_norm(prof, self.r - 1)
         return out
 
@@ -326,9 +327,9 @@ def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
     base = forward_map(disc, point, f)
     fmap = next(term[3][0] for term in FORMS[disc.problem] if term[2] == target)
 
-    param_distances = np.empty(len(bumps.j_values))
+    norms = bumps.certified_norms(0.5 * delta)
+    param_distances = np.array([norms[j] for j in bumps.j_values])
     output_distances = np.empty(len(bumps.j_values))
-    fine_t = np.linspace(0.0, t_end, FINE_INTERVALS + 1)
     for idx, j in enumerate(bumps.j_values):
         shift = 0.5 * delta * bumps.samples[j]
         perturbed = point.copy()
@@ -342,10 +343,6 @@ def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
             ) from exc
         traj = forward_map(disc, perturbed, f, like=base)
         output_distances[idx] = y_norm(traj - base, disc, k=k - 1)
-        fine_profile = 0.5 * delta * bumps.profile(j, fine_t)
-        param_distances[idx] = parameter_norm(
-            ParameterField(fine_profile[:, None], fine_t), r - 1
-        )
 
     lower = 0.5 * delta * bumps.gamma
     param_lower_ok = bool(np.all(param_distances >= lower - 1e-14))

@@ -15,6 +15,7 @@ residual falls below ``tau * noise_level``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,16 +47,21 @@ class InversionConfig:
             raise InversionConfigError(
                 f"method must be 'landweber' or 'cgne', got {self.method!r}"
             )
+        for name, value in (("tau", self.tau), ("noise_level", self.noise_level),
+                            ("step_size", self.step_size)):
+            if value is not None and not np.isfinite(value):
+                raise InversionConfigError(f"{name} must be finite, got {value}")
         if self.tau <= 1.0:
             raise InversionConfigError(f"discrepancy factor tau must exceed 1, got {self.tau}")
         if self.step_size is not None and self.step_size <= 0.0:
             raise InversionConfigError(f"step size must be positive, got {self.step_size}")
         if self.noise_level < 0.0:
             raise InversionConfigError(f"noise level must be nonnegative, got {self.noise_level}")
-        if self.max_iterations < 0:
-            raise InversionConfigError("max_iterations must be nonnegative")
-        if self.outer_iterations < 1:
-            raise InversionConfigError("outer_iterations must be at least 1")
+        counts = {"max_iterations": 0, "outer_iterations": 1, "divergence_patience": 1}
+        for name, least in counts.items():
+            count = getattr(self, name)
+            if not isinstance(count, numbers.Integral) or count < least:
+                raise InversionConfigError(f"{name} must be an integer >= {least}, got {count!r}")
 
 
 @dataclass

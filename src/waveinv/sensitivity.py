@@ -32,8 +32,8 @@ backward equation reuses them in reverse order wherever its matrices equal
 the forward's by construction (see :func:`~.evolve.solve_backward`).  All
 operator products are the pattern's compiled CSR mat-vec.  Every sweep takes
 the point and its forward solve ``base``, and raises RequiresForwardSolveError
-unless the base was solved at that point as it is now: the dot test pairs
-both sides on the same base, so it cannot see a base from another point.
+unless the base was solved at that point as it is now.  The dot and Taylor
+tests take the solve alone and read the point, source and initial data there.
 
 Gradient fields are per-element densities g(n, e) paired with nodal parameter
 directions h through
@@ -84,7 +84,8 @@ def _solve_at(point, base):
 
     Raises RequiresForwardSolveError when ``base`` carries no solve record, or
     when the record's timeline was not assembled from ``point`` as it is now:
-    another problem, time grid or field value, or no point at all.
+    another problem, time grid or field value, or no point at all (the one
+    check left for ``point`` None).
     """
     record = None if base is None else base.solve
     if record is None:
@@ -96,9 +97,8 @@ def _solve_at(point, base):
     def same(a, b):
         return a is b or np.array_equal(a, b)
 
-    if (
-        tl.point is None
-        or tl.problem != point.problem
+    if tl.point is None or point is not None and (
+        tl.problem != point.problem
         or not same(tl.time_grid, point.time_grid)
         or not all(same(tl.point.fields[n].values, f.values) for n, f in point.fields.items())
     ):
@@ -424,13 +424,14 @@ def nodal_gradient(disc, grad):
     return out
 
 
-def dot_test(disc, point, direction, v, mode="discrete", *, base):
+def dot_test(disc, direction, v, mode="discrete", *, base):
     """Relative adjoint-consistency mismatch for one (direction, data) pair.
 
     Compares <dF h, v> in the data inner product with <dF* v, h> in the
     parameter pairing; ``mode`` selects the discrete (exact-transpose) or
-    continuous (backward-equation) adjoint, both at the forward solve ``base``.
+    continuous (backward-equation) adjoint, at the forward solve ``base`` and its point.
     """
+    point = _solve_at(None, base).timeline.point
     deriv = derivative_apply(disc, point, direction, base)
     d_out = observe(deriv, v.spec)
     lhs = data_inner(d_out, v, disc)
@@ -458,16 +459,17 @@ class TaylorReport:
     order: float
 
 
-def taylor_test(disc, point, direction, f, s_values, *, base):
+def taylor_test(disc, direction, s_values, *, base):
     """Measure the Taylor remainder order of the derivative along a direction.
 
-    ``base`` is the forward solve at ``point`` with the source ``f``, and
-    every perturbed solve starts from its initial state and momentum.  The
-    perturbed points x + s h must stay admissible for every s.  The order is
-    the least-squares slope of log remainder against log s.
+    Every perturbed solve takes the point x, the source and the initial
+    state and momentum of the forward solve ``base``.  The perturbed points
+    x + s h must stay admissible for every s.  The order is the
+    least-squares slope of log remainder against log s.
     """
+    record = _solve_at(None, base)
+    point, f, u0, u1 = record.timeline.point, record.source, base.u[0], record.p[0]
     deriv = derivative_apply(disc, point, direction, base)
-    u0, u1 = base.u[0], base.solve.p[0]
     d0 = observe(base)
     d1 = observe(deriv)
     s_values = np.asarray(list(s_values), dtype=float)

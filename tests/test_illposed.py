@@ -92,8 +92,10 @@ def test_bump_sequence_certified_norm_sandwich():
     tg = np.linspace(0.0, 1.0, 513)
     seq = bump_sequence(3, 0.5, 1.0, tg, [4, 8, 16, 32, 64])
     norms = seq.certified_norms()
+    scaled = seq.certified_norms(scale=0.1)
     for j, norm in norms.items():
         assert seq.gamma <= norm <= 1.05, j
+        assert scaled[j] == pytest.approx(0.1 * norm, rel=1e-12), j
 
 
 def test_bump_sequence_preconditions():
@@ -191,6 +193,12 @@ def test_illposed_experiment_structure():
     )
     # parameter distances certify the lower bound delta * gamma / 2
     assert np.all(result.param_distances >= 0.4 * result.gamma / 2.0)
+    # each is the norm of the perturbation profile (delta / 2) alpha_j on the fine grid
+    fine = np.linspace(0.0, 1.0, illposed.FINE_INTERVALS + 1)
+    bumps = bump_sequence(3, 0.5, 1.0, tg, [4, 8, 16])
+    profiles = [wi.ParameterField(0.2 * bumps.profile(j, fine)[:, None], fine) for j in (4, 8, 16)]
+    expected = [wi.galerkin.parameter_norm(profile, 2) for profile in profiles]
+    assert np.array_equal(result.param_distances, expected)
 
 
 def test_illposed_param_distance_same_for_additive_and_reciprocal_targets():

@@ -71,6 +71,35 @@ def test_config_rejects_bad_values(kwargs):
     assert issubclass(InversionConfigError, ValueError)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tau": np.nan},
+        {"noise_level": np.nan},
+        {"step_size": np.nan},
+        {"step_size": np.inf},
+        {"tau": np.inf},
+        {"max_iterations": 2.5},
+        {"outer_iterations": 1.5},
+        {"divergence_patience": 0},
+        {"divergence_patience": -3},
+        {"divergence_patience": 2.0},
+    ],
+    ids=repr,
+)
+def test_config_rejects_values_that_went_wrong_later(kwargs):
+    # each would go wrong later: outer_iterations=1.5 dies in range() with a bare
+    # TypeError, and tau=nan never meets its threshold, so Landweber runs to max_iterations
+    (name,) = kwargs
+    with pytest.raises(InversionConfigError, match=name):
+        InversionConfig(**kwargs)
+
+
+def test_config_takes_numpy_counts():
+    cfg = InversionConfig(max_iterations=np.int64(3), divergence_patience=10**6)
+    assert (cfg.max_iterations, cfg.divergence_patience) == (3, 10**6)
+
+
 def test_unknown_target_rejected(instance):
     disc, tg, truth, x0, f, clean = instance
     cfg = InversionConfig(targets=("zeta",), max_iterations=1)

@@ -28,12 +28,6 @@ def test_adjoint_checks_script(capsys):
     assert len(orders) == 9 and all(o == pytest.approx(2.0, abs=0.05) for o in orders)
 
 
-def test_instability_demo_script(capsys):
-    script = load_script("run_instability_demo")
-    assert script.main(["--elements", "6", "--steps", "48", "--j", "4", "8"]) == 0
-    assert "outputs strictly decreasing: True" in capsys.readouterr().out
-
-
 def test_reconstruction_demo_script(capsys):
     script = load_script("run_reconstruction_demo")
     args = ["--elements", "6", "--steps", "16", "--max-iterations", "5"]

@@ -152,17 +152,18 @@ def test_derivative_requires_cached_solve(wave_disc, time_grid):
 # the base must be the forward solve at the point
 
 
+#: the sweeps that take a point beside the solve; ``dot_test`` reads the solve's own
 SWEEPS = [
     "derivative_apply",
     "derivative_apply_many",
     "adjoint_apply_discrete",
     "adjoint_apply_continuous",
-    "dot_test",
 ]
 
 
 def sweep(name, disc, tg):
-    """The sensitivity entry point ``name`` as a call on (point, base)."""
+    """The sensitivity entry point ``name`` as a call on (point, base); ``dot_test``
+    takes the point of the base."""
     direction = smooth_direction(disc, tg, wi.FIELD_NAMES[disc.problem])
     v = wi.DataVector(np.ones((tg.size, disc.n_free)), tg)
     calls = {
@@ -175,7 +176,7 @@ def sweep(name, disc, tg):
         "adjoint_apply_continuous": lambda point, base: adjoint_apply_continuous(
             disc, point, v, base
         ),
-        "dot_test": lambda point, base: dot_test(disc, point, direction, v, base=base),
+        "dot_test": lambda point, base: dot_test(disc, direction, v, base=base),
     }
     return calls[name]
 
@@ -235,7 +236,7 @@ def test_a_write_into_the_time_grid_after_the_solve_is_caught(name):
         call(point, base)
 
 
-@pytest.mark.parametrize("name", SWEEPS)
+@pytest.mark.parametrize("name", SWEEPS + ["dot_test"])
 def test_a_base_on_a_hand_built_timeline_is_rejected(name):
     disc, tg, point, f, base = solved("wave1d")
     tl = base.solve.timeline
@@ -244,6 +245,30 @@ def test_a_base_on_a_hand_built_timeline_is_rejected(name):
         sweep(name, disc, tg)(point, wi.solve_forward(hand, f))
     with pytest.raises(RequiresForwardSolveError, match="call forward_map first"):
         sweep(name, disc, tg)(point, base - base)
+
+
+@pytest.mark.parametrize("name", ["dot_test", "taylor_test", "energy_monitor"])
+def test_the_tests_of_a_solve_need_its_record(name):
+    disc, tg, point, f, base = solved("wave1d")
+    direction = smooth_direction(disc, tg, wi.FIELD_NAMES["wave1d"])
+    v = wi.DataVector(np.ones((tg.size, disc.n_free)), tg)
+    call = {
+        "dot_test": lambda b: dot_test(disc, direction, v, base=b),
+        "taylor_test": lambda b: taylor_test(disc, direction, [1e-1, 1e-2], base=b),
+        "energy_monitor": wi.energy_monitor,
+    }[name]
+    call(base)  # the forward solve is accepted
+    for bare in (base - base, derivative_apply(disc, point, direction, base)):
+        with pytest.raises(RequiresForwardSolveError, match="call forward_map first"):
+            call(bare)
+    tl = base.solve.timeline
+    hand = wi.galerkin.OperatorTimeline(tl.problem, tl.time_grid, tl.pattern, tl.values)
+    hand_solve = wi.solve_forward(hand, f)
+    if name == "energy_monitor":  # reads the solve's timeline and source, not its point
+        assert np.array_equal(call(hand_solve).energies, call(base).energies)
+    else:
+        with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
+            call(hand_solve)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +353,7 @@ def test_dot_test_discrete_wave(wave_disc, time_grid):
     v = wi.DataVector(
         rng.standard_normal((time_grid.size, wave_disc.n_free)), time_grid
     )
-    assert dot_test(wave_disc, point, direction, v, base=base) <= 1e-12
+    assert dot_test(wave_disc, direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_discrete_elastic(elastic_disc, time_grid):
@@ -340,7 +365,7 @@ def test_dot_test_discrete_elastic(elastic_disc, time_grid):
     v = wi.DataVector(
         rng.standard_normal((time_grid.size, elastic_disc.n_free)), time_grid
     )
-    assert dot_test(elastic_disc, point, direction, v, base=base) <= 1e-12
+    assert dot_test(elastic_disc, direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_discrete_maxwell(maxwell_disc, time_grid):
@@ -352,7 +377,7 @@ def test_dot_test_discrete_maxwell(maxwell_disc, time_grid):
     v = wi.DataVector(
         rng.standard_normal((time_grid.size, maxwell_disc.n_free)), time_grid
     )
-    assert dot_test(maxwell_disc, point, direction, v, base=base) <= 1e-12
+    assert dot_test(maxwell_disc, direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_discrete_subset_observation(wave_disc, time_grid):
@@ -361,7 +386,7 @@ def test_dot_test_discrete_subset_observation(wave_disc, time_grid):
     spec = wi.ObservationSpec(kind="node-subset", indices=[2, 7], weights=[1.0, 3.0])
     rng = np.random.default_rng(11)
     v = wi.DataVector(rng.standard_normal((time_grid.size, 2)), time_grid, spec)
-    assert dot_test(wave_disc, point, direction, v, base=base) <= 1e-12
+    assert dot_test(wave_disc, direction, v, base=base) <= 1e-12
 
 
 def subset_data(tg, indices):
@@ -400,7 +425,7 @@ def test_dot_test_discrete_repeated_subset_index(wave_disc, time_grid):
     spec = wi.ObservationSpec(kind="node-subset", indices=[4, 4, 9], weights=[1.0, 2.0, 0.5])
     rng = np.random.default_rng(12)
     v = wi.DataVector(rng.standard_normal((time_grid.size, 3)), time_grid, spec)
-    assert dot_test(wave_disc, point, direction, v, base=base) <= 1e-12
+    assert dot_test(wave_disc, direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_continuous_converges():
@@ -414,9 +439,7 @@ def test_dot_test_continuous_converges():
         direction = smooth_direction(disc, tg, ("a", "b", "rho", "q"))
         v_field = wi.make_source(disc, tg, lambda t, x: np.sin(np.pi * x) * np.cos(t))
         v = wi.DataVector(v_field.values, tg)
-        mismatches.append(
-            dot_test(disc, point, direction, v, mode="continuous", base=base)
-        )
+        mismatches.append(dot_test(disc, direction, v, mode="continuous", base=base))
     orders = np.log2(np.array(mismatches[:-1]) / np.array(mismatches[1:]))
     assert np.all(orders > 1.5)
     assert mismatches[-1] < mismatches[0]
@@ -427,13 +450,13 @@ def test_dot_test_error_paths(wave_disc, time_grid):
     direction = smooth_direction(wave_disc, time_grid, ("a",))
     v = wi.DataVector(np.ones((time_grid.size, wave_disc.n_free)), time_grid)
     with pytest.raises(TypeError, match="base"):
-        dot_test(wave_disc, point, direction, v)
+        dot_test(wave_disc, direction, v)
     with pytest.raises(DegenerateTestError, match="'discrete' or 'continuous'"):
-        dot_test(wave_disc, point, direction, v, mode="sideways", base=base)
+        dot_test(wave_disc, direction, v, mode="sideways", base=base)
     zero_dir = {"a": np.zeros((time_grid.size, wave_disc.n_nodes))}
     zero_v = wi.DataVector(np.zeros((time_grid.size, wave_disc.n_free)), time_grid)
     with pytest.raises(DegenerateTestError):
-        dot_test(wave_disc, point, zero_dir, zero_v, base=base)
+        dot_test(wave_disc, zero_dir, zero_v, base=base)
 
 
 def test_continuous_adjoint_needs_full_field(wave_disc, time_grid):
@@ -484,9 +507,7 @@ def test_taylor_orders(wave_disc, time_grid):
     s_values = (1e-1, 1e-2, 1e-3)
     for name in ("a", "b", "rho", "q"):
         direction = smooth_direction(wave_disc, time_grid, (name,), scale=0.5)
-        report = taylor_test(
-            wave_disc, point, direction, f, s_values, base=base
-        )
+        report = taylor_test(wave_disc, direction, s_values, base=base)
         assert report.order > 1.9, name
         assert np.all(np.diff(report.remainders) < 0)
 
@@ -505,4 +526,4 @@ def test_dot_test_discrete_random_pairs(scale, seed):
         for name in ("a", "b", "rho", "q")
     }
     v = wi.DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
-    assert dot_test(disc, point, direction, v, base=base) <= 1e-11
+    assert dot_test(disc, direction, v, base=base) <= 1e-11
