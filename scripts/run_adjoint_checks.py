@@ -61,13 +61,13 @@ def main(argv=None):
                 for name in FIELD_NAMES[problem]
             }
             v = wi.DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
-            worst = max(worst, dot_test(disc, direction, v, mode="discrete", base=base))
+            worst = max(worst, dot_test(direction, v, mode="discrete", base=base))
         print(f"{problem}: discrete adjoint mismatch {worst:.2e} "
               f"({args.pairs} random pairs)")
 
         direction = smooth_direction(disc, tg, FIELD_NAMES[problem], scale=0.5)
         v = wi.DataVector(np.ones((tg.size, disc.n_free)), tg)
-        coarse = dot_test(disc, direction, v, mode="continuous", base=base)
+        coarse = dot_test(direction, v, mode="continuous", base=base)
         tg2 = np.linspace(0.0, 1.0, 2 * args.steps + 1)
         point2 = wi.ParameterPoint.from_constants(
             problem, tg2, disc.n_nodes, **constants
@@ -75,15 +75,12 @@ def main(argv=None):
         f2 = load(disc, tg2)
         direction2 = smooth_direction(disc, tg2, FIELD_NAMES[problem], scale=0.5)
         v2 = wi.DataVector(np.ones((tg2.size, disc.n_free)), tg2)
-        fine = dot_test(
-            disc, direction2, v2, mode="continuous", base=wi.forward_map(disc, point2, f2)
-        )
+        fine = dot_test(direction2, v2, mode="continuous", base=wi.forward_map(disc, point2, f2))
         print(f"{problem}: continuous pairing mismatch {coarse:.2e} -> {fine:.2e} "
               f"on step halving (ratio {coarse / fine:.1f})")
 
         for name in FIELD_NAMES[problem]:
             report = taylor_test(
-                disc,
                 smooth_direction(disc, tg, [name], scale=0.5),
                 [1e-1, 1e-2, 1e-3, 1e-4],
                 base=base,

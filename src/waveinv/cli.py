@@ -301,7 +301,7 @@ def _run_dot_test(disc, point, tg, f, opts, seed, base_dir):
             for name in FIELD_NAMES[disc.problem]
         }
         v = DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
-        mismatches.append(dot_test(disc, direction, v, mode=opts["mode"], base=base))
+        mismatches.append(dot_test(direction, v, mode=opts["mode"], base=base))
     report = {"mode": opts["mode"], "mismatches": mismatches, "max": max(mismatches)}
     return {"dot_test.json": report}, report
 
@@ -313,7 +313,7 @@ def _run_taylor_test(disc, point, tg, f, opts, seed, base_dir):
     orders = {}
     rows = []
     for t_idx, name in enumerate(targets):
-        report = taylor_test(disc, {name: h_profile}, opts["s_values"], base=base)
+        report = taylor_test({name: h_profile}, opts["s_values"], base=base)
         orders[name] = report.order
         for s, rem in zip(report.s_values, report.remainders):
             rows.append((float(t_idx), float(s), float(rem)))

@@ -20,9 +20,9 @@ Cholesky wherever the matrix is positive definite, and band LU otherwise.
 Every step matrix is symmetric, so a factor solves with the transpose as
 well.  A forward solve keeps its timeline, factors, step values and source
 in one :class:`SolveRecord`, the trajectory's ``solve``, for the adjoint
-sweeps and diagnostics in :mod:`.sensitivity`; the timeline of
-:func:`~.galerkin.assemble_operators` holds the point it was assembled
-from, so those sweeps can check that they linearize there.
+sweeps and diagnostics in :mod:`.sensitivity`; its timeline holds the mesh
+and (from :func:`~.galerkin.assemble_operators`) the point, which those read
+from it, and the sweeps check that they linearize there.
 The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
 factors and step values in reverse order wherever its matrices are the same
 by construction.  A solve recovers the velocity and acceleration the first
@@ -88,10 +88,11 @@ class SolveRecord:
     """What a forward solve keeps for the derivative and adjoint sweeps, and
     for a solve resumed from it (see :func:`solve_forward`).
 
-    ``timeline`` is the solved timeline, ``factors`` the factor of every step
-    matrix S_n, ``t_vals`` and ``c_half`` the (step x nnz) values of T_n and
-    C_h, and ``c_factors`` the factor of every C(t_n).  ``p`` holds the
-    momentum at every node and ``source`` the :class:`SourceTerm` of the solve.
+    ``timeline`` is the solved timeline, with its mesh and point, ``factors``
+    the factor of every step matrix S_n, ``t_vals`` and ``c_half`` the
+    (step x nnz) values of T_n and C_h, and ``c_factors`` the factor of every
+    C(t_n).  ``p`` holds the momentum at every node and ``source`` the
+    :class:`SourceTerm` of the solve.
     """
 
     timeline: OperatorTimeline
@@ -332,17 +333,15 @@ def _reuse(timeline, like, u, p, f):
     bit for bit; m0 is the first step that is not, or earlier the first
     step with a source row that differs, or 0 when the initial data differ.
     Raises RequiresForwardSolveError unless ``like`` is a forward solve on
-    the same pattern and time grid.
+    the same mesh and time grid.
     """
     record = like.solve
     if (
         record is None
-        or record.timeline.pattern is not timeline.pattern
+        or record.timeline.disc is not timeline.disc
         or not np.array_equal(record.timeline.time_grid, timeline.time_grid)
     ):
-        raise RequiresForwardSolveError(
-            "like must be a forward solve on the same pattern and time grid"
-        )
+        raise RequiresForwardSolveError("like must be a forward solve on this mesh and time grid")
     new, old = timeline.values, record.timeline.values
     node = np.zeros(timeline.time_grid.size, dtype=bool)
     for slot in new:
@@ -504,7 +503,7 @@ def reverse_timeline(timeline):
     b_rate = None if v["B"] is None else time_difference(v["B"], timeline.dt)
     q_t = combine((1.0, v["Q"]), (-1.0, b_rate))
     values = {"A": flip(v["A"]), "B": flip(v["B"]), "C": flip(v["C"]), "Q": flip(q_t)}
-    return OperatorTimeline(timeline.problem, timeline.time_grid, timeline.pattern, values)
+    return OperatorTimeline(timeline.disc, timeline.time_grid, values)
 
 
 def solve_backward(timeline, v, like=None):
@@ -604,24 +603,23 @@ class EnergyReport:
     energies: np.ndarray
     max_relative_drift: float
     monotone_nonincreasing: bool
-    lambda_hat: float | None = None
+    lambda_hat: float | None
 
 
-def energy_monitor(trajectory, disc=None):
-    """Track the discrete energy along a forward solve, on its own timeline.
+def energy_monitor(trajectory):
+    """Track the discrete energy along a forward solve, on its own timeline and mesh.
 
     ``max_relative_drift`` is the largest per-step energy change relative to
-    the peak energy; ``lambda_hat`` (recorded only when the mesh is supplied)
-    is the observed stability ratio max E / ||f||^2 with the solve's source
-    measured in the time-integrated pivot norm through the inverse mass
-    matrix, an empirical constant of this run.  A trajectory without a solve
-    record raises RequiresForwardSolveError.
+    the peak energy; ``lambda_hat`` is the observed stability ratio
+    max E / ||f||^2 with the solve's source measured in the time-integrated
+    pivot norm through the inverse mass matrix of the solve's mesh, an
+    empirical constant of this run (None for a zero source).  A trajectory
+    without a solve record raises RequiresForwardSolveError.
     """
     if trajectory.solve is None:
         raise RequiresForwardSolveError("the energy needs a forward solve; call forward_map first")
     timeline, f = trajectory.solve.timeline, trajectory.solve.source
-    u = trajectory.u
-    du = trajectory.du
+    u, du = trajectory.u, trajectory.du
     n_time = u.shape[0]
     v = timeline.values
     c_du = timeline.pattern.matvec(v["C"], du)
@@ -630,20 +628,15 @@ def energy_monitor(trajectory, disc=None):
     steps = np.diff(energies)
     peak = float(energies.max()) if n_time else 0.0
     ref = peak if peak > 0 else 1.0
-    lam = None
-    if disc is not None:
-        from .forward import trapezoid_weights  # local import to avoid a cycle
-
-        wts = trapezoid_weights(trajectory.time_grid)
-        minv = spla.splu(disc.M.tocsc())
-        total = float(wts @ np.einsum("ni,in->n", f.values, minv.solve(f.values.T)))
-        if total > 0:
-            lam = peak / total
+    from .forward import trapezoid_weights  # local import to avoid a cycle
+    wts = trapezoid_weights(trajectory.time_grid)
+    minv = spla.splu(timeline.disc.M.tocsc())
+    total = float(wts @ np.einsum("ni,in->n", f.values, minv.solve(f.values.T)))
     return EnergyReport(
         energies=energies,
         max_relative_drift=float(np.abs(steps).max() / ref) if steps.size else 0.0,
         monotone_nonincreasing=bool(np.all(steps <= 1e-12 * ref)),
-        lambda_hat=lam,
+        lambda_hat=peak / total if total > 0 else None,
     )
 
 

@@ -4,10 +4,10 @@ Composes operator assembly with the midpoint solver and provides the data
 space: observation extraction, the trapezoidal/mass-weighted inner product,
 distances, and the adjoints' data load.  A forward solve returns its
 trajectory with the solve record (:class:`~.evolve.SolveRecord`: the timeline,
-which holds the point, and the factorizations) as ``solve``, so derivative and
-adjoint sweeps at that point can reuse it.  Data are compared, subtracted or
-loaded into an adjoint only once their observation specs, shapes and time
-grids agree.
+which holds the mesh and the point, and the factorizations) as ``solve``, so
+derivative and adjoint sweeps at that point can reuse it.  Data are compared,
+subtracted or loaded into an adjoint (on the solve's own mesh) only once
+their observation specs, shapes and time grids agree.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ObservationError, ResolutionError
+from .errors import ObservationError, RequiresForwardSolveError, ResolutionError
 from .evolve import solve_forward
 from .galerkin import assemble_operators, check_time_grid, read_only
 
@@ -160,15 +160,18 @@ def data_inner(d1, d2, disc):
     return float(w @ pair)
 
 
-def data_load(v, disc, trajectory):
+def data_load(v, trajectory):
     """Load form of u -> <observe(u, v.spec), v> per time node, without time weights.
 
-    Raises ObservationError unless ``v`` pairs with ``trajectory``'s own
-    observation (spec, shape, time grid, indices inside the mesh).
+    ``trajectory`` is a forward solve, whose mesh gives the mass matrix
+    (RequiresForwardSolveError without a solve record).  Raises ObservationError unless
+    ``v`` pairs with its own observation (spec, shape, time grid, indices inside the mesh).
     """
+    if trajectory.solve is None:
+        raise RequiresForwardSolveError("the load needs a forward solve; call forward_map first")
     _check_pair(v, *_observation(trajectory, v.spec))
     if v.spec.kind == "full-field":
-        return (disc.M @ v.values.T).T
+        return (trajectory.solve.timeline.disc.M @ v.values.T).T
     load = np.zeros(trajectory.u.shape)
     np.add.at(load, (slice(None), v.spec.indices), v.values * v.spec.weights)
     return load

@@ -747,18 +747,22 @@ class OperatorTimeline:
     :func:`~.evolve.reverse_timeline`, (time node x k x nnz) for k directions
     from :func:`assemble_direction`.  ``rate(slot)`` is its second-order time
     derivative, and ``matrix(slot, n)`` builds one node's CSR matrix from the
-    first layout only.  ``point`` and ``directions`` are what the timeline
-    was assembled from, a copy of a parameter point or checked direction
-    tables, and None on any other timeline.
+    first layout only, on the pattern of the mesh ``disc`` it was assembled
+    on.  ``point`` and ``directions`` are what it was assembled from, a copy
+    of a parameter point or checked direction tables, and None on any other
+    timeline.
     """
 
-    def __init__(self, problem, time_grid, pattern, values, point=None, directions=None):
-        self.problem = problem
+    def __init__(self, disc, time_grid, values, point=None, directions=None):
+        self.disc = disc
         self.time_grid = read_only(time_grid)
-        self.pattern = pattern
         self.values = {slot: values.get(slot) for slot in SLOTS}
         self.point, self.directions = point, directions
         self._rates = {}
+
+    @property
+    def pattern(self):
+        return self.disc.pattern
 
     @property
     def dt(self):
@@ -791,7 +795,7 @@ def _assemble(disc, time_grid, coefficient, **kept):
         if coeff is not None:
             part = disc.kits[kit].values(coeff)
             values[slot] = values[slot] + part if slot in values else part
-    return OperatorTimeline(disc.problem, time_grid, disc.pattern, values, **kept)
+    return OperatorTimeline(disc, time_grid, values, **kept)
 
 
 def _check_problem(disc, point):

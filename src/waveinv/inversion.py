@@ -57,6 +57,8 @@ class InversionConfig:
             raise InversionConfigError(f"step size must be positive, got {self.step_size}")
         if self.noise_level < 0.0:
             raise InversionConfigError(f"noise level must be nonnegative, got {self.noise_level}")
+        if self.targets is not None and (isinstance(self.targets, str) or not len(self.targets)):
+            raise InversionConfigError(f"targets must list field names, got {self.targets!r}")
         counts = {"max_iterations": 0, "outer_iterations": 1, "divergence_patience": 1}
         for name, least in counts.items():
             count = getattr(self, name)
@@ -103,17 +105,19 @@ def _nodal_norm(disc, g, time_grid):
     return float(np.sqrt(max(_nodal_inner(disc, g, g, time_grid), 0.0)))
 
 
-def _restricted_gradient(disc, point, resid, base, targets):
-    grad = nodal_gradient(disc, adjoint_apply_discrete(disc, point, resid, base))
+def _restricted_gradient(resid, base, targets):
+    tl = base.solve.timeline
+    grad = nodal_gradient(tl.disc, adjoint_apply_discrete(tl.disc, tl.point, resid, base))
     return {name: grad[name] for name in targets}
 
 
-def _estimate_step_size(disc, point, base, targets, spec):
+def _estimate_step_size(base, targets, spec):
     """0.9 / (largest eigenvalue of J* J) in the nodal metric, by power iteration.
 
-    ``base`` is the forward solve at ``point``.  The eigenvalue is taken in
-    the (data, nodal) metric pair the iteration uses, with the data's ``spec``.
+    The eigenvalue is taken at the forward solve ``base``, in the (data,
+    nodal) metric pair the iteration uses, with the data's ``spec``.
     """
+    disc, point = base.solve.timeline.disc, base.solve.timeline.point
     tg = point.time_grid
     h = {name: np.ones((tg.size, disc.n_nodes)) for name in targets}
     h_norm = _nodal_norm(disc, h, tg)
@@ -126,7 +130,7 @@ def _estimate_step_size(disc, point, base, targets, spec):
         if jh_norm == 0.0:
             break
         lam = jh_norm**2
-        g = _restricted_gradient(disc, point, jh, base, targets)
+        g = _restricted_gradient(jh, base, targets)
         g_norm = _nodal_norm(disc, g, tg)
         if g_norm == 0.0:
             break
@@ -160,7 +164,7 @@ def landweber(disc, x0, data, f, config):
     while True:
         traj = forward_map(disc, x, f)
         if omega is None:
-            omega = history.step_size = _estimate_step_size(disc, x, traj, targets, data.spec)
+            omega = history.step_size = _estimate_step_size(traj, targets, data.spec)
         out = observe(traj, data.spec)
         resid = data_difference(out, data)
         res_norm = data_norm(resid, disc)
@@ -182,7 +186,7 @@ def landweber(disc, x0, data, f, config):
                 )
         else:
             growth = 0
-        grad = _restricted_gradient(disc, x, resid, traj, targets)
+        grad = _restricted_gradient(resid, traj, targets)
         history.gradient_norms.append(_nodal_norm(disc, grad, tg))
         for name in targets:
             x.fields[name].values = x.fields[name].values - omega * grad[name]
@@ -214,7 +218,7 @@ def cgne(disc, x0, data, f, config):
         rhs = data_difference(data, out)
         h = {name: np.zeros((tg.size, disc.n_nodes)) for name in targets}
         r = rhs
-        s = _restricted_gradient(disc, x, r, base, targets)
+        s = _restricted_gradient(r, base, targets)
         gamma = _nodal_inner(disc, s, s, tg)
         p = s
         stopped = ""
@@ -242,7 +246,7 @@ def cgne(disc, x0, data, f, config):
             for name in targets:
                 h[name] += alpha * p[name]
             r = DataVector(r.values - alpha * jp.values, r.time_grid, r.spec)
-            s_new = _restricted_gradient(disc, x, r, base, targets)
+            s_new = _restricted_gradient(r, base, targets)
             gamma_new = _nodal_inner(disc, s_new, s_new, tg)
             beta = gamma_new / gamma
             p = {name: s_new[name] + beta * p[name] for name in targets}

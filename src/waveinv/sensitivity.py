@@ -31,9 +31,10 @@ discrete adjoint solves its transposed systems with them as they are, and the
 backward equation reuses them in reverse order wherever its matrices equal
 the forward's by construction (see :func:`~.evolve.solve_backward`).  All
 operator products are the pattern's compiled CSR mat-vec.  Every sweep takes
-the point and its forward solve ``base``, and raises RequiresForwardSolveError
-unless the base was solved at that point as it is now.  The dot and Taylor
-tests take the solve alone and read the point, source and initial data there.
+the mesh, the point and its forward solve ``base``, and raises
+RequiresForwardSolveError unless the base was solved on that very mesh at that
+point as it is now.  Everything else reads the mesh, point, source and initial
+data from the solve.
 
 Gradient fields are per-element densities g(n, e) paired with nodal parameter
 directions h through
@@ -79,13 +80,13 @@ class GradientFields:
     time_grid: np.ndarray
 
 
-def _solve_at(point, base):
-    """The solve record of ``base``, which must be a forward solve at ``point``.
+def _solve_at(base, disc=None, point=None):
+    """The solve record of ``base``, which must be a forward solve on ``disc`` at ``point``.
 
     Raises RequiresForwardSolveError when ``base`` carries no solve record, or
-    when the record's timeline was not assembled from ``point`` as it is now:
-    another problem, time grid or field value, or no point at all (the one
-    check left for ``point`` None).
+    when its timeline was not assembled on ``disc`` (the same object) from
+    ``point`` as it is now: another problem, time grid or field value, or no
+    point at all (the one check left without ``disc`` and ``point``).
     """
     record = None if base is None else base.solve
     if record is None:
@@ -98,12 +99,13 @@ def _solve_at(point, base):
         return a is b or np.array_equal(a, b)
 
     if tl.point is None or point is not None and (
-        tl.problem != point.problem
+        disc is not tl.disc
+        or tl.point.problem != point.problem
         or not same(tl.time_grid, point.time_grid)
         or not all(same(tl.point.fields[n].values, f.values) for n, f in point.fields.items())
     ):
         raise RequiresForwardSolveError(
-            "the base was not solved at this point; call forward_map at the point first"
+            "the base was not solved at this point on this mesh; call forward_map there first"
         )
     return record
 
@@ -151,14 +153,11 @@ def derivative_apply_many(disc, point, directions, base):
     iterable; it is read, and its trajectories computed, one block at a
     time, so only one block is held at once.
     """
-    record = _solve_at(point, base)
-    timeline = record.timeline
+    timeline = _solve_at(base, disc, point).timeline
     size = max(1, _BLOCK_BYTES // (timeline.time_grid.size * timeline.pattern.nnz * 8))
     directions = iter(directions)
     blocks = iter(lambda: list(islice(directions, size)), [])  # until a block comes out empty
-    return chain.from_iterable(
-        _derivative_block(disc, point, block, base, record) for block in blocks
-    )
+    return chain.from_iterable(_derivative_block(block, base) for block in blocks)
 
 
 def _per_direction(rows, k):
@@ -168,13 +167,14 @@ def _per_direction(rows, k):
     return np.broadcast_to(rows[:, None], (rows.shape[0], k, rows.shape[1]))
 
 
-def _derivative_block(disc, point, directions, base, record):
-    """The derivative trajectories of one block of k directions, whose
-    velocities and accelerations :class:`_BlockRates` recovers on first read."""
+def _derivative_block(directions, base):
+    """The derivative trajectories of one block of k directions at the base,
+    whose velocities and accelerations :class:`_BlockRates` recovers on first read."""
+    record = base.solve
     timeline = record.timeline
     pattern = timeline.pattern
     tg = timeline.time_grid
-    tlh = assemble_direction(disc, point, directions)
+    tlh = assemble_direction(timeline.disc, timeline.point, directions)
     two_dt = 2.0 / timeline.dt
     k = len(directions)
     u = base.u
@@ -193,7 +193,7 @@ def _derivative_block(disc, point, directions, base, record):
         eta, pi, b.transpose(0, 2, 1), c.transpose(0, 2, 1),
     )
     eta = eta.transpose(0, 2, 1)
-    rates = _BlockRates(disc, tlh.directions, base, eta, pi.transpose(0, 2, 1))
+    rates = _BlockRates(tlh.directions, base, eta, pi.transpose(0, 2, 1))
     return [
         Trajectory(np.ascontiguousarray(eta[:, j]), None, None, tg, recover=rates.column(j))
         for j in range(k)
@@ -207,11 +207,11 @@ class _BlockRates:
     multi-column solve per distinct C(t_n) factor, from what the block
     keeps: its checked direction tables, the base solve, and the block's
     states eta and momenta pi, (time, k, dof) each.  The direction timeline
-    is assembled again then, at the point the base's timeline keeps.
+    is assembled again then, on the mesh and point the base's timeline keeps.
     """
 
-    def __init__(self, disc, tables, base, eta, pi):
-        self._inputs = (disc, tables, base, eta, pi)
+    def __init__(self, tables, base, eta, pi):
+        self._inputs = (tables, base, eta, pi)
         self._rates = None
 
     def column(self, j):
@@ -226,12 +226,12 @@ class _BlockRates:
         return self._rates[which][j]
 
 
-def _recover_block(disc, tables, base, eta, pi):
+def _recover_block(tables, base, eta, pi):
     """(deta, ddeta), (time, k, dof) each: the exact derivatives of the base
     recovery formulas along the k directions ``tables``."""
     timeline = base.solve.timeline
     pattern = timeline.pattern
-    tlh = assemble_direction(disc, timeline.point, tables)
+    tlh = assemble_direction(timeline.disc, timeline.point, tables)
     k = len(tables)
     c_factors = base.solve.c_factors
     vb, vh = timeline.values, tlh.values
@@ -272,7 +272,7 @@ def adjoint_apply_discrete(disc, point, v, base):
     compiled product kernels and the bound LAPACK solve on preallocated
     buffers.
     """
-    record = _solve_at(point, base)
+    record = _solve_at(base, disc, point)
     timeline = record.timeline
     pattern = timeline.pattern
     tg = timeline.time_grid
@@ -286,7 +286,7 @@ def adjoint_apply_discrete(disc, point, v, base):
     u = base.u
     w = trapezoid_weights(tg)
 
-    seeds = w[:, None] * data_load(v, disc, base)
+    seeds = w[:, None] * data_load(v, base)
     p = seeds[n_steps].copy()
     # r_n goes to beta[n] and q_n to gamma[n]; the recursion starts from q = 0
     beta = np.empty((n_steps, disc.n_free))
@@ -321,9 +321,7 @@ def adjoint_apply_discrete(disc, point, v, base):
     pairs = {"A": aq, "Q": aq, "B": (-beta, du_step), "C": (two_dt * (gamma - beta), du_step)}
     scale = 1.0 / (w[:, None] * disc.element_sizes[None, :])
     return _gradient(
-        disc,
-        point,
-        tg,
+        timeline,
         lambda kit, slot: _steps_to_nodes(kit.element_bilinear_many(*pairs[slot])) * scale,
     )
 
@@ -338,36 +336,32 @@ def adjoint_apply_continuous(disc, point, v, base):
     the pairing with a direction reproduces the defining integrals discretely.
     """
     if v.spec.kind != "full-field":
-        raise ObservationError(
-            "the continuous-mode adjoint supports full-field data only"
-        )
-    timeline = _solve_at(point, base).timeline
-    load = SourceTerm(data_load(v, disc, base))
+        raise ObservationError("the continuous-mode adjoint supports full-field data only")
+    timeline = _solve_at(base, disc, point).timeline
+    load = SourceTerm(data_load(v, base))
     w = solve_backward(timeline, load, like=base)
     # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
     aq = (-base.u, w.u)
     pairs = {"A": aq, "Q": aq, "B": (-base.du, w.u), "C": (base.du, w.du)}
     inv_sizes = 1.0 / disc.element_sizes[None, :]
     return _gradient(
-        disc,
-        point,
-        timeline.time_grid,
-        lambda kit, slot: kit.element_bilinear_many(*pairs[slot]) * inv_sizes,
+        timeline, lambda kit, slot: kit.element_bilinear_many(*pairs[slot]) * inv_sizes
     )
 
 
-def _gradient(disc, point, time_grid, density):
-    """Gradient fields from slot densities through each form term's map.
+def _gradient(timeline, density):
+    """Gradient fields from slot densities through each form term's map, at a base's ``timeline``.
 
     ``density(kit, slot)`` is the (time x element) density of a slot with
     respect to the element coefficients of ``kit``; the linearized
     coefficient map of the term carries it to the field.
     """
+    disc, point = timeline.disc, timeline.point
     fields = {}
     for slot, kit, name, fmap in FORMS[disc.problem]:
         g = fmap[1](disc.element_means(point.fields[name].values), density(disc.kits[kit], slot))
         fields[name] = fields[name] + g if name in fields else g
-    return GradientFields(problem=disc.problem, fields=fields, time_grid=time_grid)
+    return GradientFields(problem=disc.problem, fields=fields, time_grid=timeline.time_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -424,14 +418,15 @@ def nodal_gradient(disc, grad):
     return out
 
 
-def dot_test(disc, direction, v, mode="discrete", *, base):
+def dot_test(direction, v, mode="discrete", *, base):
     """Relative adjoint-consistency mismatch for one (direction, data) pair.
 
     Compares <dF h, v> in the data inner product with <dF* v, h> in the
     parameter pairing; ``mode`` selects the discrete (exact-transpose) or
-    continuous (backward-equation) adjoint, at the forward solve ``base`` and its point.
+    continuous (backward-equation) adjoint, at the forward solve ``base`` on its mesh and point.
     """
-    point = _solve_at(None, base).timeline.point
+    timeline = _solve_at(base).timeline
+    disc, point = timeline.disc, timeline.point
     deriv = derivative_apply(disc, point, direction, base)
     d_out = observe(deriv, v.spec)
     lhs = data_inner(d_out, v, disc)
@@ -459,16 +454,16 @@ class TaylorReport:
     order: float
 
 
-def taylor_test(disc, direction, s_values, *, base):
+def taylor_test(direction, s_values, *, base):
     """Measure the Taylor remainder order of the derivative along a direction.
 
-    Every perturbed solve takes the point x, the source and the initial
-    state and momentum of the forward solve ``base``.  The perturbed points
-    x + s h must stay admissible for every s.  The order is the
+    Every perturbed solve takes the mesh, the point x, the source and the
+    initial state and momentum of the forward solve ``base``.  The perturbed
+    points x + s h must stay admissible for every s.  The order is the
     least-squares slope of log remainder against log s.
     """
-    record = _solve_at(None, base)
-    point, f, u0, u1 = record.timeline.point, record.source, base.u[0], record.p[0]
+    record = _solve_at(base)
+    disc, point = record.timeline.disc, record.timeline.point
     deriv = derivative_apply(disc, point, direction, base)
     d0 = observe(base)
     d1 = observe(deriv)
@@ -476,7 +471,7 @@ def taylor_test(disc, direction, s_values, *, base):
     remainders = np.empty_like(s_values)
     for i, s in enumerate(s_values):
         shifted = shift_point(point, direction, s)
-        traj = forward_map(disc, shifted, f, u0=u0, u1=u1)
+        traj = forward_map(disc, shifted, record.source, u0=base.u[0], u1=record.p[0])
         predicted = DataVector(d0.values + s * d1.values, d0.time_grid, d0.spec)
         remainders[i] = data_distance(observe(traj), predicted, disc)
     logs = np.log(np.maximum(remainders, 1e-300))

@@ -107,4 +107,4 @@ def direction_timeline(disc, point, direction):
     with its (time node x 1 x nnz) slots taken at that direction."""
     tl = wi.assemble_direction(disc, point, [direction])
     values = {slot: None if v is None else v[:, 0] for slot, v in tl.values.items()}
-    return wi.galerkin.OperatorTimeline(tl.problem, tl.time_grid, tl.pattern, values)
+    return wi.galerkin.OperatorTimeline(tl.disc, tl.time_grid, values)

@@ -119,7 +119,7 @@ def loop_adjoint(disc, point, v, base):
     factors, t_vals = record.factors, record.t_vals
     c_vals = two_dt * record.c_half
     u = base.u
-    seeds = wi.trapezoid_weights(tg)[:, None] * data_load(v, disc, base)
+    seeds = wi.trapezoid_weights(tg)[:, None] * data_load(v, base)
     p = seeds[n_steps].copy()
     q = np.zeros_like(p)
     beta = np.empty((n_steps, disc.n_free))
@@ -138,9 +138,7 @@ def loop_adjoint(disc, point, v, base):
     w = wi.trapezoid_weights(tg)
     scale = 1.0 / (w[:, None] * disc.element_sizes[None, :])
     return _gradient(
-        disc,
-        point,
-        tg,
+        timeline,
         lambda kit, slot: _steps_to_nodes(kit.element_bilinear_many(*pairs[slot])) * scale,
     )
 

@@ -97,7 +97,7 @@ def test_energy_monitor_reports_empirical_stability(wave_disc, time_grid):
     f = wi.make_source(wave_disc, time_grid, lambda t, x: t**2 * np.sin(np.pi * x))
     tl = wi.assemble_operators(wave_disc, point)
     traj = wi.solve_forward(tl, f)
-    report = wi.energy_monitor(traj, disc=wave_disc)
+    report = wi.energy_monitor(traj)
     assert report.lambda_hat is not None and report.lambda_hat > 0
     assert report.energies.shape == time_grid.shape
 

@@ -203,7 +203,7 @@ def test_data_norm_homogeneous(alpha):
 def test_forward_map_caches_solver_state(wave_disc, time_grid):
     point = varied_point(wave_disc, time_grid)
     traj = wi.forward_map(wave_disc, point, modal_source(wave_disc, time_grid))
-    assert traj.solve.timeline.problem == "wave1d"
+    assert traj.solve.timeline.disc is wave_disc
 
 
 def test_forward_map_compatibility_gate(wave_disc, time_grid):

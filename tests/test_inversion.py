@@ -84,12 +84,18 @@ def test_config_rejects_bad_values(kwargs):
         {"divergence_patience": 0},
         {"divergence_patience": -3},
         {"divergence_patience": 2.0},
+        {"targets": "q"},
+        {"targets": "rho"},
+        {"targets": ()},
     ],
     ids=repr,
 )
 def test_config_rejects_values_that_went_wrong_later(kwargs):
     # each would go wrong later: outer_iterations=1.5 dies in range() with a bare
-    # TypeError, and tau=nan never meets its threshold, so Landweber runs to max_iterations
+    # TypeError, and tau=nan never meets its threshold, so Landweber runs to max_iterations;
+    # a string of targets is read letter by letter ("q" works by accident, "rho" names
+    # unknown fields 'r', 'h' and 'o'), and no targets at all make CGNE stop at the start
+    # point on a "zero-gradient"
     (name,) = kwargs
     with pytest.raises(InversionConfigError, match=name):
         InversionConfig(**kwargs)

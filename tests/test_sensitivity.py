@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
 import waveinv as wi
 from waveinv.errors import (
@@ -12,6 +13,7 @@ from waveinv.errors import (
     ObservationError,
     RequiresForwardSolveError,
 )
+from waveinv.forward import data_load
 from waveinv.sensitivity import (
     adjoint_apply_continuous,
     adjoint_apply_discrete,
@@ -152,7 +154,7 @@ def test_derivative_requires_cached_solve(wave_disc, time_grid):
 # the base must be the forward solve at the point
 
 
-#: the sweeps that take a point beside the solve; ``dot_test`` reads the solve's own
+#: the sweeps that take a mesh and a point beside the solve; ``dot_test`` reads the solve's own
 SWEEPS = [
     "derivative_apply",
     "derivative_apply_many",
@@ -176,7 +178,7 @@ def sweep(name, disc, tg):
         "adjoint_apply_continuous": lambda point, base: adjoint_apply_continuous(
             disc, point, v, base
         ),
-        "dot_test": lambda point, base: dot_test(disc, direction, v, base=base),
+        "dot_test": lambda point, base: dot_test(direction, v, base=base),
     }
     return calls[name]
 
@@ -240,32 +242,59 @@ def test_a_write_into_the_time_grid_after_the_solve_is_caught(name):
 def test_a_base_on_a_hand_built_timeline_is_rejected(name):
     disc, tg, point, f, base = solved("wave1d")
     tl = base.solve.timeline
-    hand = wi.galerkin.OperatorTimeline(tl.problem, tl.time_grid, tl.pattern, tl.values)
+    hand = wi.galerkin.OperatorTimeline(tl.disc, tl.time_grid, tl.values)
     with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
         sweep(name, disc, tg)(point, wi.solve_forward(hand, f))
     with pytest.raises(RequiresForwardSolveError, match="call forward_map first"):
         sweep(name, disc, tg)(point, base - base)
 
 
-@pytest.mark.parametrize("name", ["dot_test", "taylor_test", "energy_monitor"])
+@pytest.mark.parametrize("name", SWEEPS)
+def test_a_base_solved_on_another_mesh_is_rejected(name):
+    # the same node count on twice the extent: every array has the shapes of the solve's
+    disc, tg, point, f, base = solved("wave1d", 8)
+    other = wi.build_grid("wave1d", 8, 2.0)
+    sweep(name, disc, tg)(point, base)  # the mesh of the solve is accepted
+    with pytest.raises(RequiresForwardSolveError, match="on this mesh"):
+        sweep(name, other, tg)(point, base)
+    # an equal mesh built anew is another mesh
+    with pytest.raises(RequiresForwardSolveError, match="on this mesh"):
+        sweep(name, wi.build_grid("wave1d", 8), tg)(point, base)
+
+
+def test_energy_monitor_measures_the_source_on_the_solve_mesh():
+    disc, tg, point, f, base = solved("wave1d", 8)
+
+    def stability_ratio(mesh):  # max E / ||f||^2, the source measured through mesh's M^-1
+        inverse_mass = splu(mesh.M.tocsc()).solve(f.values.T)
+        total = float(wi.trapezoid_weights(tg) @ np.einsum("ni,in->n", f.values, inverse_mass))
+        return float(report.energies.max()) / total
+
+    report = wi.energy_monitor(base)
+    assert report.lambda_hat == stability_ratio(disc)
+    assert report.lambda_hat != stability_ratio(wi.build_grid("wave1d", 8, 2.0))
+
+
+@pytest.mark.parametrize("name", ["dot_test", "taylor_test", "energy_monitor", "data_load"])
 def test_the_tests_of_a_solve_need_its_record(name):
     disc, tg, point, f, base = solved("wave1d")
     direction = smooth_direction(disc, tg, wi.FIELD_NAMES["wave1d"])
     v = wi.DataVector(np.ones((tg.size, disc.n_free)), tg)
     call = {
-        "dot_test": lambda b: dot_test(disc, direction, v, base=b),
-        "taylor_test": lambda b: taylor_test(disc, direction, [1e-1, 1e-2], base=b),
-        "energy_monitor": wi.energy_monitor,
+        "dot_test": lambda b: dot_test(direction, v, base=b),
+        "taylor_test": lambda b: taylor_test(direction, [1e-1, 1e-2], base=b),
+        "energy_monitor": lambda b: wi.energy_monitor(b).energies,
+        "data_load": lambda b: data_load(v, b),
     }[name]
     call(base)  # the forward solve is accepted
     for bare in (base - base, derivative_apply(disc, point, direction, base)):
         with pytest.raises(RequiresForwardSolveError, match="call forward_map first"):
             call(bare)
     tl = base.solve.timeline
-    hand = wi.galerkin.OperatorTimeline(tl.problem, tl.time_grid, tl.pattern, tl.values)
+    hand = wi.galerkin.OperatorTimeline(tl.disc, tl.time_grid, tl.values)
     hand_solve = wi.solve_forward(hand, f)
-    if name == "energy_monitor":  # reads the solve's timeline and source, not its point
-        assert np.array_equal(call(hand_solve).energies, call(base).energies)
+    if name in ("energy_monitor", "data_load"):  # read the solve's mesh, not its point
+        assert np.array_equal(call(hand_solve), call(base))
     else:
         with pytest.raises(RequiresForwardSolveError, match="not solved at this point"):
             call(hand_solve)
@@ -353,7 +382,7 @@ def test_dot_test_discrete_wave(wave_disc, time_grid):
     v = wi.DataVector(
         rng.standard_normal((time_grid.size, wave_disc.n_free)), time_grid
     )
-    assert dot_test(wave_disc, direction, v, base=base) <= 1e-12
+    assert dot_test(direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_discrete_elastic(elastic_disc, time_grid):
@@ -365,7 +394,7 @@ def test_dot_test_discrete_elastic(elastic_disc, time_grid):
     v = wi.DataVector(
         rng.standard_normal((time_grid.size, elastic_disc.n_free)), time_grid
     )
-    assert dot_test(elastic_disc, direction, v, base=base) <= 1e-12
+    assert dot_test(direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_discrete_maxwell(maxwell_disc, time_grid):
@@ -377,7 +406,7 @@ def test_dot_test_discrete_maxwell(maxwell_disc, time_grid):
     v = wi.DataVector(
         rng.standard_normal((time_grid.size, maxwell_disc.n_free)), time_grid
     )
-    assert dot_test(maxwell_disc, direction, v, base=base) <= 1e-12
+    assert dot_test(direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_discrete_subset_observation(wave_disc, time_grid):
@@ -386,7 +415,7 @@ def test_dot_test_discrete_subset_observation(wave_disc, time_grid):
     spec = wi.ObservationSpec(kind="node-subset", indices=[2, 7], weights=[1.0, 3.0])
     rng = np.random.default_rng(11)
     v = wi.DataVector(rng.standard_normal((time_grid.size, 2)), time_grid, spec)
-    assert dot_test(wave_disc, direction, v, base=base) <= 1e-12
+    assert dot_test(direction, v, base=base) <= 1e-12
 
 
 def subset_data(tg, indices):
@@ -425,7 +454,7 @@ def test_dot_test_discrete_repeated_subset_index(wave_disc, time_grid):
     spec = wi.ObservationSpec(kind="node-subset", indices=[4, 4, 9], weights=[1.0, 2.0, 0.5])
     rng = np.random.default_rng(12)
     v = wi.DataVector(rng.standard_normal((time_grid.size, 3)), time_grid, spec)
-    assert dot_test(wave_disc, direction, v, base=base) <= 1e-12
+    assert dot_test(direction, v, base=base) <= 1e-12
 
 
 def test_dot_test_continuous_converges():
@@ -439,7 +468,7 @@ def test_dot_test_continuous_converges():
         direction = smooth_direction(disc, tg, ("a", "b", "rho", "q"))
         v_field = wi.make_source(disc, tg, lambda t, x: np.sin(np.pi * x) * np.cos(t))
         v = wi.DataVector(v_field.values, tg)
-        mismatches.append(dot_test(disc, direction, v, mode="continuous", base=base))
+        mismatches.append(dot_test(direction, v, mode="continuous", base=base))
     orders = np.log2(np.array(mismatches[:-1]) / np.array(mismatches[1:]))
     assert np.all(orders > 1.5)
     assert mismatches[-1] < mismatches[0]
@@ -450,13 +479,13 @@ def test_dot_test_error_paths(wave_disc, time_grid):
     direction = smooth_direction(wave_disc, time_grid, ("a",))
     v = wi.DataVector(np.ones((time_grid.size, wave_disc.n_free)), time_grid)
     with pytest.raises(TypeError, match="base"):
-        dot_test(wave_disc, direction, v)
+        dot_test(direction, v)
     with pytest.raises(DegenerateTestError, match="'discrete' or 'continuous'"):
-        dot_test(wave_disc, direction, v, mode="sideways", base=base)
+        dot_test(direction, v, mode="sideways", base=base)
     zero_dir = {"a": np.zeros((time_grid.size, wave_disc.n_nodes))}
     zero_v = wi.DataVector(np.zeros((time_grid.size, wave_disc.n_free)), time_grid)
     with pytest.raises(DegenerateTestError):
-        dot_test(wave_disc, zero_dir, zero_v, base=base)
+        dot_test(zero_dir, zero_v, base=base)
 
 
 def test_continuous_adjoint_needs_full_field(wave_disc, time_grid):
@@ -507,7 +536,7 @@ def test_taylor_orders(wave_disc, time_grid):
     s_values = (1e-1, 1e-2, 1e-3)
     for name in ("a", "b", "rho", "q"):
         direction = smooth_direction(wave_disc, time_grid, (name,), scale=0.5)
-        report = taylor_test(wave_disc, direction, s_values, base=base)
+        report = taylor_test(direction, s_values, base=base)
         assert report.order > 1.9, name
         assert np.all(np.diff(report.remainders) < 0)
 
@@ -526,4 +555,4 @@ def test_dot_test_discrete_random_pairs(scale, seed):
         for name in ("a", "b", "rho", "q")
     }
     v = wi.DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
-    assert dot_test(disc, direction, v, base=base) <= 1e-11
+    assert dot_test(direction, v, base=base) <= 1e-11
