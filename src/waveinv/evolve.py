@@ -265,10 +265,20 @@ def step_values(timeline):
 
     Returns (S, T, C_half) with S = (2/dt) C_h + B_h + (dt/2) (A_h + Q_h) and
     T = (2/dt) C_h + B_h - (dt/2) (A_h + Q_h), where X_h averages X over the
-    two ends of a step; a part that vanishes is None.
+    two ends of a step; a part that vanishes is None.  The arithmetic is
+    :func:`midpoint_values` on the timeline's slots and step.
     """
-    dt = timeline.dt
-    v = timeline.values
+    return midpoint_values(timeline.values, timeline.dt)
+
+
+def midpoint_values(v, dt):
+    """(S, T, C_half) of :func:`step_values` from slot values ``v`` with a
+    leading axis of time nodes, for the steps between consecutive rows.
+
+    Rows [n0, n1 + 1) of a timeline's slots give its steps n0 .. n1 - 1, bit
+    for bit, when ``dt`` is the timeline's own step; a slot that is None
+    stays out.
+    """
 
     def half(x):
         return None if x is None else 0.5 * (x[:-1] + x[1:])

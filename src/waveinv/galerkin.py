@@ -788,13 +788,18 @@ def _assemble(disc, time_grid, coefficient, **kept):
 
     ``coefficient(field, fmap)`` gives a term's (time x element) coefficients,
     or None for a term that vanishes; ``kept`` names what the timeline keeps.
+    A slot's later terms add into its first, a fresh array, in place, and no
+    term's values outlive their use.
     """
     values = {}
     for slot, kit, field, fmap in FORMS[disc.problem]:
         coeff = coefficient(field, fmap)
-        if coeff is not None:
-            part = disc.kits[kit].values(coeff)
-            values[slot] = values[slot] + part if slot in values else part
+        if coeff is None:
+            continue
+        if slot in values:
+            values[slot] += disc.kits[kit].values(coeff)
+        else:
+            values[slot] = disc.kits[kit].values(coeff)
     return OperatorTimeline(disc, time_grid, values, **kept)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CGBreakdownError, InversionConfigError, StepSizeError
 from .forward import DataVector, data_difference, data_norm, forward_map, observe, trapezoid_weights
 from .galerkin import FIELD_NAMES, project_point
-from .sensitivity import adjoint_apply_discrete, derivative_apply, nodal_gradient
+from .sensitivity import _discrete_gradient, derivative_apply, nodal_gradient
 
 #: power iterations behind the automatic Landweber step size
 POWER_ITERATIONS = 6
@@ -106,9 +106,10 @@ def _nodal_norm(disc, g, time_grid):
 
 
 def _restricted_gradient(resid, base, targets):
+    """The nodal gradient of the data misfit ``resid`` at the forward solve
+    ``base``, of the ``targets`` only: no other field's densities are computed."""
     tl = base.solve.timeline
-    grad = nodal_gradient(tl.disc, adjoint_apply_discrete(tl.disc, tl.point, resid, base))
-    return {name: grad[name] for name in targets}
+    return nodal_gradient(tl.disc, _discrete_gradient(tl.disc, tl.point, resid, base, targets))
 
 
 def _estimate_step_size(base, targets, spec):

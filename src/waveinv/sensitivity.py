@@ -17,9 +17,12 @@ with the extra terms b_n and c_n, so it runs on the same march kernel
 (:func:`~.evolve._march`).  ``derivative_apply_many`` carries k directions
 through one march as the k columns of its states, assembling them and
 forming their b_n and c_n together; the first read of any of their
-velocities or accelerations recovers those of all k together.  The
-directions go in blocks whose (k, time node, nnz) value arrays stay within a
-fixed byte budget.  ``derivative_apply`` is its one-direction case.
+velocities or accelerations recovers those of all k together.  One fixed
+byte budget bounds the sweep's working set: the directions go in blocks
+whose (k, time node, nnz) value arrays each stay within it, and a block's
+step terms S', T' and C'_h are made a block of time steps at a time, so that
+the arrays that making them holds at once, up to seven (step, k, nnz), stay
+within it too.  ``derivative_apply`` is its one-direction case.
 
 Two adjoints are provided: ``adjoint_apply_discrete`` reverses the recursion
 above (dot test exact to rounding at any step size), while
@@ -57,7 +60,14 @@ from .errors import (
     ObservationError,
     RequiresForwardSolveError,
 )
-from .evolve import SourceTerm, Trajectory, _march, solve_backward, solve_each, step_values
+from .evolve import (
+    SourceTerm,
+    Trajectory,
+    _march,
+    midpoint_values,
+    solve_backward,
+    solve_each,
+)
 from .forward import (
     DataVector,
     data_distance,
@@ -133,7 +143,8 @@ def derivative_apply(disc, point, direction, base):
 
 
 #: bytes that one (k, time node, nnz) value array of a block of directions
-#: may take; the directions go through the march in blocks of that size
+#: may take, and that the step terms of one block of time steps may take
+#: together; the directions go through the march in blocks of that size
 _BLOCK_BYTES = 8 * 2**20
 
 
@@ -149,9 +160,13 @@ def derivative_apply_many(disc, point, directions, base):
     solve per distinct C(t_n) factor each, made when the first of them is
     read; a sweep that reads only the states runs none.  A block holds as
     many directions as keep each of its (k, time node, nnz) value arrays
-    within ``_BLOCK_BYTES``, and at least one.  ``directions`` may be any
-    iterable; it is read, and its trajectories computed, one block at a
-    time, so only one block is held at once.
+    within ``_BLOCK_BYTES``, and at least one.  Its terms b_n and c_n are
+    made a block of time steps at a time, from step values S', T' and C'_h
+    of as many steps as keep one (step, k, nnz) array within an eighth of
+    ``_BLOCK_BYTES``, and at least one; where the blocks of directions or
+    of steps end changes no bit.  ``directions`` may be any iterable; it is
+    read, and its trajectories computed, one block at a time, so only one
+    block is held at once.
     """
     timeline = _solve_at(base, disc, point).timeline
     size = max(1, _BLOCK_BYTES // (timeline.time_grid.size * timeline.pattern.nnz * 8))
@@ -175,16 +190,29 @@ def _derivative_block(directions, base):
     pattern = timeline.pattern
     tg = timeline.time_grid
     tlh = assemble_direction(timeline.disc, timeline.point, directions)
-    two_dt = 2.0 / timeline.dt
+    dt = timeline.dt
+    two_dt = 2.0 / dt
     k = len(directions)
     u = base.u
+    n_steps = tg.size - 1
 
-    # the base trajectory's share of the recursion, for all steps and directions at once
-    s_dot, t_dot, c_dot = step_values(tlh)
-    b = pattern.apply((t_dot, _per_direction(u[:-1], k))) - pattern.apply(
-        (s_dot, _per_direction(u[1:], k))
-    )
-    c = two_dt * pattern.apply((c_dot, _per_direction(u[1:] - u[:-1], k)))
+    # the base trajectory's share of the recursion, for all directions a block
+    # of steps at a time: midpoint_values holds up to seven (step, k, nnz)
+    # arrays at once, so each gets an eighth of the budget
+    rows = max(1, _BLOCK_BYTES // (8 * k * pattern.nnz * 8))
+    b, c = [], []
+    for n0 in range(0, n_steps, rows):
+        n1 = min(n0 + rows, n_steps)
+        ends = {slot: None if v is None else v[n0 : n1 + 1] for slot, v in tlh.values.items()}
+        s_dot, t_dot, c_dot = midpoint_values(ends, dt)
+        now, later = u[n0:n1], u[n0 + 1 : n1 + 1]
+        b.append(
+            pattern.apply((t_dot, _per_direction(now, k)))
+            - pattern.apply((s_dot, _per_direction(later, k)))
+        )
+        c.append(two_dt * pattern.apply((c_dot, _per_direction(later - now, k))))
+        del s_dot, t_dot, c_dot  # before the next block's are made
+    b, c = np.concatenate(b), np.concatenate(c)
     # the march carries the k directions as the columns of (dof, k) states
     eta = np.zeros((tg.size, pattern.n, k))
     pi = np.zeros_like(eta)
@@ -272,6 +300,12 @@ def adjoint_apply_discrete(disc, point, v, base):
     compiled product kernels and the bound LAPACK solve on preallocated
     buffers.
     """
+    return _discrete_gradient(disc, point, v, base)
+
+
+def _discrete_gradient(disc, point, v, base, names=None):
+    """:func:`adjoint_apply_discrete` with the densities of the fields ``names``
+    only, or of every field when None; each of them is the same bit for bit."""
     record = _solve_at(base, disc, point)
     timeline = record.timeline
     pattern = timeline.pattern
@@ -323,6 +357,7 @@ def adjoint_apply_discrete(disc, point, v, base):
     return _gradient(
         timeline,
         lambda kit, slot: _steps_to_nodes(kit.element_bilinear_many(*pairs[slot])) * scale,
+        names,
     )
 
 
@@ -349,16 +384,19 @@ def adjoint_apply_continuous(disc, point, v, base):
     )
 
 
-def _gradient(timeline, density):
+def _gradient(timeline, density, names=None):
     """Gradient fields from slot densities through each form term's map, at a base's ``timeline``.
 
     ``density(kit, slot)`` is the (time x element) density of a slot with
     respect to the element coefficients of ``kit``; the linearized
-    coefficient map of the term carries it to the field.
+    coefficient map of the term carries it to the field.  With ``names``,
+    only the terms of those fields are computed.
     """
     disc, point = timeline.disc, timeline.point
     fields = {}
     for slot, kit, name, fmap in FORMS[disc.problem]:
+        if names is not None and name not in names:
+            continue
         g = fmap[1](disc.element_means(point.fields[name].values), density(disc.kits[kit], slot))
         fields[name] = fields[name] + g if name in fields else g
     return GradientFields(problem=disc.problem, fields=fields, time_grid=timeline.time_grid)

@@ -9,6 +9,8 @@ derivative (any number of directions, in one block or several) and the
 adjoint must reproduce them bit for bit.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -202,6 +204,90 @@ def test_block_budget_bounds_the_value_arrays():
     # elastic2d at 16 x 16 and 200 steps: a direction's values alone fill the budget
     nnz = wi.build_grid("elastic2d", 16).pattern.nnz
     assert budget // (201 * nnz * 8) <= 1
+
+
+def slot_field(problem, slot):
+    """The field of a problem's form term that feeds ``slot``, or None."""
+    return next((term[2] for term in wi.galerkin.FORMS[problem] if term[0] == slot), None)
+
+
+@pytest.mark.parametrize("problem", sorted(MESHES))
+def test_time_block_edges_change_no_bit(problem, monkeypatch):
+    # the step terms b_n and c_n come out the same bit for bit in one-row
+    # time blocks and in a single block, for one direction and for three in
+    # one block, also where a slot of the block is None: C's field left out
+    # by every direction, B's, or all but C's
+    disc = wi.build_grid(problem, MESHES[problem])
+    tg = np.linspace(0.0, 1.0, 13)
+    point = varied_point(disc, tg)
+    base = wi.forward_map(disc, point, modal_source(disc, tg))
+    names = wi.FIELD_NAMES[problem]
+    kinds = [
+        names,
+        [n for n in names if n != slot_field(problem, "C")],
+        [n for n in names if n != slot_field(problem, "B")],
+        [slot_field(problem, "C")],
+    ]
+    groups = [
+        [smooth_direction(disc, tg, fields, scale=1.0 + j, shift=j) for j in range(3)]
+        for fields in kinds
+    ]
+    groups += [[one] for group in groups for one in group]
+    nnz = disc.pattern.nnz
+    blocks = []
+    midpoint_values = sensitivity.midpoint_values
+
+    def recorded(values, dt):
+        rows = {v.shape[:2] for v in values.values() if v is not None}
+        blocks.append(rows.pop())
+        assert not rows
+        return midpoint_values(values, dt)
+
+    monkeypatch.setattr(sensitivity, "midpoint_values", recorded)
+    runs = []
+    for one_row in (True, False):
+        got = []
+        for group in groups:
+            k = len(group)
+            # one row per time block, and the k directions in one block
+            budget = 8 * tg.size * nnz * k if one_row else 2**40
+            monkeypatch.setattr(sensitivity, "_BLOCK_BYTES", budget)
+            blocks.clear()
+            got.append(list(derivative_apply_many(disc, point, group, base)))
+            want = [(2, k)] * (tg.size - 1) if one_row else [(tg.size, k)]
+            assert blocks == want
+        runs.append(got)
+    for small, whole in zip(*runs):
+        for a, b in zip(small, whole):
+            assert np.array_equal(a.u, b.u)
+            assert np.array_equal(a.du, b.du)
+            assert np.array_equal(a.ddu, b.ddu)
+
+
+def test_derivative_sweep_stays_within_its_budget(monkeypatch):
+    # with a budget of one (time node, k, nnz) value array, one sweep's peak
+    # above what was allocated before it holds the direction timeline's A and
+    # C slots, one budget of step terms, and room for the (time node, dof)
+    # arrays and the assembly's products; building every step's terms at
+    # once peaks at about 8 such arrays
+    disc = wi.build_grid("elastic2d", 6)
+    tg = np.linspace(0.0, 1.0, 81)
+    point = varied_point(disc, tg)
+    base = wi.forward_map(disc, point, modal_source(disc, tg))
+    direction = smooth_direction(disc, tg, wi.FIELD_NAMES["elastic2d"])
+    value_array = tg.size * disc.pattern.nnz * 8
+    monkeypatch.setattr(sensitivity, "_BLOCK_BYTES", value_array)
+    derivative_apply(disc, point, direction, base)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        traj = derivative_apply(disc, point, direction, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.u.shape == base.u.shape
+    assert (peak - before) / value_array < 5.0
 
 
 def test_svd_probe_matches_one_at_a_time(wave_disc):

@@ -15,12 +15,14 @@ from waveinv.errors import (
 )
 from waveinv.forward import (
     ObservationSpec,
+    data_difference,
     data_distance,
     data_norm,
     forward_map,
     observe,
 )
 from waveinv.inversion import InversionConfig, add_noise, cgne, landweber
+from waveinv.sensitivity import adjoint_apply_discrete, nodal_gradient
 
 from conftest import modal_source, varied_point
 
@@ -209,6 +211,28 @@ def test_landweber_updates_only_requested_targets(instance):
     for name in ("a", "b", "rho"):
         assert np.array_equal(final.fields[name].values, x0.fields[name].values)
     assert not np.array_equal(final.fields["q"].values, x0.fields["q"].values)
+
+
+@pytest.mark.parametrize("targets", [("q",), ("a", "rho"), ("a", "b", "q", "rho")])
+def test_gradient_is_computed_for_the_targets_only(instance, targets, monkeypatch):
+    # the iterations' gradient is the targets' part of the public adjoint's
+    # nodal gradient, bit for bit, and no other field's densities are made
+    disc, tg, truth, x0, f, clean = instance
+    base = forward_map(disc, x0, f)
+    resid = data_difference(observe(base, None), clean)
+    full = nodal_gradient(disc, adjoint_apply_discrete(disc, x0, resid, base))
+    assert sorted(full) == sorted(wi.FIELD_NAMES["wave1d"])
+    densities = []
+    for kit in disc.kits.values():
+        fn = kit.element_bilinear_many
+        monkeypatch.setattr(
+            kit, "element_bilinear_many", lambda *pair, fn=fn: densities.append(1) or fn(*pair)
+        )
+    got = inversion._restricted_gradient(resid, base, targets)
+    assert list(got) == list(targets)
+    assert len(densities) == len(targets)  # one form term per field on wave1d
+    for name in targets:
+        assert np.array_equal(got[name], full[name])
 
 
 def test_landweber_noisy_discrepancy_stop(instance):
