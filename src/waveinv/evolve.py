@@ -11,18 +11,20 @@ is the second initial datum, so a time-dependent C never needs to be
 differentiated inside the stepper.
 
 Operators are value arrays on one sparsity pattern, so the step matrices
-S_n, T_n of all steps come out of a few array operations, and every product
-with a vector is one compiled CSR mat-vec
+S_n, T_n of a block of steps come out of a few array operations, and every
+product with a vector is one compiled CSR mat-vec
 (:meth:`~.galerkin.SparsityPattern.matvec`).  Each distinct step matrix and
 each distinct C(t_n) is factorized once by LAPACK (:class:`BandLU`) from
 values scattered into band storage: tridiagonal LU on the 1D meshes, band
 Cholesky wherever the matrix is positive definite, and band LU otherwise.
 Every step matrix is symmetric, so a factor solves with the transpose as
-well.  A forward solve keeps its timeline, factors, step values and source
+well.  A forward solve keeps its timeline, factors, T_n values and source
 in one :class:`SolveRecord`, the trajectory's ``solve``, for the adjoint
 sweeps and diagnostics in :mod:`.sensitivity`; its timeline holds the mesh
 and (from :func:`~.galerkin.assemble_operators`) the point, which those read
-from it, and the sweeps check that they linearize there.
+from it, and the sweeps check that they linearize there.  The (step x nnz)
+values that a sweep uses and does not keep, S_n and C_h, are made a block of
+steps at a time (:func:`~.galerkin._row_blocks`).
 The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
 factors and step values in reverse order wherever its matrices are the same
 by construction.  A solve recovers the velocity and acceleration the first
@@ -60,7 +62,7 @@ from .errors import (
     ResolutionError,
     SolverFailureError,
 )
-from .galerkin import OperatorTimeline, combine, read_only, time_difference
+from .galerkin import OperatorTimeline, _row_blocks, combine, read_only, time_difference
 
 
 @dataclass(frozen=True)
@@ -89,16 +91,16 @@ class SolveRecord:
     for a solve resumed from it (see :func:`solve_forward`).
 
     ``timeline`` is the solved timeline, with its mesh and point, ``factors``
-    the factor of every step matrix S_n, ``t_vals`` and ``c_half`` the
-    (step x nnz) values of T_n and C_h, and ``c_factors`` the factor of every
-    C(t_n).  ``p`` holds the momentum at every node and ``source`` the
-    :class:`SourceTerm` of the solve.
+    the factor of every step matrix S_n, ``t_vals`` the (step x nnz) values of
+    T_n, and ``c_factors`` the factor of every C(t_n).  ``p`` holds the
+    momentum at every node and ``source`` the :class:`SourceTerm` of the
+    solve.  The C_h values are not kept: a sweep makes them again from the
+    timeline's C rows (:func:`half_node`), a block of steps at a time.
     """
 
     timeline: OperatorTimeline
     factors: list
     t_vals: np.ndarray
-    c_half: np.ndarray
     c_factors: list
     p: np.ndarray
     source: SourceTerm
@@ -219,15 +221,19 @@ class BandLU:
         return self.lapack_solve(rhs)[0]
 
 
-def factorize_rows(pattern, rows, known=None):
-    """One factor per row of values; equal rows share a single factorization.
+def factorize_rows(pattern, rows, known=None, seen=None, first=0):
+    """One factor per row of values, the rows of nodes ``first``, ``first`` + 1,
+    ...; equal rows share a single factorization.
 
-    ``known`` gives, for each row, a factor of that row or None; a row with
-    a known factor takes it, and only the others are factorized.
+    ``known`` gives, for each node, a factor of its row or None; a row with
+    a known factor takes it, and only the others are factorized.  ``seen``
+    maps the bytes of each row factorized so far to its factor, so that the
+    calls on consecutive blocks of rows that share it factorize each
+    distinct row once.
     """
-    seen = {}
+    seen = {} if seen is None else seen
     factors = []
-    for n, row in enumerate(rows):
+    for n, row in enumerate(rows, first):
         if known is not None and known[n] is not None:
             factors.append(known[n])
             continue
@@ -260,32 +266,27 @@ def solve_each(factors, rhs):
     return out
 
 
-def step_values(timeline):
-    """Values of the midpoint step matrices of every step, (step x nnz) each.
-
-    Returns (S, T, C_half) with S = (2/dt) C_h + B_h + (dt/2) (A_h + Q_h) and
-    T = (2/dt) C_h + B_h - (dt/2) (A_h + Q_h), where X_h averages X over the
-    two ends of a step; a part that vanishes is None.  The arithmetic is
-    :func:`midpoint_values` on the timeline's slots and step.
-    """
-    return midpoint_values(timeline.values, timeline.dt)
+def half_node(x):
+    """The averages 0.5 (x_n + x_{n+1}) of consecutive node rows, one per step
+    between them; None stays None."""
+    return None if x is None else 0.5 * (x[:-1] + x[1:])
 
 
 def midpoint_values(v, dt):
-    """(S, T, C_half) of :func:`step_values` from slot values ``v`` with a
-    leading axis of time nodes, for the steps between consecutive rows.
+    """Values of the midpoint step matrices, (step x ...) each, from slot
+    values ``v`` with a leading axis of time nodes, for the steps between
+    consecutive rows.
 
-    Rows [n0, n1 + 1) of a timeline's slots give its steps n0 .. n1 - 1, bit
-    for bit, when ``dt`` is the timeline's own step; a slot that is None
-    stays out.
+    Returns (S, T, C_half) with S = (2/dt) C_h + B_h + (dt/2) (A_h + Q_h) and
+    T = (2/dt) C_h + B_h - (dt/2) (A_h + Q_h), where X_h is the
+    :func:`half_node` average of X over the two ends of a step; a part that
+    vanishes is None.  Rows [n0, n1 + 1) of a timeline's slots give its steps
+    n0 .. n1 - 1, bit for bit, when ``dt`` is the timeline's own step; a
+    slot that is None stays out.
     """
-
-    def half(x):
-        return None if x is None else 0.5 * (x[:-1] + x[1:])
-
-    c_half = half(v["C"])
-    mass = combine((2.0 / dt, c_half), (1.0, half(v["B"])))
-    stiff = combine((dt / 2.0, half(v["A"])), (dt / 2.0, half(v["Q"])))
+    c_half = half_node(v["C"])
+    mass = combine((2.0 / dt, c_half), (1.0, half_node(v["B"])))
+    stiff = combine((dt / 2.0, half_node(v["A"])), (dt / 2.0, half_node(v["Q"])))
     return combine((1.0, mass), (1.0, stiff)), combine((1.0, mass), (-1.0, stiff)), c_half
 
 
@@ -372,17 +373,21 @@ def _reuse(timeline, like, u, p, f):
 
 
 def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
-    """:func:`solve_forward`, taking the step factors and values and the C(t_n)
-    factors of ``timeline`` from ``steps = (factors, t_vals, c_half)`` and
+    """:func:`solve_forward`, taking the step factors and T_n values and the
+    C(t_n) factors of ``timeline`` from ``steps = (factors, t_vals)`` and
     ``c_factors`` where they are given (see :func:`solve_backward`).
 
     Returns the states u, the :class:`SolveRecord` and the
-    ``(velocity, acceleration)`` recovery of a :class:`Trajectory`.  With
-    ``like``, the states up to node m0 of :func:`_reuse` are copied from it
-    and only the steps after m0 are marched; only the step matrices and
-    C(t_n) whose values differ from ``like``'s are factorized.  The velocity
-    and acceleration are recovered at every node, so each of them is exact
-    node by node.
+    ``(velocity, acceleration)`` recovery of a :class:`Trajectory`.  The
+    steps go in the blocks of :func:`~.galerkin._row_blocks` of (nnz,) rows:
+    a block's S_n, T_n and C_h values are made from its slot rows (only C_h
+    where ``steps`` are given), its T_n kept, its distinct S_n factorized,
+    with one table for all blocks, and the block marched before the next
+    block's are made.  With ``like``, the states up to node m0 of :func:`_reuse` are
+    copied from it and only the steps after m0 are marched; only the step
+    matrices and C(t_n) whose values differ from ``like``'s are factorized.
+    The velocity and acceleration are recovered at every node, so each of
+    them is exact node by node.
     """
     tg = timeline.time_grid
     dt = timeline.dt
@@ -410,17 +415,28 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
         m0, known_steps, known_c = _reuse(timeline, like, u, p, f)
         u[1 : m0 + 1] = like.u[1 : m0 + 1]
         p[1 : m0 + 1] = like.solve.p[1 : m0 + 1]
-    if steps is None:
-        s_vals, t_vals, c_half = step_values(timeline)
-        factors = factorize_rows(pattern, s_vals, known_steps)
-    else:
-        factors, t_vals, c_half = steps
-    _march(pattern, factors[m0:], t_vals[m0:], c_half[m0:], 2.0 / dt, u[m0:], p[m0:], loads[m0:])
+    v = timeline.values
+    n_steps = tg.size - 1
+    factors, t_vals = ([], np.empty((n_steps, pattern.nnz))) if steps is None else steps
+    seen = {}
+    for n0, n1 in _row_blocks(n_steps, pattern.nnz * 8):
+        ends = {slot: None if x is None else x[n0 : n1 + 1] for slot, x in v.items()}
+        if steps is None:
+            s_vals, t_vals[n0:n1], c_half = midpoint_values(ends, dt)
+            factors += factorize_rows(pattern, s_vals, known_steps, seen, n0)
+        else:
+            c_half = half_node(ends["C"])
+        m = max(n0, m0)
+        if m < n1:
+            _march(
+                pattern, factors[m:n1], t_vals[m:n1], c_half[m - n0 :], 2.0 / dt,
+                u[m : n1 + 1], p[m : n1 + 1], loads[m:n1],
+            )
+    del seen  # its keys copy every distinct S_n row
     bad = ~np.all(np.isfinite(u), axis=1)
     if bad.any():
         raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")
 
-    v = timeline.values
     if c_factors is None:
         c_factors = factorize_rows(pattern, v["C"], known_c)
 
@@ -428,12 +444,12 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
         rates = pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
         return solve_each(c_factors, fv - rates)
 
-    record = SolveRecord(timeline, factors, t_vals, c_half, c_factors, p, f)
+    record = SolveRecord(timeline, factors, t_vals, c_factors, p, f)
     return u, record, (partial(solve_each, c_factors, p), acceleration)
 
 
 def _march(pattern, factors, t_vals, c_half, two_dt, x, y, b, c=None):
-    """Advance the midpoint recursion in place over every step.
+    """Advance the midpoint recursion in place over the steps of ``factors``.
 
     For n = 0 .. len(factors) - 1, with ``factors[n]`` factorizing S_n,
 
@@ -445,7 +461,8 @@ def _march(pattern, factors, t_vals, c_half, two_dt, x, y, b, c=None):
     (steps + 1, n, k) for k columns, and hold the initial state in row 0;
     ``b`` and ``c`` are (steps, n) or (steps, n, k).  The operations keep the
     order of the one-column recursion, so each column comes out bit for bit
-    as it would on its own.
+    as it would on its own.  The sweeps march a block of steps at a time,
+    each on from the last row of the block before, which changes no bit.
     """
     n_steps = len(factors)
     if (
@@ -528,9 +545,11 @@ def solve_backward(timeline, v, like=None):
     ``like`` is a forward solve on this same timeline.  The reversed march
     then takes its factors and step values, in reverse order, wherever they
     are the forward's bit for bit by construction: the factors of every
-    C(t_n), and the factors and the T_n and C_h values of every step when
-    the B slot is absent, since Q - dB is then Q itself and a half-node
-    average is the same sum taken in the other order.
+    C(t_n), and the factors and the T_n values of every step when the B slot
+    is absent, since Q - dB is then Q itself.  It then makes only the C_h
+    values, a block of steps at a time, from the reversed C rows; a
+    half-node average is the same sum taken in the other order, so they are
+    the forward's bit for bit.
     """
     steps = c_factors = None
     if like is not None:
@@ -539,7 +558,7 @@ def solve_backward(timeline, v, like=None):
             raise RequiresForwardSolveError("like must be a forward solve on this timeline")
         c_factors = record.c_factors[::-1]
         if timeline.values["B"] is None:
-            steps = (record.factors[::-1], record.t_vals[::-1], record.c_half[::-1])
+            steps = (record.factors[::-1], record.t_vals[::-1])
     back, _, (velocity, acceleration) = _solve(
         reverse_timeline(timeline), SourceTerm(v.values[::-1]), None, None, steps, c_factors
     )

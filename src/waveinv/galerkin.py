@@ -317,6 +317,21 @@ class SparsityPattern:
         )
 
 
+#: bytes of one (k, time node, nnz) value array of the directions that a
+#: derivative sweep carries at once.  An array of many rows that a sweep or an
+#: assembly makes and drops again is made a block of rows at a time, each
+#: block within an eighth of it (:func:`_row_blocks`)
+_BLOCK_BYTES = 8 * 2**20
+
+
+def _row_blocks(n_rows, row_bytes):
+    """The (start, stop) blocks of ``range(n_rows)``, in order, each of as many
+    rows of ``row_bytes`` as keep it within an eighth of :data:`_BLOCK_BYTES`,
+    and at least one.  Where the blocks end changes no bit of what they make."""
+    size = max(1, _BLOCK_BYTES // (8 * row_bytes))
+    return [(r0, min(r0 + size, n_rows)) for r0 in range(0, n_rows, size)]
+
+
 def combine(*terms):
     """Sum of c * values over (c, values) terms, skipping None; None if all are."""
     out = None
@@ -370,11 +385,15 @@ class AssemblyKit:
     def values(self, coeff_elem):
         """Pattern values for per-element coefficients: (..., n_el) -> (..., nnz).
 
-        All leading rows go through one sparse product.
+        The leading rows go through one sparse product per block of
+        :func:`_row_blocks` of them, each written into the C-ordered output,
+        so that no second copy of the whole output is made.
         """
         coeff = np.asarray(coeff_elem, dtype=float)
         rows = coeff.reshape(-1, coeff.shape[-1])
-        vals = np.ascontiguousarray((self._scatter @ rows.T).T)
+        vals = np.empty((rows.shape[0], self.pattern.nnz))
+        for r0, r1 in _row_blocks(rows.shape[0], self.pattern.nnz * 8):
+            vals[r0:r1] = (self._scatter @ rows[r0:r1].T).T
         return vals.reshape(coeff.shape[:-1] + (vals.shape[-1],))
 
     def assemble(self, coeff_elem):
@@ -398,10 +417,18 @@ class AssemblyKit:
         return full[..., self.dof_map]  # (..., n_el, k)
 
     def element_bilinear_many(self, X_free, Y_free):
-        """Batched variant: (T, n_free) x (T, n_free) -> (T, n_el)."""
-        xg = self._gather(X_free)
-        yg = self._gather(Y_free)
-        return np.einsum("eij,tei,tej->te", self.local, xg, yg)
+        """Element values x_e^T L_e y_e of row pairs: (T, n_free) x (T, n_free) -> (T, n_el).
+
+        The rows are gathered onto the elements and contracted a block of
+        :func:`_row_blocks` of them at a time, sized on one gathered (n_el, k)
+        row.
+        """
+        n_el, k, _ = self.local.shape
+        out = np.empty((len(X_free), n_el))
+        for r0, r1 in _row_blocks(len(X_free), n_el * k * 8):
+            xg, yg = self._gather(X_free[r0:r1]), self._gather(Y_free[r0:r1])
+            out[r0:r1] = np.einsum("eij,tei,tej->te", self.local, xg, yg)
+        return out
 
 
 @dataclass
@@ -783,24 +810,24 @@ class OperatorTimeline:
         return self.pattern.matrix(values[n])
 
 
-def _assemble(disc, time_grid, coefficient, **kept):
-    """Timeline whose slots sum the kit values of the problem's form terms.
+def _slot_values(disc, coefficient):
+    """Slot values that sum the kit values of the problem's form terms.
 
     ``coefficient(field, fmap)`` gives a term's (time x element) coefficients,
-    or None for a term that vanishes; ``kept`` names what the timeline keeps.
-    A slot's later terms add into its first, a fresh array, in place, and no
-    term's values outlive their use.
+    or None for a term that vanishes; a slot without terms is None.  A slot's
+    later terms add into its first, a fresh array, in place, and no term's
+    values outlive their use.
     """
-    values = {}
+    values = dict.fromkeys(SLOTS)
     for slot, kit, field, fmap in FORMS[disc.problem]:
         coeff = coefficient(field, fmap)
         if coeff is None:
             continue
-        if slot in values:
-            values[slot] += disc.kits[kit].values(coeff)
-        else:
+        if values[slot] is None:
             values[slot] = disc.kits[kit].values(coeff)
-    return OperatorTimeline(disc, time_grid, values, **kept)
+        else:
+            values[slot] += disc.kits[kit].values(coeff)
+    return values
 
 
 def _check_problem(disc, point):
@@ -823,10 +850,10 @@ def assemble_operators(disc, point):
     tg = point.time_grid
     if tg.size < 3:
         raise ResolutionError("timelines need at least three time nodes")
-    return _assemble(
-        disc, tg, lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values)),
-        point=point.copy(),
+    values = _slot_values(
+        disc, lambda name, fmap: fmap[0](disc.element_means(point.fields[name].values))
     )
+    return OperatorTimeline(disc, tg, values, point=point.copy())
 
 
 def check_direction(problem, shape, direction):
@@ -855,27 +882,38 @@ def assemble_direction(disc, point, directions):
     :func:`check_direction`.  Each form term contributes its kit with the
     linearized coefficient map, e.g. for maxwell1d
     (-stiffness(mu_bar / mu^2), 0, mass(eps_bar), 0).  The timeline's slots
-    are (time node x k x nnz) arrays, filled by one (k * time node, element)
-    product per form term; a field that only some of the directions have is
-    zero in the others.
+    are (time node x k x nnz) arrays, filled by :meth:`AssemblyKit.values`
+    of the (k * time node, element) coefficients of each form term; a field
+    that only some of the directions have is zero in the others.
     """
+    tables, slots = _direction_slots(disc, point, directions)
+    return OperatorTimeline(disc, point.time_grid, slots(slice(None)), directions=tables)
+
+
+def _direction_slots(disc, point, directions):
+    """The checked tables of the k ``directions`` and ``slots(rows)``, the slot
+    values of :func:`assemble_direction` at the time nodes of the slice
+    ``rows``, the same bit for bit as those rows of the whole timeline.  The
+    checks run here, once for every call of ``slots``; the element means
+    are taken in ``slots``, of the given rows only."""
     _check_problem(disc, point)
     shape = (point.time_grid.size, disc.n_nodes)
     tables = [check_direction(disc.problem, shape, one) for one in directions]
-    means = {}
-    for j, one in enumerate(tables):
-        for name, vals in one.items():
-            if name not in means:
-                means[name] = np.zeros((shape[0], len(tables), disc.elements.shape[0]))
-            means[name][:, j] = disc.element_means(vals)
 
-    def coefficient(name, fmap):
-        if name not in means:
+    def coefficient(rows, name, fmap):
+        if not any(name in one for one in tables):
             return None
-        base = disc.element_means(point.fields[name].values)[:, None]
-        return fmap[1](base, means[name])
+        base = disc.element_means(point.fields[name].values[rows])[:, None]
+        means = np.zeros((base.shape[0], len(tables), base.shape[2]))
+        for j, one in enumerate(tables):
+            if name in one:
+                means[:, j] = disc.element_means(one[name][rows])
+        return fmap[1](base, means)
 
-    return _assemble(disc, point.time_grid, coefficient, directions=tables)
+    def slots(rows):
+        return _slot_values(disc, partial(coefficient, rows))
+
+    return tables, slots
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,11 @@ with the extra terms b_n and c_n, so it runs on the same march kernel
 through one march as the k columns of its states, assembling them and
 forming their b_n and c_n together; the first read of any of their
 velocities or accelerations recovers those of all k together.  One fixed
-byte budget bounds the sweep's working set: the directions go in blocks
-whose (k, time node, nnz) value arrays each stay within it, and a block's
-step terms S', T' and C'_h are made a block of time steps at a time, so that
-the arrays that making them holds at once, up to seven (step, k, nnz), stay
-within it too.  ``derivative_apply`` is its one-direction case.
+byte budget, :data:`~.galerkin._BLOCK_BYTES`, bounds the sweep's working
+set: the directions go in blocks whose (k, time node, nnz) value arrays
+would each stay within it, and a block's direction slots, step terms and
+C_h are made a block of time steps at a time and marched before the next
+block's are made.  ``derivative_apply`` is its one-direction case.
 
 Two adjoints are provided: ``adjoint_apply_discrete`` reverses the recursion
 above (dot test exact to rounding at any step size), while
@@ -32,8 +32,10 @@ with end conditions and assembles the classical gradient densities
 on the base solve's band factors: the step matrices are symmetric, so the
 discrete adjoint solves its transposed systems with them as they are, and the
 backward equation reuses them in reverse order wherever its matrices equal
-the forward's by construction (see :func:`~.evolve.solve_backward`).  All
-operator products are the pattern's compiled CSR mat-vec.  Every sweep takes
+the forward's by construction (see :func:`~.evolve.solve_backward`).  The
+(2/dt) C_h values of the discrete adjoint and the gradient densities of both
+are made a block of time steps at a time.  All operator products are the
+pattern's compiled CSR mat-vec.  Every sweep takes
 the mesh, the point and its forward solve ``base``, and raises
 RequiresForwardSolveError unless the base was solved on that very mesh at that
 point as it is now.  Everything else reads the mesh, point, source and initial
@@ -55,6 +57,7 @@ from itertools import chain, islice
 
 import numpy as np
 
+from . import galerkin
 from .errors import (
     DegenerateTestError,
     ObservationError,
@@ -64,6 +67,7 @@ from .evolve import (
     SourceTerm,
     Trajectory,
     _march,
+    half_node,
     midpoint_values,
     solve_backward,
     solve_each,
@@ -78,7 +82,7 @@ from .forward import (
     observe,
     trapezoid_weights,
 )
-from .galerkin import FORMS, assemble_direction, check_direction
+from .galerkin import FORMS, _direction_slots, _row_blocks, assemble_direction, check_direction
 
 
 @dataclass
@@ -142,12 +146,6 @@ def derivative_apply(disc, point, direction, base):
     return next(derivative_apply_many(disc, point, [direction], base))
 
 
-#: bytes that one (k, time node, nnz) value array of a block of directions
-#: may take, and that the step terms of one block of time steps may take
-#: together; the directions go through the march in blocks of that size
-_BLOCK_BYTES = 8 * 2**20
-
-
 def derivative_apply_many(disc, point, directions, base):
     """Directional derivatives of the forward map along each of ``directions``.
 
@@ -160,16 +158,16 @@ def derivative_apply_many(disc, point, directions, base):
     solve per distinct C(t_n) factor each, made when the first of them is
     read; a sweep that reads only the states runs none.  A block holds as
     many directions as keep each of its (k, time node, nnz) value arrays
-    within ``_BLOCK_BYTES``, and at least one.  Its terms b_n and c_n are
-    made a block of time steps at a time, from step values S', T' and C'_h
-    of as many steps as keep one (step, k, nnz) array within an eighth of
-    ``_BLOCK_BYTES``, and at least one; where the blocks of directions or
-    of steps end changes no bit.  ``directions`` may be any iterable; it is
-    read, and its trajectories computed, one block at a time, so only one
-    block is held at once.
+    within ``_BLOCK_BYTES``, and at least one.  Its direction slots, step
+    values S', T' and C'_h, terms b_n and c_n, and the base's C_h are made
+    a block of time steps at a time (:func:`~.galerkin._row_blocks` of
+    (k, nnz) rows), and each block is marched before the next is made;
+    where the blocks of directions or of steps end changes no bit.
+    ``directions`` may be any iterable; it is read, and its trajectories
+    computed, one block at a time, so only one block is held at once.
     """
     timeline = _solve_at(base, disc, point).timeline
-    size = max(1, _BLOCK_BYTES // (timeline.time_grid.size * timeline.pattern.nnz * 8))
+    size = max(1, galerkin._BLOCK_BYTES // (timeline.time_grid.size * timeline.pattern.nnz * 8))
     directions = iter(directions)
     blocks = iter(lambda: list(islice(directions, size)), [])  # until a block comes out empty
     return chain.from_iterable(_derivative_block(block, base) for block in blocks)
@@ -189,39 +187,32 @@ def _derivative_block(directions, base):
     timeline = record.timeline
     pattern = timeline.pattern
     tg = timeline.time_grid
-    tlh = assemble_direction(timeline.disc, timeline.point, directions)
+    tables, slots = _direction_slots(timeline.disc, timeline.point, directions)
     dt = timeline.dt
     two_dt = 2.0 / dt
     k = len(directions)
     u = base.u
-    n_steps = tg.size - 1
-
-    # the base trajectory's share of the recursion, for all directions a block
-    # of steps at a time: midpoint_values holds up to seven (step, k, nnz)
-    # arrays at once, so each gets an eighth of the budget
-    rows = max(1, _BLOCK_BYTES // (8 * k * pattern.nnz * 8))
-    b, c = [], []
-    for n0 in range(0, n_steps, rows):
-        n1 = min(n0 + rows, n_steps)
-        ends = {slot: None if v is None else v[n0 : n1 + 1] for slot, v in tlh.values.items()}
-        s_dot, t_dot, c_dot = midpoint_values(ends, dt)
-        now, later = u[n0:n1], u[n0 + 1 : n1 + 1]
-        b.append(
-            pattern.apply((t_dot, _per_direction(now, k)))
-            - pattern.apply((s_dot, _per_direction(later, k)))
-        )
-        c.append(two_dt * pattern.apply((c_dot, _per_direction(later - now, k))))
-        del s_dot, t_dot, c_dot  # before the next block's are made
-    b, c = np.concatenate(b), np.concatenate(c)
     # the march carries the k directions as the columns of (dof, k) states
     eta = np.zeros((tg.size, pattern.n, k))
     pi = np.zeros_like(eta)
-    _march(
-        pattern, record.factors, record.t_vals, record.c_half, two_dt,
-        eta, pi, b.transpose(0, 2, 1), c.transpose(0, 2, 1),
-    )
+    # the base trajectory's share of the recursion, for all directions a block
+    # of steps at a time: midpoint_values holds up to seven (step, k, nnz)
+    # arrays at once, so each gets an eighth of the budget
+    for n0, n1 in _row_blocks(tg.size - 1, k * pattern.nnz * 8):
+        s_dot, t_dot, c_dot = midpoint_values(slots(slice(n0, n1 + 1)), dt)
+        now, later = u[n0:n1], u[n0 + 1 : n1 + 1]
+        b = pattern.apply((t_dot, _per_direction(now, k))) - pattern.apply(
+            (s_dot, _per_direction(later, k))
+        )
+        c = two_dt * pattern.apply((c_dot, _per_direction(later - now, k)))
+        del s_dot, t_dot, c_dot  # before the march, which makes the C_h rows
+        _march(
+            pattern, record.factors[n0:n1], record.t_vals[n0:n1],
+            half_node(timeline.values["C"][n0 : n1 + 1]), two_dt,
+            eta[n0 : n1 + 1], pi[n0 : n1 + 1], b.transpose(0, 2, 1), c.transpose(0, 2, 1),
+        )
     eta = eta.transpose(0, 2, 1)
-    rates = _BlockRates(tlh.directions, base, eta, pi.transpose(0, 2, 1))
+    rates = _BlockRates(tables, base, eta, pi.transpose(0, 2, 1))
     return [
         Trajectory(np.ascontiguousarray(eta[:, j]), None, None, tg, recover=rates.column(j))
         for j in range(k)
@@ -316,7 +307,6 @@ def _discrete_gradient(disc, point, v, base, names=None):
     factors = record.factors
     # the step matrices are symmetric, so S_n, T_n and C_h are their own transposes
     t_vals = record.t_vals
-    c_vals = two_dt * record.c_half
     u = base.u
     w = trapezoid_weights(tg)
 
@@ -326,37 +316,39 @@ def _discrete_gradient(disc, point, v, base, names=None):
     beta = np.empty((n_steps, disc.n_free))
     gamma = np.empty((n_steps, disc.n_free))
     gamma[-1] = 0.0
-    t_product = pattern.kernel(t_vals, p)
-    c_product = pattern.kernel(c_vals, p)
+    product = pattern.kernel(t_vals, p)
     cq = np.empty_like(p)
     tr = np.empty_like(p)
-    for n in range(n_steps - 1, -1, -1):
-        q = gamma[n]
-        cq.fill(0.0)
-        c_product(c_vals[n], q, cq)
-        p += cq
-        r = beta[n]
-        r[:] = factors[n].lapack_solve(p)[0]
-        tr.fill(0.0)
-        t_product(t_vals[n], r, tr)
-        np.add(seeds[n], tr, out=p)
-        p -= cq
-        if n:
-            np.multiply(r, 2.0, out=gamma[n - 1])
-            gamma[n - 1] -= q
+    for n0, n1 in reversed(_row_blocks(n_steps, pattern.nnz * 8)):
+        c_vals = two_dt * half_node(timeline.values["C"][n0 : n1 + 1])
+        for n in range(n1 - 1, n0 - 1, -1):
+            q = gamma[n]
+            cq.fill(0.0)
+            product(c_vals[n - n0], q, cq)
+            p += cq
+            r = beta[n]
+            r[:] = factors[n].lapack_solve(p)[0]
+            tr.fill(0.0)
+            product(t_vals[n], r, tr)
+            np.add(seeds[n], tr, out=p)
+            p -= cq
+            if n:
+                np.multiply(r, 2.0, out=gamma[n - 1])
+                gamma[n - 1] -= q
 
-    du_step = u[1:] - u[:-1]
-    su_step = u[:-1] + u[1:]
-    # how each direction operator enters the recursion: the C slot pairs with
-    # the step difference through both b_n and the momentum update, the B
-    # slot with the step difference through T - S, and the A/Q slots with
-    # the step sum through the midpoint average.
-    aq = (-(dt / 2.0) * beta, su_step)
-    pairs = {"A": aq, "Q": aq, "B": (-beta, du_step), "C": (two_dt * (gamma - beta), du_step)}
+    def pair(slot):
+        # how each direction operator enters the recursion: the C slot pairs with
+        # the step difference through both b_n and the momentum update, the B
+        # slot with the step difference through T - S, and the A/Q slots with
+        # the step sum through the midpoint average.
+        if slot in ("A", "Q"):
+            return -(dt / 2.0) * beta, u[:-1] + u[1:]
+        return (-beta if slot == "B" else two_dt * (gamma - beta)), u[1:] - u[:-1]
+
     scale = 1.0 / (w[:, None] * disc.element_sizes[None, :])
     return _gradient(
         timeline,
-        lambda kit, slot: _steps_to_nodes(kit.element_bilinear_many(*pairs[slot])) * scale,
+        lambda kit, slot: _steps_to_nodes(kit.element_bilinear_many(*pair(slot))) * scale,
         names,
     )
 
@@ -375,12 +367,16 @@ def adjoint_apply_continuous(disc, point, v, base):
     timeline = _solve_at(base, disc, point).timeline
     load = SourceTerm(data_load(v, base))
     w = solve_backward(timeline, load, like=base)
-    # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
-    aq = (-base.u, w.u)
-    pairs = {"A": aq, "Q": aq, "B": (-base.du, w.u), "C": (base.du, w.du)}
+
+    def pair(slot):
+        # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C
+        if slot in ("A", "Q"):
+            return -base.u, w.u
+        return (-base.du, w.u) if slot == "B" else (base.du, w.du)
+
     inv_sizes = 1.0 / disc.element_sizes[None, :]
     return _gradient(
-        timeline, lambda kit, slot: kit.element_bilinear_many(*pairs[slot]) * inv_sizes
+        timeline, lambda kit, slot: kit.element_bilinear_many(*pair(slot)) * inv_sizes
     )
 
 

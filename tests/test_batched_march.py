@@ -16,13 +16,14 @@ import pytest
 import scipy.linalg
 
 import waveinv as wi
-from waveinv import evolve, sensitivity
-from waveinv.evolve import factorize_rows, solve_each, step_values
+from waveinv import evolve, galerkin, sensitivity
+from waveinv.evolve import factorize_rows, midpoint_values, solve_each
 from waveinv.forward import data_load
 from waveinv.illposed import svd_probe
 from waveinv.sensitivity import (
     _gradient,
     _steps_to_nodes,
+    adjoint_apply_continuous,
     adjoint_apply_discrete,
     derivative_apply,
     derivative_apply_many,
@@ -65,7 +66,7 @@ def directions(disc, count):
 def loop_forward(timeline, f, u0, p0):
     """u and p of the midpoint march, one checked product and solve per step."""
     pattern = timeline.pattern
-    s_vals, t_vals, c_half = step_values(timeline)
+    s_vals, t_vals, c_half = midpoint_values(timeline.values, timeline.dt)
     factors = factorize_rows(pattern, s_vals)
     n_time = timeline.time_grid.size
     dt = timeline.dt
@@ -88,9 +89,10 @@ def one_at_a_time_derivative(disc, point, direction, base):
     tlh = direction_timeline(disc, point, direction)
     n_steps = timeline.time_grid.size - 1
     two_dt = 2.0 / timeline.dt
-    factors, t_vals, c_half = record.factors, record.t_vals, record.c_half
+    factors, t_vals = record.factors, record.t_vals
+    c_half = midpoint_values(timeline.values, timeline.dt)[2]
     u = base.u
-    s_dot, t_dot, c_dot = step_values(tlh)
+    s_dot, t_dot, c_dot = midpoint_values(tlh.values, tlh.dt)
     b = pattern.apply((t_dot, u[:-1])) - pattern.apply((s_dot, u[1:]))
     c = two_dt * pattern.apply((c_dot, u[1:] - u[:-1]))
     eta = np.zeros_like(u)
@@ -119,7 +121,7 @@ def loop_adjoint(disc, point, v, base):
     dt = timeline.dt
     two_dt = 2.0 / dt
     factors, t_vals = record.factors, record.t_vals
-    c_vals = two_dt * record.c_half
+    c_vals = two_dt * midpoint_values(timeline.values, dt)[2]
     u = base.u
     seeds = wi.trapezoid_weights(tg)[:, None] * data_load(v, base)
     p = seeds[n_steps].copy()
@@ -174,15 +176,15 @@ def test_derivative_apply_many_matches_one_at_a_time(instance):
 def test_directions_go_through_in_blocks(instance, monkeypatch):
     disc, point, f, u0, p0, base = instance
     per_direction = time_grid().size * disc.pattern.nnz * 8
-    monkeypatch.setattr(sensitivity, "_BLOCK_BYTES", 2 * per_direction + 7)
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", 2 * per_direction + 7)
     blocks = []
-    assemble = sensitivity.assemble_direction
+    assemble = sensitivity._direction_slots
 
     def counted(disc, point, block):
         blocks.append(len(block))
         return assemble(disc, point, block)
 
-    monkeypatch.setattr(sensitivity, "assemble_direction", counted)
+    monkeypatch.setattr(sensitivity, "_direction_slots", counted)
     dirs = directions(disc, 5)
     got = derivative_apply_many(disc, point, iter(dirs), base)
     # a block is computed only when its first trajectory is taken
@@ -195,7 +197,7 @@ def test_directions_go_through_in_blocks(instance, monkeypatch):
 
 
 def test_block_budget_bounds_the_value_arrays():
-    budget = sensitivity._BLOCK_BYTES
+    budget = galerkin._BLOCK_BYTES
     # the shipped svd_probe config (20 elements, 80 steps, 30 directions) and
     # the wave1d-inverse probe (20 elements, 40 steps, 20 directions): one block
     for n_time, k in ((81, 30), (41, 20)):
@@ -251,7 +253,7 @@ def test_time_block_edges_change_no_bit(problem, monkeypatch):
             k = len(group)
             # one row per time block, and the k directions in one block
             budget = 8 * tg.size * nnz * k if one_row else 2**40
-            monkeypatch.setattr(sensitivity, "_BLOCK_BYTES", budget)
+            monkeypatch.setattr(galerkin, "_BLOCK_BYTES", budget)
             blocks.clear()
             got.append(list(derivative_apply_many(disc, point, group, base)))
             want = [(2, k)] * (tg.size - 1) if one_row else [(tg.size, k)]
@@ -276,7 +278,7 @@ def test_derivative_sweep_stays_within_its_budget(monkeypatch):
     base = wi.forward_map(disc, point, modal_source(disc, tg))
     direction = smooth_direction(disc, tg, wi.FIELD_NAMES["elastic2d"])
     value_array = tg.size * disc.pattern.nnz * 8
-    monkeypatch.setattr(sensitivity, "_BLOCK_BYTES", value_array)
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", value_array)
     derivative_apply(disc, point, direction, base)  # first call outside the trace
     tracemalloc.start()
     try:
@@ -288,6 +290,91 @@ def test_derivative_sweep_stays_within_its_budget(monkeypatch):
         tracemalloc.stop()
     assert traj.u.shape == base.u.shape
     assert (peak - before) / value_array < 5.0
+
+
+@pytest.mark.parametrize("problem", sorted(MESHES))
+def test_row_block_edges_change_no_bit(problem, monkeypatch):
+    # every sweep and assembly that goes a block of rows at a time gives the
+    # same bits in one-row blocks, in three-row blocks and in a single block;
+    # the resumed solve starts at node 13, inside a three-row block and the single one
+    disc = wi.build_grid(problem, MESHES[problem])
+    tg = time_grid()
+    point = varied_point(disc, tg)
+    f = modal_source(disc, tg)
+    name = wi.FIELD_NAMES[problem][0]
+    moved = point.copy()
+    values = point.fields[name].values
+    moved.fields[name].values = np.where((np.arange(tg.size) >= 14)[:, None], 1.01 * values, values)
+    rng = np.random.default_rng(7)
+    v = wi.DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
+    coeff = rng.uniform(0.5, 1.5, (tg.size, disc.elements.shape[0]))
+    x, y = rng.standard_normal((2, tg.size, disc.n_free))
+    constant = wi.ParameterPoint.from_constants(
+        problem, tg, disc.n_nodes, **{n: 1.0 for n in wi.FIELD_NAMES[problem]}
+    )
+
+    def outputs():
+        base = wi.forward_map(disc, point, f)
+        resumed = wi.forward_map(disc, moved, f, like=base)
+        tl, load = base.solve.timeline, wi.SourceTerm(v.values)
+        back = (wi.solve_backward(tl, load), wi.solve_backward(tl, load, like=base))
+        solves = (base, resumed, *back)
+        out = [getattr(t, rate) for t in solves for rate in ("u", "du", "ddu")]
+        for adjoint in (adjoint_apply_discrete, adjoint_apply_continuous):
+            out += adjoint(disc, point, v, base).fields.values()
+        for kit in disc.kits.values():
+            out += [kit.values(coeff), kit.element_bilinear_many(x, y)]
+        # a constant-in-time point has one step matrix, factorized once across the blocks
+        factors = wi.forward_map(disc, constant, f).solve.factors
+        assert len(factors) == tg.size - 1 and len({id(one) for one in factors}) == 1
+        return out
+
+    runs = []
+    for budget in (1, 8 * 3 * disc.pattern.nnz * 8, 2**40):
+        monkeypatch.setattr(galerkin, "_BLOCK_BYTES", budget)
+        runs.append(outputs())
+    for got in runs[:-1]:
+        assert len(got) == len(runs[-1])
+        for a, b in zip(got, runs[-1]):
+            assert np.array_equal(a, b)
+
+
+def test_solve_and_adjoints_stay_within_their_budget(monkeypatch):
+    # in units of one (time node, nnz) value array, with a budget of one such
+    # array: what a forward solve holds after it returns (its timeline's A and
+    # C slots, the T_n values, the factors and the states; C_h is not kept),
+    # and each adjoint's peak above what was allocated before it (the C_h rows
+    # and the gathered element rows of a block of steps).  At the parent, which
+    # kept C_h and made these arrays whole, they read 6.94, 4.02 and 2.72; here
+    # 5.95, 1.78 and 1.41
+    disc = wi.build_grid("elastic2d", 6)
+    tg = np.linspace(0.0, 1.0, 81)
+    point = varied_point(disc, tg)
+    f = modal_source(disc, tg)
+    v = wi.DataVector(np.random.default_rng(2).standard_normal((tg.size, disc.n_free)), tg)
+    value_array = tg.size * disc.pattern.nnz * 8
+    monkeypatch.setattr(galerkin, "_BLOCK_BYTES", value_array)
+    adjoints = (adjoint_apply_discrete, adjoint_apply_continuous)
+    base = wi.forward_map(disc, point, f)
+    for adjoint in adjoints:  # first calls outside the trace
+        adjoint(disc, point, v, base)
+    del base
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        base = wi.forward_map(disc, point, f)
+        held = tracemalloc.get_traced_memory()[0] - before
+        peaks = []
+        for adjoint in adjoints:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            adjoint(disc, point, v, base)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert held / value_array < 6.5
+    assert peaks[0] / value_array < 3.0
+    assert peaks[1] / value_array < 2.0
 
 
 def test_svd_probe_matches_one_at_a_time(wave_disc):
@@ -326,7 +413,8 @@ def test_march_checks_its_shapes_once(instance):
     disc, point, f, u0, p0, base = instance
     record = base.solve
     pattern = disc.pattern
-    steps = (record.factors, record.t_vals, record.c_half)
+    c_half = midpoint_values(record.timeline.values, record.timeline.dt)[2]
+    steps = (record.factors, record.t_vals, c_half)
     n_time, n = base.u.shape
     good = (np.zeros((n_time, n, 2)), np.zeros((n_time, n, 2)), np.zeros((n_time - 1, n, 2)))
     evolve._march(pattern, *steps, 2.0, *good)

@@ -17,7 +17,7 @@ import scipy.linalg.lapack
 
 import waveinv as wi
 from waveinv import evolve
-from waveinv.evolve import step_values
+from waveinv.evolve import midpoint_values
 from waveinv.errors import RequiresForwardSolveError
 from waveinv.sensitivity import adjoint_apply_continuous
 
@@ -166,7 +166,7 @@ def test_indefinite_step_matrix_falls_back_to_band_lu(n, lapack_calls):
         "wave1d", tg, disc.n_nodes, a=1.0, b=0.2, q=-1e4, rho=1.0
     )
     tl = wi.assemble_operators(disc, point)
-    steps = evolve.step_values(tl)[0]
+    steps = midpoint_values(tl.values, tl.dt)[0]
     rhs = np.random.default_rng(n).standard_normal((disc.n_free, 3))
     for node in (0, steps.shape[0] - 1):
         dense = tl.pattern.matrix(steps[node]).toarray()
@@ -181,14 +181,14 @@ def test_indefinite_step_matrix_falls_back_to_band_lu(n, lapack_calls):
 
 @pytest.fixture
 def counted_step_values(monkeypatch):
-    """The timelines whose step values are built while the test runs."""
+    """The number of steps of every block of step values built while the test runs."""
     built = []
 
-    def counted(timeline):
-        built.append(timeline)
-        return step_values(timeline)
+    def counted(values, dt):
+        built.append(len(values["C"]) - 1)
+        return midpoint_values(values, dt)
 
-    monkeypatch.setattr(evolve, "step_values", counted)
+    monkeypatch.setattr(evolve, "midpoint_values", counted)
     return built
 
 
@@ -247,14 +247,16 @@ def test_continuous_adjoint_with_damping_factorizes_only_its_steps(
     disc, point, base, v = varied_base("wave1d", 12)
     tl = base.solve.timeline
     assert np.ptp(tl.values["B"], axis=0).max() > 0.0  # b varies in time
-    steps = evolve.step_values(evolve.reverse_timeline(tl))[0]
+    back = evolve.reverse_timeline(tl)
+    steps = midpoint_values(back.values, back.dt)[0]
     distinct = len({row.tobytes() for row in steps})
     assert distinct == steps.shape[0]
     counted_factors.clear()
     counted_step_values.clear()
     adjoint_apply_continuous(disc, point, v, base)
     assert len(counted_factors) == distinct
-    assert len(counted_step_values) == 1
+    # the step values of every step are built once
+    assert sum(counted_step_values) == steps.shape[0]
     assert_backward_unchanged_by_sharing(base, v)
 
 

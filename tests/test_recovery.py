@@ -83,13 +83,20 @@ def test_derivative_block_recovers_once_in_any_order(instance, monkeypatch):
     first = list(derivative_apply_many(disc, point, dirs, base))
     want = [(t.u, t.du, t.ddu) for t in first]
     assembled = []
-    assemble = sensitivity.assemble_direction
 
-    def counted(*args):
-        assembled.append(len(args[2]))
-        return assemble(*args)
+    def counted(name):
+        assemble = getattr(sensitivity, name)
 
-    monkeypatch.setattr(sensitivity, "assemble_direction", counted)
+        def count(*args):
+            assembled.append(len(args[2]))
+            return assemble(*args)
+
+        monkeypatch.setattr(sensitivity, name, count)
+
+    # the sweep assembles the direction slots through _direction_slots, the recovery
+    # through assemble_direction
+    counted("_direction_slots")
+    counted("assemble_direction")
     again = list(derivative_apply_many(disc, point, dirs, base))
     assert assembled == [3]
     # the last column's acceleration first, then the rest: one more assembly in all

@@ -96,7 +96,7 @@ def test_resuming_at_the_same_point_does_no_work(wave_setup, work):
     disc, point, f, base = wave_setup
     again = forward_map(disc, point, f, like=base)
     built, marched = work
-    assert built == [] and marched == [0]
+    assert built == [] and sum(marched) == 0
     assert_same_solve(again, base)
     assert again.solve.factors == base.solve.factors
     assert again.solve.c_factors == base.solve.c_factors
