@@ -221,26 +221,40 @@ class BandLU:
         return self.lapack_solve(rhs)[0]
 
 
-def factorize_rows(pattern, rows, known=None, seen=None, first=0):
+def _fingerprints(rows):
+    """A uint64 per row: the wrapping sum of the bit patterns of its entries."""
+    return rows.view(np.uint64).sum(axis=-1).tolist()
+
+
+def factorize_rows(pattern, rows, known=None, seen=None, first=0, remake=None):
     """One factor per row of values, the rows of nodes ``first``, ``first`` + 1,
     ...; equal rows share a single factorization.
 
     ``known`` gives, for each node, a factor of its row or None; a row with
     a known factor takes it, and only the others are factorized.  ``seen``
-    maps the bytes of each row factorized so far to its factor, so that the
-    calls on consecutive blocks of rows that share it factorize each
-    distinct row once.
+    maps the :func:`_fingerprints` of the rows factorized so far to the
+    latest (node, factor), so that calls on consecutive blocks that share it
+    factorize each distinct row once; a match counts only if the two rows
+    are equal bit for bit, the earlier read from ``rows`` or ``remake(node)``.
     """
     seen = {} if seen is None else seen
+    same = np.zeros(len(rows), dtype=bool)  # equal to the row before
+    same[1:] = ~_rows_differ(rows[1:], rows[:-1])
     factors = []
-    for n, row in enumerate(rows, first):
+    for i, (row, key) in enumerate(zip(rows, _fingerprints(rows))):
+        n = first + i
         if known is not None and known[n] is not None:
             factors.append(known[n])
             continue
-        key = row.tobytes()
-        if key not in seen:
-            seen[key] = BandLU(pattern, row, n)
-        factors.append(seen[key])
+        m, factor = seen.get(key, (None, None))
+        if factor is not None and not (same[i] and m == n - 1):
+            match = rows[m - first] if m >= first else remake(m)
+            if _rows_differ(row[None], match[None])[0]:
+                factor = None
+        if factor is None:
+            factor = BandLU(pattern, row, n)
+        seen[key] = (n, factor)
+        factors.append(factor)
     return factors
 
 
@@ -268,8 +282,19 @@ def solve_each(factors, rhs):
 
 def half_node(x):
     """The averages 0.5 (x_n + x_{n+1}) of consecutive node rows, one per step
-    between them; None stays None."""
-    return None if x is None else 0.5 * (x[:-1] + x[1:])
+    between them, in one new array; None stays None."""
+    if x is not None:
+        x = np.add(x[:-1], x[1:])
+        x *= 0.5
+    return x
+
+
+def _add_into(out, x):
+    """out + x, in place in ``out``; None terms are left out."""
+    if out is None or x is None:
+        return x if out is None else out
+    out += x
+    return out
 
 
 def midpoint_values(v, dt):
@@ -280,14 +305,25 @@ def midpoint_values(v, dt):
     Returns (S, T, C_half) with S = (2/dt) C_h + B_h + (dt/2) (A_h + Q_h) and
     T = (2/dt) C_h + B_h - (dt/2) (A_h + Q_h), where X_h is the
     :func:`half_node` average of X over the two ends of a step; a part that
-    vanishes is None.  Rows [n0, n1 + 1) of a timeline's slots give its steps
-    n0 .. n1 - 1, bit for bit, when ``dt`` is the timeline's own step; a
-    slot that is None stays out.
+    vanishes is None.  The sums are made in place, copying no part, so S
+    and T are one array where the (dt/2) part vanishes.  Rows
+    [n0, n1 + 1) of a timeline's slots give its steps n0 .. n1 - 1, bit for
+    bit, when ``dt`` is the timeline's own step; a slot that is None stays out.
     """
     c_half = half_node(v["C"])
-    mass = combine((2.0 / dt, c_half), (1.0, half_node(v["B"])))
-    stiff = combine((dt / 2.0, half_node(v["A"])), (dt / 2.0, half_node(v["Q"])))
-    return combine((1.0, mass), (1.0, stiff)), combine((1.0, mass), (-1.0, stiff)), c_half
+    mass = _add_into(None if c_half is None else c_half * (2.0 / dt), half_node(v["B"]))
+    stiff = None
+    for slot in ("A", "Q"):
+        x = half_node(v[slot])
+        if x is not None:
+            x *= dt / 2.0
+        stiff = _add_into(stiff, x)
+    if stiff is None:
+        return mass, mass, c_half
+    if mass is None:
+        return stiff, np.negative(stiff), c_half
+    t = np.subtract(mass, stiff)
+    return _add_into(mass, stiff), t, c_half
 
 
 def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
@@ -329,7 +365,7 @@ def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
 def _rows_differ(new, old):
     """Per row, whether two (row x ...) arrays differ bit for bit, as the
     factors and the march see them (so -0.0 differs from 0.0)."""
-    return (new.view(np.uint64) != old.view(np.uint64)).reshape(len(new), -1).any(axis=1)
+    return (new.view(np.uint64) != old.view(np.uint64)).any(axis=tuple(range(1, new.ndim)))
 
 
 def _reuse(timeline, like, u, p, f):
@@ -382,10 +418,11 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     steps go in the blocks of :func:`~.galerkin._row_blocks` of (nnz,) rows:
     a block's S_n, T_n and C_h values are made from its slot rows (only C_h
     where ``steps`` are given), its T_n kept, its distinct S_n factorized,
-    with one table for all blocks, and the block marched before the next
-    block's are made.  With ``like``, the states up to node m0 of :func:`_reuse` are
-    copied from it and only the steps after m0 are marched; only the step
-    matrices and C(t_n) whose values differ from ``like``'s are factorized.
+    with one table for all blocks that holds no row, and the block marched
+    and dropped before the next block's are made.  With ``like``, the states
+    up to node m0 of :func:`_reuse` are copied from it and only the steps
+    after m0 are marched; only the step matrices and C(t_n) whose values
+    differ from ``like``'s are factorized.
     The velocity and acceleration are recovered at every node, so each of
     them is exact node by node.
     """
@@ -418,21 +455,28 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     v = timeline.values
     n_steps = tg.size - 1
     factors, t_vals = ([], np.empty((n_steps, pattern.nnz))) if steps is None else steps
+
+    def ends(n0, n1):  # the slot rows of steps n0 .. n1 - 1
+        return {slot: None if x is None else x[n0 : n1 + 1] for slot, x in v.items()}
+
+    def remake(n):  # S_n again, bit for bit, from the rows of its two nodes
+        return midpoint_values(ends(n, n + 1), dt)[0][0]
+
     seen = {}
     for n0, n1 in _row_blocks(n_steps, pattern.nnz * 8):
-        ends = {slot: None if x is None else x[n0 : n1 + 1] for slot, x in v.items()}
         if steps is None:
-            s_vals, t_vals[n0:n1], c_half = midpoint_values(ends, dt)
-            factors += factorize_rows(pattern, s_vals, known_steps, seen, n0)
+            s_vals, t_vals[n0:n1], c_half = midpoint_values(ends(n0, n1), dt)
+            factors += factorize_rows(pattern, s_vals, known_steps, seen, n0, remake)
+            del s_vals
         else:
-            c_half = half_node(ends["C"])
+            c_half = half_node(v["C"][n0 : n1 + 1])
         m = max(n0, m0)
         if m < n1:
             _march(
                 pattern, factors[m:n1], t_vals[m:n1], c_half[m - n0 :], 2.0 / dt,
                 u[m : n1 + 1], p[m : n1 + 1], loads[m:n1],
             )
-    del seen  # its keys copy every distinct S_n row
+        del c_half  # before the next block's rows are made
     bad = ~np.all(np.isfinite(u), axis=1)
     if bad.any():
         raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")

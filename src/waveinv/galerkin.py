@@ -421,13 +421,14 @@ class AssemblyKit:
 
         The rows are gathered onto the elements and contracted a block of
         :func:`_row_blocks` of them at a time, sized on one gathered (n_el, k)
-        row.
+        row; a block's gathers are freed before the next block's are made.
         """
         n_el, k, _ = self.local.shape
         out = np.empty((len(X_free), n_el))
         for r0, r1 in _row_blocks(len(X_free), n_el * k * 8):
             xg, yg = self._gather(X_free[r0:r1]), self._gather(Y_free[r0:r1])
             out[r0:r1] = np.einsum("eij,tei,tej->te", self.local, xg, yg)
+            del xg, yg  # before the next block's are gathered
         return out
 
 

@@ -211,6 +211,7 @@ def _derivative_block(directions, base):
             half_node(timeline.values["C"][n0 : n1 + 1]), two_dt,
             eta[n0 : n1 + 1], pi[n0 : n1 + 1], b.transpose(0, 2, 1), c.transpose(0, 2, 1),
         )
+        del b, c  # before the next block's are made
     eta = eta.transpose(0, 2, 1)
     rates = _BlockRates(tables, base, eta, pi.transpose(0, 2, 1))
     return [
@@ -320,7 +321,8 @@ def _discrete_gradient(disc, point, v, base, names=None):
     cq = np.empty_like(p)
     tr = np.empty_like(p)
     for n0, n1 in reversed(_row_blocks(n_steps, pattern.nnz * 8)):
-        c_vals = two_dt * half_node(timeline.values["C"][n0 : n1 + 1])
+        c_vals = half_node(timeline.values["C"][n0 : n1 + 1])
+        c_vals *= two_dt
         for n in range(n1 - 1, n0 - 1, -1):
             q = gamma[n]
             cq.fill(0.0)
@@ -335,6 +337,7 @@ def _discrete_gradient(disc, point, v, base, names=None):
             if n:
                 np.multiply(r, 2.0, out=gamma[n - 1])
                 gamma[n - 1] -= q
+        del c_vals  # before the next block's are made
 
     def pair(slot):
         # how each direction operator enters the recursion: the C slot pairs with

@@ -342,39 +342,54 @@ def test_row_block_edges_change_no_bit(problem, monkeypatch):
 def test_solve_and_adjoints_stay_within_their_budget(monkeypatch):
     # in units of one (time node, nnz) value array, with a budget of one such
     # array: what a forward solve holds after it returns (its timeline's A and
-    # C slots, the T_n values, the factors and the states; C_h is not kept),
-    # and each adjoint's peak above what was allocated before it (the C_h rows
-    # and the gathered element rows of a block of steps).  At the parent, which
-    # kept C_h and made these arrays whole, they read 6.94, 4.02 and 2.72; here
-    # 5.95, 1.78 and 1.41
+    # C slots, the T_n values, the factors and the states; C_h is not kept)
+    # and its peak above that (a block's S_n, T_n and C_h rows; no copy of a
+    # factorized row), each adjoint's peak above what was allocated before it
+    # (the C_h rows and the gathered element rows of a block of steps), and
+    # element_bilinear_many's peak above its output (one block's gathers).
+    # Readings before and after the factor table stopped keeping rows and each
+    # block's arrays were freed before the next were made: held 5.95 and 5.95,
+    # solve peak 1.35 and 0.12, adjoints 1.78 and 1.42, 1.41 and 1.18,
+    # element_bilinear_many 0.51 and 0.27
     disc = wi.build_grid("elastic2d", 6)
     tg = np.linspace(0.0, 1.0, 81)
     point = varied_point(disc, tg)
     f = modal_source(disc, tg)
-    v = wi.DataVector(np.random.default_rng(2).standard_normal((tg.size, disc.n_free)), tg)
+    rng = np.random.default_rng(2)
+    v = wi.DataVector(rng.standard_normal((tg.size, disc.n_free)), tg)
+    x, y = rng.standard_normal((2, tg.size, disc.n_free))
+    kit = disc.kits["eps"]
     value_array = tg.size * disc.pattern.nnz * 8
     monkeypatch.setattr(galerkin, "_BLOCK_BYTES", value_array)
     adjoints = (adjoint_apply_discrete, adjoint_apply_continuous)
     base = wi.forward_map(disc, point, f)
     for adjoint in adjoints:  # first calls outside the trace
         adjoint(disc, point, v, base)
+    kit.element_bilinear_many(x, y)
     del base
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         base = wi.forward_map(disc, point, f)
-        held = tracemalloc.get_traced_memory()[0] - before
+        now, peak = tracemalloc.get_traced_memory()
+        held, solve_peak = now - before, peak - now
         peaks = []
         for adjoint in adjoints:
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
             adjoint(disc, point, v, base)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = kit.element_bilinear_many(x, y)
+        gather_peak = tracemalloc.get_traced_memory()[1] - start - out.nbytes
     finally:
         tracemalloc.stop()
     assert held / value_array < 6.5
-    assert peaks[0] / value_array < 3.0
-    assert peaks[1] / value_array < 2.0
+    assert solve_peak / value_array < 0.5
+    assert peaks[0] / value_array < 2.0
+    assert peaks[1] / value_array < 1.5
+    assert gather_peak / value_array < 0.4
 
 
 def test_svd_probe_matches_one_at_a_time(wave_disc):

@@ -5,11 +5,14 @@ the work that the change demands: march from one step before the first
 changed node, and factorize only the step and C rows that changed.
 """
 
+import pathlib
+
 import numpy as np
 import pytest
 
 import waveinv as wi
 from waveinv import evolve, illposed
+from waveinv.cli import main
 from waveinv.errors import RequiresForwardSolveError
 from waveinv.forward import forward_map
 from waveinv.illposed import illposed_experiment
@@ -19,6 +22,15 @@ from conftest import modal_source, smooth_direction, varied_point
 
 #: the small level of acceptance criterion 6: mesh size and steps per problem
 CRITERION_6_SMALL = {"wave1d": (16, 320), "elastic2d": (3, 320), "maxwell1d": (16, 320)}
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+#: the BandLU factorizations that a run of each shipped config builds
+CONFIG_FACTORIZATIONS = {
+    "adjoint_checks": 2, "convergence": 8, "forward_elastic": 2, "forward_wave": 2,
+    "svd_probe": 2, "illposed_maxwell_mu": 156, "illposed_q": 154,
+    "invert_bump": 337, "taylor_wave": 418,
+}
 
 
 def assert_same_solve(a, b):
@@ -190,3 +202,13 @@ def test_like_on_another_grid_or_mesh_is_rejected(wave_setup, maxwell_disc):
     difference = base - base
     with pytest.raises(RequiresForwardSolveError):
         forward_map(disc, point, f, like=difference)
+
+
+@pytest.mark.parametrize("config_path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_configs_factorize_as_often_as_pinned(config_path, work, tmp_path, capsys):
+    # equal step and C rows share one factor wherever they fall in time, also
+    # across blocks and in symmetric envelopes that repeat rows far apart
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    built, _ = work
+    assert len(built) == CONFIG_FACTORIZATIONS[config_path.stem]

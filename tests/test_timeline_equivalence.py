@@ -4,7 +4,8 @@ The timeline must reproduce, node by node, what each assembly kit builds on
 its own, with exactly symmetric values; the march must reproduce a plain
 SuperLU march of the same step matrices, down to meshes with one or two free
 DOFs; and a point that is constant in time must factorize its step matrix
-once.
+once.  Equal rows share a factor whatever their fingerprints, and rows with
+the same fingerprint that differ never do.
 """
 
 import numpy as np
@@ -12,8 +13,9 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import waveinv as wi
+from waveinv import evolve, galerkin
 from waveinv.errors import SolverFailureError
-from waveinv.evolve import factorize_rows
+from waveinv.evolve import _rows_differ, factorize_rows
 
 from conftest import direction_timeline, modal_source, smooth_direction, varied_point
 
@@ -200,6 +202,101 @@ def test_constant_point_factorizes_once(discs, problem):
     assert len(record.factors) == tg.size - 1
     assert len({id(factor) for factor in record.factors}) == 1
     assert len({id(factor) for factor in record.c_factors}) == 1
+
+
+def held_then_ramped(disc, tg):
+    """A point constant in time up to t = 0.5 and ramped after it, so that its
+    rows repeat only next to each other."""
+    constants = {"a": 1.0, "b": 0.2, "q": 0.5, "rho": 1.0, "lam": 1.2, "mu": 1.0, "eps": 1.0}
+    point = wi.ParameterPoint.from_constants(
+        disc.problem, tg, disc.n_nodes,
+        **{name: constants[name] for name in wi.FIELD_NAMES[disc.problem]},
+    )
+    ramp = 1.0 + np.maximum(tg - 0.5, 0.0) ** 2
+    for field in point.fields.values():
+        field.values = field.values * ramp[:, None]
+    return point
+
+
+@pytest.mark.parametrize("problem", sorted(SIZES))
+def test_dedup_stays_exact_under_any_fingerprint(discs, problem, monkeypatch):
+    # with every row's fingerprint the same, and then also in one-row blocks,
+    # where every match is confirmed against a remade row, a fresh, a resumed
+    # and a backward solve give the same bits from the same factorizations
+    disc = discs[problem]
+    tg = time_grid()
+    point = held_then_ramped(disc, tg)
+    f = modal_source(disc, tg)
+    moved = point.copy()
+    name = wi.FIELD_NAMES[problem][0]
+    moved.fields[name].values = np.where((np.arange(tg.size) >= 6)[:, None], 1.01, 1.0) * (
+        point.fields[name].values
+    )
+    load = wi.SourceTerm(np.cos(np.outer(tg, np.arange(disc.n_free))))
+    built = []
+
+    class CountedLU(evolve.BandLU):
+        def __init__(self, pattern, values, node):
+            built.append(node)
+            super().__init__(pattern, values, node)
+
+    monkeypatch.setattr(evolve, "BandLU", CountedLU)
+
+    def solves():
+        out, counts, base = [], [], None
+        for call in (
+            lambda: wi.forward_map(disc, point, f),
+            lambda: wi.forward_map(disc, moved, f, like=base),
+            lambda: wi.solve_backward(base.solve.timeline, load),
+            lambda: wi.solve_backward(base.solve.timeline, load, like=base),
+        ):
+            built.clear()
+            traj = call()
+            base = traj if base is None else base
+            counts.append(len(built))
+            out += [traj.u, traj.du, traj.ddu]
+        return out, counts
+
+    want, want_counts = solves()
+    # steps 0-9 and nodes 0-10 are held: one step and one C factor for them,
+    # and one each for the 10 ramped steps and nodes
+    assert want_counts[0] == 22
+    monkeypatch.setattr(evolve, "_fingerprints", lambda rows: [0] * len(rows))
+    for budget in (galerkin._BLOCK_BYTES, 1):
+        monkeypatch.setattr(galerkin, "_BLOCK_BYTES", budget)
+        got, counts = solves()
+        assert counts == want_counts
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("problem", sorted(SIZES))
+def test_rows_with_one_fingerprint_get_their_own_factors(discs, problem):
+    # a row and a permutation of its entries have the same wrapping sum of bit
+    # patterns; each must get a factor of its own matrix
+    pattern = discs[problem].pattern
+    diagonal = pattern.locate(np.arange(pattern.n), np.arange(pattern.n))
+    one = np.full(pattern.nnz, -0.1)
+    one[diagonal] = 2.0 + np.arange(pattern.n) / pattern.n
+    other = one.copy()
+    other[diagonal] = one[diagonal][::-1]
+    rows = np.stack([one, other, one, other, other])
+    keys = evolve._fingerprints(rows)
+    assert keys[0] == keys[1] and _rows_differ(rows[:1], rows[1:2])[0]
+    factors = factorize_rows(pattern, rows)
+    assert factors[0] is not factors[1] and factors[1] is not factors[2]
+    rhs = np.arange(1.0, pattern.n + 1.0)
+    for row, factor in zip(rows, factors):
+        x = factor.solve(rhs)
+        assert np.allclose(pattern.matvec(row, x), rhs, rtol=1e-12, atol=0.0)
+
+
+def test_rows_differ_gives_an_empty_mask_for_no_rows():
+    rows = np.ones((3, 4))
+    for empty in (rows[:0], rows[3:], np.ones((0, 2, 2))):
+        mask = _rows_differ(empty, empty)
+        assert mask.shape == (0,) and mask.dtype == bool
+    assert list(_rows_differ(rows[1:], rows[:-1])) == [False, False]
 
 
 def test_node_subset_discrete_dot_test_maxwell(discs):
