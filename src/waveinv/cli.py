@@ -219,7 +219,7 @@ def _build_field(name, fdef, disc, tg, base_dir):
 def _build_source(cfg, disc, tg, base_dir):
     spec = _filled(SOURCE_KINDS[cfg["source"]["kind"]], cfg["source"])
     if spec["kind"] == "zero":
-        return SourceTerm.zero(tg.size, disc.n_free)
+        return SourceTerm.zero(disc, tg)
     if spec["kind"] == "modal":
         amp = float(spec["amplitude"])
         mode = int(spec["mode"])
@@ -243,7 +243,7 @@ def _build_source(cfg, disc, tg, base_dir):
             "source",
             f"CSV load table has shape {vals.shape}, expected {(tg.size, disc.n_free)}",
         )
-    return SourceTerm(vals)
+    return SourceTerm(vals, disc, tg)
 
 
 def build_setup(cfg, base_dir):

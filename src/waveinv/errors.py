@@ -53,7 +53,9 @@ class DirectionShapeError(WaveinvError, ValueError):
 
 
 class ResolutionError(WaveinvError, ValueError):
-    """A grid is too coarse for the requested construction or norm."""
+    """A grid is too coarse for the requested construction or norm, or a value
+    does not fit the mesh or time grid it is used on: one made on another mesh
+    or time grid, or a vector of another length."""
 
 
 class SolverFailureError(WaveinvError, RuntimeError):
@@ -77,7 +79,8 @@ class ObservationError(WaveinvError, ValueError):
 
 
 class DegenerateTestError(WaveinvError, ValueError):
-    """An adjoint consistency test got an unknown mode or data with vanishing norms."""
+    """An adjoint consistency test got an unknown mode or data with vanishing norms,
+    or a Taylor test fewer than two distinct, positive, finite step sizes."""
 
 
 class InversionConfigError(WaveinvError, ValueError):

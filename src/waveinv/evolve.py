@@ -62,27 +62,30 @@ from .errors import (
     ResolutionError,
     SolverFailureError,
 )
-from .galerkin import OperatorTimeline, _row_blocks, combine, read_only, time_difference
+from .galerkin import Discretization, OperatorTimeline, _row_blocks, combine, read_only
+from .galerkin import time_difference
 
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """Load vectors (time node x free DOF): entries are (f(t_n), basis_i)."""
+    """Load vectors (time node x free DOF) on a mesh and time grid, entries (f(t_n), basis_i)."""
 
     values: np.ndarray
+    disc: Discretization
+    time_grid: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "values", read_only(self.values))
-        if self.values.ndim != 2:
-            raise DirectionShapeError(
-                f"source must be 2-D (time x dof), got {self.values.shape}"
-            )
+        object.__setattr__(self, "time_grid", read_only(self.time_grid))
+        shape = (self.time_grid.size, self.disc.n_free)
+        if self.values.shape != shape:
+            raise DirectionShapeError(f"source has shape {self.values.shape}, expected {shape}")
         if not np.all(np.isfinite(self.values)):
             raise DirectionShapeError("source contains non-finite entries")
 
     @classmethod
-    def zero(cls, n_time, n_free):
-        return cls(np.zeros((n_time, n_free)))
+    def zero(cls, disc, time_grid):
+        return cls(np.zeros((np.size(time_grid), disc.n_free)), disc, time_grid)
 
 
 @dataclass(frozen=True)
@@ -119,14 +122,14 @@ class Trajectory:
     base's ``u``, ``du`` and ``ddu``; a write into those arrays before the
     first read of ``du`` or ``ddu`` changes the rates.
 
-    ``solve`` is the :class:`SolveRecord` of a forward solve, which the
-    derivative and adjoint sweeps reuse; it is None for derivative, backward
-    and difference trajectories, and it is never serialized.
+    ``disc`` is its mesh (its timeline's, base's or operands').  ``solve`` is the
+    :class:`SolveRecord` of a forward solve, which the sweeps reuse; it is None
+    for derivative, backward and difference trajectories, and never serialized.
     """
 
-    def __init__(self, u, du, ddu, time_grid, solve=None, *, recover=(None, None)):
+    def __init__(self, u, du, ddu, time_grid, disc, solve=None, *, recover=(None, None)):
         self.u = u
-        self.time_grid = time_grid
+        self.time_grid, self.disc = time_grid, disc
         self.solve = solve
         self._du, self._ddu = du, ddu
         self._velocity, self._acceleration = recover
@@ -144,9 +147,16 @@ class Trajectory:
         return self._ddu
 
     def __sub__(self, other):
+        if not _fits(other, self):
+            raise ResolutionError("trajectories on different meshes or time grids do not subtract")
         return Trajectory(
-            self.u - other.u, self.du - other.du, self.ddu - other.ddu, self.time_grid
+            self.u - other.u, self.du - other.du, self.ddu - other.ddu, self.time_grid, self.disc
         )
+
+
+def _fits(value, home):
+    """Whether ``value`` is on the mesh (the same object) and time grid (by value) of ``home``."""
+    return value.disc is home.disc and np.array_equal(value.time_grid, home.time_grid)
 
 
 def make_source(disc, time_grid, fn):
@@ -158,20 +168,30 @@ def make_source(disc, time_grid, fn):
     n_nodes)`` for a vector one.  They are weighted by the mass rows so
     boundary-adjacent couplings are kept: one sparse product for all time
     nodes, which accumulates each entry in the order of a single mat-vec.
+    Values of any other shape raise DirectionShapeError.
     """
     tg = np.asarray(time_grid, dtype=float)
     axes = disc.axes
     nodal = np.asarray([fn(t, *axes) for t in tg], dtype=float)
-    if nodal.shape[1:] == (disc.n_components, disc.n_nodes):
+    n, c = disc.n_nodes, disc.n_components
+    shapes = [(n,)] * (c == 1) + [(n, c), (c, n)]
+    if nodal.shape[1:] not in shapes:
+        raise DirectionShapeError(f"source values have shape {nodal.shape[1:]}, not in {shapes}")
+    if nodal.shape[1:] == (c, n):
         nodal = nodal.transpose(0, 2, 1)
     # component c of node j is DOF n_components * j + c
     nodal = nodal.reshape(tg.size, disc.n_dofs)
-    return SourceTerm((disc.M_load @ nodal.T).T)
+    return SourceTerm((disc.M_load @ nodal.T).T, disc, tg)
 
 
 def momentum_from_velocity(timeline, velocity):
-    """Initial momentum datum p(0) = C(0) v for a velocity coefficient vector."""
-    return timeline.matrix("C", 0) @ np.asarray(velocity, dtype=float)
+    """Initial momentum datum p(0) = C(0) v for a velocity coefficient vector,
+    which must be (free DOF,): ResolutionError for another shape."""
+    velocity = np.asarray(velocity, dtype=float)
+    n = timeline.pattern.n
+    if velocity.shape != (n,):
+        raise ResolutionError(f"velocity has shape {velocity.shape}, expected ({n},)")
+    return timeline.matrix("C", 0) @ velocity
 
 
 class BandLU:
@@ -333,7 +353,7 @@ def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
     ----------
     timeline : OperatorTimeline
     f : SourceTerm
-        Loads at every time node.
+        Loads at every time node, on the timeline's mesh and time grid (else ResolutionError).
     u0 : array, optional
         Initial state coefficients (defaults to zero).
     u1 : array, optional
@@ -359,7 +379,7 @@ def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
         the :class:`SolveRecord` of this solve.
     """
     u, record, recover = _solve(timeline, f, u0, u1, like=like)
-    return Trajectory(u, None, None, timeline.time_grid, record, recover=recover)
+    return Trajectory(u, None, None, timeline.time_grid, timeline.disc, record, recover=recover)
 
 
 def _rows_differ(new, old):
@@ -383,11 +403,7 @@ def _reuse(timeline, like, u, p, f):
     the same mesh and time grid.
     """
     record = like.solve
-    if (
-        record is None
-        or record.timeline.disc is not timeline.disc
-        or not np.array_equal(record.timeline.time_grid, timeline.time_grid)
-    ):
+    if record is None or not _fits(record.timeline, timeline):
         raise RequiresForwardSolveError("like must be a forward solve on this mesh and time grid")
     new, old = timeline.values, record.timeline.values
     node = np.zeros(timeline.time_grid.size, dtype=bool)
@@ -429,11 +445,9 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     tg = timeline.time_grid
     dt = timeline.dt
     pattern = timeline.pattern
+    if not _fits(f, timeline):
+        raise ResolutionError("the source was made on another mesh or time grid than the timeline")
     fv = f.values
-    if fv.shape != (tg.size, pattern.n):
-        raise ResolutionError(
-            f"source shape {fv.shape} does not match ({tg.size}, {pattern.n})"
-        )
 
     u = np.zeros((tg.size, pattern.n))
     p = np.zeros((tg.size, pattern.n))
@@ -580,7 +594,8 @@ def reverse_timeline(timeline):
 def solve_backward(timeline, v, like=None):
     """Solve the adjoint equation backward in time with end conditions zero.
 
-    ``v`` is the adjoint source in load form.  The equation is reversed to an
+    ``v`` is the adjoint source in load form, on the timeline's mesh and
+    time grid (ResolutionError otherwise).  The equation is reversed to an
     initial-value problem (see :func:`reverse_timeline`), marched like
     :func:`solve_forward`, and the output is flipped back; velocities change
     sign under the reversal.  Like the forward solve, it recovers the
@@ -603,15 +618,17 @@ def solve_backward(timeline, v, like=None):
         c_factors = record.c_factors[::-1]
         if timeline.values["B"] is None:
             steps = (record.factors[::-1], record.t_vals[::-1])
+    load = SourceTerm(v.values[::-1], v.disc, v.time_grid)
     back, _, (velocity, acceleration) = _solve(
-        reverse_timeline(timeline), SourceTerm(v.values[::-1]), None, None, steps, c_factors
+        reverse_timeline(timeline), load, None, None, steps, c_factors
     )
     # -dw[::-1] is the reversed solve's own velocity again, bit for bit
     recover = (
         lambda: -velocity()[::-1],
         lambda w, dw: acceleration(w[::-1], -dw[::-1])[::-1].copy(),
     )
-    return Trajectory(back[::-1].copy(), None, None, timeline.time_grid, recover=recover)
+    u = back[::-1].copy()
+    return Trajectory(u, None, None, timeline.time_grid, timeline.disc, recover=recover)
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +730,8 @@ def energy_monitor(trajectory):
     )
 
 
-def y_norm(trajectory, disc, k=0):
-    """Solution-space norm: sup-in-time energy norms of the state and rates.
+def y_norm(trajectory, k=0):
+    """Solution-space norm on the trajectory's mesh: sup-in-time energy norms of state and rates.
 
     k = 0: max_n |u|_V + max_n |du|_H;  k = 1 additionally max_n |du|_V +
     max_n |ddu|_H.
@@ -726,6 +743,7 @@ def y_norm(trajectory, disc, k=0):
         prods = np.einsum("ni,ni->n", rows, (gram @ rows.T).T)
         return float(np.sqrt(np.maximum(prods, 0.0)).max())
 
+    disc = trajectory.disc
     total = sup_norm(trajectory.u, disc.K_V) + sup_norm(trajectory.du, disc.M)
     if k == 1:
         total += sup_norm(trajectory.du, disc.K_V) + sup_norm(trajectory.ddu, disc.M)

@@ -432,7 +432,7 @@ class AssemblyKit:
         return out
 
 
-@dataclass
+@dataclass(repr=False)
 class Discretization:
     """Uniform P1 mesh with the inner-product matrices of the energy spaces.
 

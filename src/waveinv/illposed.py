@@ -342,7 +342,7 @@ def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
                 exc.bound, exc.field, exc.index, exc.value, exc.limit, delta=delta
             ) from exc
         traj = forward_map(disc, perturbed, f, like=base)
-        output_distances[idx] = y_norm(traj - base, disc, k=k - 1)
+        output_distances[idx] = y_norm(traj - base, k=k - 1)
 
     lower = 0.5 * delta * bumps.gamma
     param_lower_ok = bool(np.all(param_distances >= lower - 1e-14))

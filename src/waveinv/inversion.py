@@ -109,7 +109,7 @@ def _restricted_gradient(resid, base, targets):
     """The nodal gradient of the data misfit ``resid`` at the forward solve
     ``base``, of the ``targets`` only: no other field's densities are computed."""
     tl = base.solve.timeline
-    return nodal_gradient(tl.disc, _discrete_gradient(tl.disc, tl.point, resid, base, targets))
+    return nodal_gradient(_discrete_gradient(tl.disc, tl.point, resid, base, targets))
 
 
 def _estimate_step_size(base, targets, spec):
@@ -270,8 +270,8 @@ def add_noise(data, level, seed, disc):
     data_distance(noisy, clean) = level * data_norm(clean); the draw is
     reproducible from the seed.  At level 0 the data come back as they are.
     """
-    if level < 0.0:
-        raise InversionConfigError(f"noise level must be nonnegative, got {level}")
+    if not (np.isfinite(level) and level >= 0.0):
+        raise InversionConfigError(f"noise level must be finite and nonnegative, got {level}")
     if level == 0.0:
         return data
     rng = np.random.default_rng(seed)

@@ -60,6 +60,7 @@ import numpy as np
 from . import galerkin
 from .errors import (
     DegenerateTestError,
+    DirectionShapeError,
     ObservationError,
     RequiresForwardSolveError,
 )
@@ -87,11 +88,17 @@ from .galerkin import FORMS, _direction_slots, _row_blocks, assemble_direction, 
 
 @dataclass
 class GradientFields:
-    """Named per-element gradient densities on (time node x element)."""
+    """Named per-element gradient densities on (time node x element) of the mesh ``disc``."""
 
-    problem: str
+    disc: galerkin.Discretization
     fields: dict
     time_grid: np.ndarray
+
+    def __post_init__(self):
+        shape = (np.size(self.time_grid), self.disc.element_sizes.size)
+        for name, dens in self.fields.items():
+            if np.shape(dens) != shape:
+                raise DirectionShapeError(f"density '{name}' is {np.shape(dens)}, not {shape}")
 
 
 def _solve_at(base, disc=None, point=None):
@@ -187,7 +194,8 @@ def _derivative_block(directions, base):
     timeline = record.timeline
     pattern = timeline.pattern
     tg = timeline.time_grid
-    tables, slots = _direction_slots(timeline.disc, timeline.point, directions)
+    disc = timeline.disc
+    tables, slots = _direction_slots(disc, timeline.point, directions)
     dt = timeline.dt
     two_dt = 2.0 / dt
     k = len(directions)
@@ -215,7 +223,7 @@ def _derivative_block(directions, base):
     eta = eta.transpose(0, 2, 1)
     rates = _BlockRates(tables, base, eta, pi.transpose(0, 2, 1))
     return [
-        Trajectory(np.ascontiguousarray(eta[:, j]), None, None, tg, recover=rates.column(j))
+        Trajectory(np.ascontiguousarray(eta[:, j]), None, None, tg, disc, recover=rates.column(j))
         for j in range(k)
     ]
 
@@ -368,7 +376,7 @@ def adjoint_apply_continuous(disc, point, v, base):
     if v.spec.kind != "full-field":
         raise ObservationError("the continuous-mode adjoint supports full-field data only")
     timeline = _solve_at(base, disc, point).timeline
-    load = SourceTerm(data_load(v, base))
+    load = SourceTerm(data_load(v, base), timeline.disc, timeline.time_grid)
     w = solve_backward(timeline, load, like=base)
 
     def pair(slot):
@@ -398,16 +406,17 @@ def _gradient(timeline, density, names=None):
             continue
         g = fmap[1](disc.element_means(point.fields[name].values), density(disc.kits[kit], slot))
         fields[name] = fields[name] + g if name in fields else g
-    return GradientFields(problem=disc.problem, fields=fields, time_grid=timeline.time_grid)
+    return GradientFields(disc=disc, fields=fields, time_grid=timeline.time_grid)
 
 
 # ---------------------------------------------------------------------------
 # pairings, norms, and consistency tests
 
 
-def parameter_pairing(disc, grad, direction):
-    """<g, h> for a direction h (:func:`~.galerkin.check_direction`): trapezoid in time,
-    measure-weighted vertex-mean in space, summed in the gradient's field order."""
+def parameter_pairing(grad, direction):
+    """<g, h> on the gradient's mesh for a direction h (:func:`~.galerkin.check_direction`):
+    trapezoid in time, measure-weighted vertex-mean in space, in the gradient's field order."""
+    disc = grad.disc
     w = trapezoid_weights(grad.time_grid)
     h = check_direction(disc.problem, (w.size, disc.n_nodes), direction)
     total = 0.0
@@ -421,12 +430,12 @@ def parameter_pairing(disc, grad, direction):
     return total
 
 
-def gradient_norm(disc, grad):
-    """Norm of gradient densities in the element-measure pairing."""
+def gradient_norm(grad):
+    """Norm of gradient densities in the element-measure pairing of their mesh."""
     w = trapezoid_weights(grad.time_grid)
     total = 0.0
     for dens in grad.fields.values():
-        total += float(np.einsum("n,ne->", w, dens**2 * disc.element_sizes[None, :]))
+        total += float(np.einsum("n,ne->", w, dens**2 * grad.disc.element_sizes[None, :]))
     return float(np.sqrt(max(total, 0.0)))
 
 
@@ -440,8 +449,8 @@ def direction_norm(disc, direction, time_grid):
     return float(np.sqrt(max(total, 0.0)))
 
 
-def nodal_gradient(disc, grad):
-    """Nodal representative of gradient densities.
+def nodal_gradient(grad):
+    """Nodal representative of gradient densities, on their mesh.
 
     Returns per-field (time x node) arrays G with
     sum_n w_n sum_i l_i G(n,i) h(n,i) = <g, h> for every nodal direction h,
@@ -450,8 +459,8 @@ def nodal_gradient(disc, grad):
     """
     out = {}
     for name, dens in grad.fields.items():
-        acc = disc.accumulate_to_nodes(dens)
-        out[name] = acc / disc.lumped_node_measure[None, :]
+        acc = grad.disc.accumulate_to_nodes(dens)
+        out[name] = acc / grad.disc.lumped_node_measure[None, :]
     return out
 
 
@@ -473,10 +482,9 @@ def dot_test(direction, v, mode="discrete", *, base):
         grad = adjoint_apply_continuous(disc, point, v, base)
     else:
         raise DegenerateTestError(f"mode must be 'discrete' or 'continuous', got {mode!r}")
-    rhs = parameter_pairing(disc, grad, direction)
-    denom = data_norm(d_out, disc) * data_norm(v, disc) + gradient_norm(
-        disc, grad
-    ) * direction_norm(disc, direction, point.time_grid)
+    rhs = parameter_pairing(grad, direction)
+    h_norm = direction_norm(disc, direction, point.time_grid)
+    denom = data_norm(d_out, disc) * data_norm(v, disc) + gradient_norm(grad) * h_norm
     if denom == 0.0:
         raise DegenerateTestError("both pairings vanish; the test is uninformative")
     return abs(lhs - rhs) / denom
@@ -497,14 +505,21 @@ def taylor_test(direction, s_values, *, base):
     Every perturbed solve takes the mesh, the point x, the source and the
     initial state and momentum of the forward solve ``base``.  The perturbed
     points x + s h must stay admissible for every s.  The order is the
-    least-squares slope of log remainder against log s.
+    least-squares slope of log remainder against log s, so ``s_values`` must
+    hold at least two distinct, positive, finite numbers: DegenerateTestError
+    otherwise, before any solve.
     """
+    s_values = np.asarray(list(s_values), dtype=float)
+    usable = np.isfinite(s_values) & (s_values > 0)
+    if s_values.ndim != 1 or np.unique(s_values).size < 2 or not usable.all():
+        raise DegenerateTestError(
+            f"s_values must be at least two distinct, positive, finite numbers, got {s_values}"
+        )
     record = _solve_at(base)
     disc, point = record.timeline.disc, record.timeline.point
     deriv = derivative_apply(disc, point, direction, base)
     d0 = observe(base)
     d1 = observe(deriv)
-    s_values = np.asarray(list(s_values), dtype=float)
     remainders = np.empty_like(s_values)
     for i, s in enumerate(s_values):
         shifted = shift_point(point, direction, s)

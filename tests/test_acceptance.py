@@ -218,7 +218,7 @@ def test_criterion_5_energy_conservation_and_decay():
     disc = wi.build_grid("wave1d", 20)
     tg = np.linspace(0.0, 2.0, 201)
     u0 = np.sin(np.pi * disc.nodes[disc.free_nodes])
-    f = wi.SourceTerm.zero(tg.size, disc.n_free)
+    f = wi.SourceTerm.zero(disc, tg)
 
     point = wi.ParameterPoint.from_constants(
         "wave1d", tg, disc.n_nodes, a=1.0, b=0.0, q=0.3, rho=1.0
@@ -347,7 +347,7 @@ def test_criterion_8_semiconvergence_and_discrepancy_stopping():
     h = np.outer(np.sin(np.pi * tg), np.sin(np.pi * disc.nodes))
     for _ in range(12):
         jh = wi.observe(derivative_apply(disc, x0, {"rho": h}, base), spec)
-        h = nodal_gradient(disc, adjoint_apply_discrete(disc, x0, jh, base))["rho"]
+        h = nodal_gradient(adjoint_apply_discrete(disc, x0, jh, base))["rho"]
         h = h / np.sqrt(np.einsum("n,ni,i->", w, h * h, disc.lumped_node_measure))
     truth = x0.copy()
     truth.fields["rho"].values = truth.fields["rho"].values + 0.14 * h
@@ -410,14 +410,14 @@ def test_criterion_9_bumps_rank_one_and_compatibility():
     unit = all(abs(xseq.operator_norm(k) - 1.0) <= 1e-10 for k in xseq.k_values)
 
     n_free = disc.n_free
-    zero = wi.SourceTerm.zero(21, n_free)
+    short_tg = np.linspace(0.0, 1.0, 21)
+    zero = wi.SourceTerm.zero(disc, short_tg)
     zero_ok = all(
         compatibility_check(zero, None, None, k).passed for k in (0, 1, 2)
     )
-    short_tg = np.linspace(0.0, 1.0, 21)
-    ramp = wi.SourceTerm(np.outer(short_tg, np.ones(n_free)))
+    ramp = wi.SourceTerm(np.outer(short_tg, np.ones(n_free)), disc, short_tg)
     ramp_ok = compatibility_check(ramp, None, None, 2).passed
-    constant = wi.SourceTerm(np.ones((21, n_free)))
+    constant = wi.SourceTerm(np.ones((21, n_free)), disc, short_tg)
     const_report = compatibility_check(constant, None, None, 2)
     const_fail = not const_report.passed
     trace = [c for c in const_report.failures() if c["name"].startswith("f")]

@@ -316,7 +316,7 @@ def test_row_block_edges_change_no_bit(problem, monkeypatch):
     def outputs():
         base = wi.forward_map(disc, point, f)
         resumed = wi.forward_map(disc, moved, f, like=base)
-        tl, load = base.solve.timeline, wi.SourceTerm(v.values)
+        tl, load = base.solve.timeline, wi.SourceTerm(v.values, disc, tg)
         back = (wi.solve_backward(tl, load), wi.solve_backward(tl, load, like=base))
         solves = (base, resumed, *back)
         out = [getattr(t, rate) for t in solves for rate in ("u", "du", "ddu")]

@@ -34,7 +34,7 @@ def single_dof_setup(n_steps, a=1.0, b=0.0, rho=3.0, t_end=1.0):
 def test_oscillator_energy_flat():
     # C = 1, A = 4: harmonic oscillator at frequency 2
     disc, tg, tl = single_dof_setup(400)
-    f = wi.SourceTerm.zero(tg.size, 1)
+    f = wi.SourceTerm.zero(disc, tg)
     traj = wi.solve_forward(tl, f, u0=np.array([1.0]))
     report = wi.energy_monitor(traj)
     assert report.max_relative_drift <= 1e-12
@@ -46,7 +46,7 @@ def test_oscillator_second_order_in_dt():
     errors = []
     for n in (40, 80, 160):
         disc, tg, tl = single_dof_setup(n)
-        f = wi.SourceTerm.zero(tg.size, 1)
+        f = wi.SourceTerm.zero(disc, tg)
         traj = wi.solve_forward(tl, f, u0=np.array([1.0]))
         errors.append(np.abs(traj.u[:, 0] - np.cos(2.0 * tg)).max())
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -60,7 +60,7 @@ def test_damped_scalar_second_order_in_dt():
     errors = []
     for n in (40, 80, 160):
         disc, tg, tl = single_dof_setup(n, a=0.5, b=0.9)
-        f = wi.SourceTerm((np.sin(tg) + 0.3 * np.cos(tg))[:, None])
+        f = wi.SourceTerm((np.sin(tg) + 0.3 * np.cos(tg))[:, None], disc, tg)
         traj = wi.solve_forward(tl, f, u1=np.array([1.0]))
         errors.append(np.abs(traj.u[:, 0] - np.sin(tg)).max())
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -69,7 +69,7 @@ def test_damped_scalar_second_order_in_dt():
 
 def test_damped_energy_monotone():
     disc, tg, tl = single_dof_setup(200, b=3.0)
-    f = wi.SourceTerm.zero(tg.size, 1)
+    f = wi.SourceTerm.zero(disc, tg)
     traj = wi.solve_forward(tl, f, u0=np.array([1.0]))
     report = wi.energy_monitor(traj)
     assert report.monotone_nonincreasing
@@ -85,7 +85,7 @@ def test_energy_includes_potential_term():
         "wave1d", tg, disc.n_nodes, a=1.0, b=0.0, q=0.3, rho=1.0
     )
     u0 = np.sin(np.pi * disc.nodes[disc.free_nodes])
-    f = wi.SourceTerm.zero(tg.size, disc.n_free)
+    f = wi.SourceTerm.zero(disc, tg)
     traj = wi.forward_map(disc, point, f, u0=u0)
     report = wi.energy_monitor(traj)
     assert report.max_relative_drift <= 1e-12
@@ -228,7 +228,7 @@ def test_velocity_and_acceleration_recovery():
     errors_du, errors_ddu = [], []
     for n in (40, 80, 160):
         disc, tg, tl = single_dof_setup(n, a=0.5, b=0.9)
-        f = wi.SourceTerm((np.sin(tg) + 0.3 * np.cos(tg))[:, None])
+        f = wi.SourceTerm((np.sin(tg) + 0.3 * np.cos(tg))[:, None], disc, tg)
         traj = wi.solve_forward(tl, f, u1=np.array([1.0]))
         errors_du.append(np.abs(traj.du[:, 0] - np.cos(tg)).max())
         errors_ddu.append(np.abs(traj.ddu[:, 0] + np.sin(tg)).max())
@@ -253,7 +253,7 @@ def test_solver_cache_exposed(wave_disc, time_grid, wave_point):
 
 def test_backward_zero_source_is_zero(wave_disc, time_grid, wave_point):
     tl = wi.assemble_operators(wave_disc, wave_point)
-    v = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
+    v = wi.SourceTerm.zero(wave_disc, time_grid)
     adj = wi.solve_backward(tl, v)
     assert np.all(adj.u == 0.0) and np.all(adj.du == 0.0)
 
@@ -294,8 +294,8 @@ def test_backward_pairing_second_order():
     for n in (20, 40, 80, 160):
         disc, tg, tl = single_dof_setup(n, a=0.7, b=1.2)
         wts = wi.trapezoid_weights(tg)
-        f = wi.SourceTerm(np.cos(2.0 * tg)[:, None])
-        v = wi.SourceTerm((1.0 + tg)[:, None])
+        f = wi.SourceTerm(np.cos(2.0 * tg)[:, None], disc, tg)
+        v = wi.SourceTerm((1.0 + tg)[:, None], disc, tg)
         u = wi.solve_forward(tl, f).u[:, 0]
         w = wi.solve_backward(tl, v).u[:, 0]
         lhs = float(np.sum(wts * u * v.values[:, 0]))
@@ -324,9 +324,9 @@ def test_reverse_timeline_involution_without_damping(wave_disc, time_grid):
 @given(alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0))
 def test_forward_solve_linear_in_source(alpha, beta):
     disc, tg, tl = single_dof_setup(16, b=0.5)
-    f1 = wi.SourceTerm(np.sin(3.0 * tg)[:, None])
-    f2 = wi.SourceTerm((tg**2)[:, None])
-    combo = wi.SourceTerm(alpha * f1.values + beta * f2.values)
+    f1 = wi.SourceTerm(np.sin(3.0 * tg)[:, None], disc, tg)
+    f2 = wi.SourceTerm((tg**2)[:, None], disc, tg)
+    combo = wi.SourceTerm(alpha * f1.values + beta * f2.values, disc, tg)
     u_combo = wi.solve_forward(tl, combo).u
     u_parts = alpha * wi.solve_forward(tl, f1).u + beta * wi.solve_forward(tl, f2).u
     assert np.abs(u_combo - u_parts).max() <= 1e-10 * max(1.0, abs(alpha) + abs(beta))
@@ -337,7 +337,7 @@ def test_forward_solve_linear_in_source(alpha, beta):
 
 
 def test_compatibility_zero_data_passes_all_levels(wave_disc, time_grid):
-    f = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
+    f = wi.SourceTerm.zero(wave_disc, time_grid)
     for k in (0, 1, 2):
         report = wi.compatibility_check(f, None, None, k)
         assert report.passed, k
@@ -358,14 +358,14 @@ def test_compatibility_constant_source_fails_level_two(wave_disc, time_grid):
 
 
 def test_compatibility_initial_data_rule(wave_disc, time_grid):
-    f = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
+    f = wi.SourceTerm.zero(wave_disc, time_grid)
     u0 = np.ones(wave_disc.n_free)
     assert wi.compatibility_check(f, u0, None, 0).passed
     assert not wi.compatibility_check(f, u0, None, 1).passed
 
 
 def test_compatibility_rejects_unknown_level(wave_disc, time_grid):
-    f = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
+    f = wi.SourceTerm.zero(wave_disc, time_grid)
     with pytest.raises(RegularityError, match="smoothness level"):
         wi.compatibility_check(f, None, None, 3)
     assert issubclass(RegularityError, ValueError)
@@ -379,32 +379,35 @@ def test_y_norm_levels_and_homogeneity(wave_disc, time_grid, wave_point):
     tl = wi.assemble_operators(wave_disc, wave_point)
     f = wi.make_source(wave_disc, time_grid, lambda t, x: t**2 * np.sin(np.pi * x))
     traj = wi.solve_forward(tl, f)
-    n0 = wi.y_norm(traj, wave_disc, k=0)
-    n1 = wi.y_norm(traj, wave_disc, k=1)
+    n0 = wi.y_norm(traj, k=0)
+    n1 = wi.y_norm(traj, k=1)
     assert 0 < n0 <= n1
-    doubled = wi.Trajectory(2 * traj.u, 2 * traj.du, 2 * traj.ddu, traj.time_grid)
-    assert wi.y_norm(doubled, wave_disc, k=1) == pytest.approx(2 * n1, rel=1e-12)
+    doubled = wi.Trajectory(2 * traj.u, 2 * traj.du, 2 * traj.ddu, traj.time_grid, wave_disc)
+    assert wi.y_norm(doubled, k=1) == pytest.approx(2 * n1, rel=1e-12)
 
 
 def test_y_norm_rejects_unknown_level(wave_disc, time_grid, wave_point):
     tl = wi.assemble_operators(wave_disc, wave_point)
-    traj = wi.solve_forward(tl, wi.SourceTerm.zero(time_grid.size, wave_disc.n_free))
+    traj = wi.solve_forward(tl, wi.SourceTerm.zero(wave_disc, time_grid))
     with pytest.raises(RegularityError, match="norm level"):
-        wi.y_norm(traj, wave_disc, k=2)
+        wi.y_norm(traj, k=2)
 
 
 def test_source_validation():
-    for bad in (np.zeros(5), np.full((4, 3), np.nan)):
+    disc, tg = wi.build_grid("wave1d", 4), np.linspace(0.0, 1.0, 4)
+    for bad in (np.zeros(5), np.zeros((4, 4)), np.full((4, 3), np.nan)):
         with pytest.raises(DirectionShapeError):
-            wi.SourceTerm(bad)
+            wi.SourceTerm(bad, disc, tg)
     assert issubclass(DirectionShapeError, ValueError)
 
 
 def test_source_rows_must_match_the_time_grid(wave_disc, time_grid, wave_point):
     tl = wi.assemble_operators(wave_disc, wave_point)
-    for rows in (time_grid.size - 1, time_grid.size + 1):
+    # a source sampled on fewer or more time nodes, or on as many over another span
+    for rows, end in ((time_grid.size - 1, 1.0), (time_grid.size + 1, 1.0), (time_grid.size, 2.0)):
+        grid = np.linspace(0.0, end * time_grid[-1], rows)
         with pytest.raises(wi.ResolutionError):
-            wi.solve_forward(tl, wi.SourceTerm.zero(rows, wave_disc.n_free))
+            wi.solve_forward(tl, wi.SourceTerm.zero(wave_disc, grid))
 
 
 def eight_element_wave():
@@ -429,7 +432,7 @@ def eight_element_wave():
 )
 def test_initial_data_are_checked_where_they_enter(name, data, error):
     disc, tg, point = eight_element_wave()
-    f = wi.SourceTerm.zero(tg.size, disc.n_free)
+    f = wi.SourceTerm.zero(disc, tg)
     tl = wi.assemble_operators(disc, point)
     for solve in (
         lambda **data: wi.forward_map(disc, point, f, **data),
@@ -447,5 +450,5 @@ def test_a_failed_march_names_the_first_non_finite_node():
     # the first state that is not finite
     loads[5:, 3] = 1e308
     with np.errstate(over="ignore"), pytest.raises(SolverFailureError) as info:
-        wi.forward_map(disc, point, wi.SourceTerm(loads))
+        wi.forward_map(disc, point, wi.SourceTerm(loads, disc, tg))
     assert info.value.node == 6

@@ -254,7 +254,7 @@ def test_any_input_solves_or_raises_a_typed_error(
             field = point.fields[name]
             shake = rng.uniform(-0.5, 0.5, field.values.shape)
             field.values = field.values * (1.0 + wobble * shake)
-        f = wi.SourceTerm(amplitude * rng.standard_normal((tg.size, disc.n_free)))
+        f = wi.SourceTerm(amplitude * rng.standard_normal((tg.size, disc.n_free)), disc, tg)
         u0 = rng.standard_normal(disc.n_free)
         traj = wi.forward_map(disc, point, f, u0=u0, u1=u0)
     except WaveinvError:

@@ -181,7 +181,7 @@ def test_fields_that_do_not_fit_the_mesh_are_rejected():
     # point was built is caught too
     disc = wi.build_grid("wave1d", 8)  # 9 nodes
     tg = np.linspace(0.0, 1.0, 21)
-    f = wi.SourceTerm.zero(tg.size, disc.n_free)
+    f = wi.SourceTerm.zero(disc, tg)
 
     def point(n_space):
         return wi.ParameterPoint.from_constants(
@@ -327,7 +327,7 @@ def test_constraint_violation_reports_location(wave_disc, time_grid):
 )
 def test_non_finite_values_are_rejected_with_their_place(wave_disc, time_grid, name, index, value):
     point = varied_point(wave_disc, time_grid)
-    f = wi.SourceTerm.zero(time_grid.size, wave_disc.n_free)
+    f = wi.SourceTerm.zero(wave_disc, time_grid)
     kept = point.fields[name].values
     with pytest.raises(ValueError, match="read-only"):
         kept[index] = value

@@ -220,7 +220,7 @@ def test_gradient_is_computed_for_the_targets_only(instance, targets, monkeypatc
     disc, tg, truth, x0, f, clean = instance
     base = forward_map(disc, x0, f)
     resid = data_difference(observe(base, None), clean)
-    full = nodal_gradient(disc, adjoint_apply_discrete(disc, x0, resid, base))
+    full = nodal_gradient(adjoint_apply_discrete(disc, x0, resid, base))
     assert sorted(full) == sorted(wi.FIELD_NAMES["wave1d"])
     densities = []
     for kit in disc.kits.values():
@@ -298,7 +298,7 @@ def test_cgne_zero_curvature_is_a_breakdown(instance, monkeypatch):
 
     def vanishing(disc, point, direction, base):
         zeros = np.zeros_like(base.u)
-        return wi.Trajectory(zeros, zeros.copy(), zeros.copy(), base.time_grid)
+        return wi.Trajectory(zeros, zeros.copy(), zeros.copy(), base.time_grid, disc)
 
     monkeypatch.setattr(inversion, "derivative_apply", vanishing)
     cfg = InversionConfig(method="cgne", max_iterations=5)
@@ -317,7 +317,7 @@ def at_rest():
     disc = wi.build_grid("wave1d", 8)
     tg = np.linspace(0.0, 1.0, 161)
     x0 = wi.ParameterPoint.from_constants("wave1d", tg, disc.n_nodes, a=1.0, b=0.3, q=0.6, rho=1.0)
-    f = wi.SourceTerm.zero(tg.size, disc.n_free)
+    f = wi.SourceTerm.zero(disc, tg)
     data = wi.DataVector(np.ones((tg.size, disc.n_free)), tg)
     return disc, x0, data, f
 

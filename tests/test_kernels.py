@@ -218,7 +218,7 @@ def varied_base(problem, n):
 
 def assert_backward_unchanged_by_sharing(base, v):
     tl = base.solve.timeline
-    load = wi.SourceTerm(v.values)
+    load = wi.SourceTerm(v.values, tl.disc, v.time_grid)
     shared = wi.solve_backward(tl, load, like=base)
     alone = wi.solve_backward(tl, load)
     for name in ("u", "du", "ddu"):
@@ -264,6 +264,6 @@ def test_backward_sharing_needs_the_same_timeline():
     disc, point, base, v = varied_base("maxwell1d", 12)
     other = wi.assemble_operators(disc, point)
     with pytest.raises(RequiresForwardSolveError):
-        wi.solve_backward(other, wi.SourceTerm(v.values), like=base)
+        wi.solve_backward(other, wi.SourceTerm(v.values, disc, v.time_grid), like=base)
     with pytest.raises(RequiresForwardSolveError):
-        wi.solve_backward(other, wi.SourceTerm(v.values), like=base - base)
+        wi.solve_backward(other, wi.SourceTerm(v.values, disc, v.time_grid), like=base - base)

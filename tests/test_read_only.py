@@ -28,10 +28,12 @@ def kept_inputs(disc):
     spec = wi.ObservationSpec(kind="node-subset", indices=[1, 4], weights=[1.0, 2.0])
     data = wi.DataVector(np.ones((TG.size, 2)), TG, spec)
     direction = smooth_direction(disc, TG, ("q",))
+    source = wi.SourceTerm(np.ones((TG.size, disc.n_free)), disc, TG)
     return {
         "field-values": field.values,
         "field-time-grid": field.time_grid,
-        "source-values": wi.SourceTerm(np.ones((TG.size, disc.n_free))).values,
+        "source-values": source.values,
+        "source-time-grid": source.time_grid,
         "data-values": data.values,
         "data-time-grid": data.time_grid,
         "spec-indices": spec.indices,
@@ -118,7 +120,7 @@ def test_a_solve_keeps_the_point_without_copying_its_arrays(wave_disc):
 def test_sources_data_and_specs_cannot_be_reassigned():
     spec = wi.ObservationSpec(kind="node-subset", indices=[2, 3])
     data = wi.DataVector(np.ones((TG.size, 2)), TG, spec)
-    source = wi.SourceTerm(np.ones((TG.size, 2)))
+    source = wi.SourceTerm(np.ones((TG.size, 2)), wi.build_grid("wave1d", 3), TG)
     for kept, name, value in (
         (spec, "indices", np.array([2, -1])),
         (data, "values", np.full((TG.size, 2), np.nan)),

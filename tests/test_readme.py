@@ -1,9 +1,10 @@
 """The signatures that README.md quotes are those of the code.
 
 A quote is a code span that is a whole call, `name(params)`, whose name is a
-function of a waveinv module: `dot_test(...)`, `evolve.energy_monitor(...)` or
-`BumpSequence.certified_norms(...)`.  Its parameter names, in order, must be
-those of ``inspect.signature``.  A usage example, which elides arguments
+function of a waveinv module: `dot_test(...)`, `evolve.energy_monitor(...)`,
+`BumpSequence.certified_norms(...)` or the class method `SourceTerm.zero(...)`.
+Its parameter names, in order, must be those of ``inspect.signature``, less
+``self`` and ``cls``.  A usage example, which elides arguments
 (`...`) or passes a value that is no literal (`like=base`), quotes no
 signature and is skipped.
 """
@@ -40,6 +41,7 @@ def resolve(name):
         holders = [mods[owner[-1]]] if owner[-1] in mods else filter(inspect.isclass, classes)
     for holder in holders:
         fn = getattr(holder, leaf, None)
+        fn = getattr(fn, "__func__", fn)  # a class method's own function
         if inspect.isfunction(fn) and fn.__module__.startswith("waveinv."):
             return fn
     return None
@@ -77,13 +79,16 @@ def test_readme_quotes_the_signatures_of_the_code():
     found = readme_signatures()
     stale = {}
     for quoted, fn, params in found:
-        names = [p for p in inspect.signature(fn).parameters if p != "self"]
+        names = [p for p in inspect.signature(fn).parameters if p not in ("self", "cls")]
         if params != names:
             stale[quoted] = (params, names)
     assert stale == {}, "README (left) quotes parameters the code (right) does not have"
     # the quotes that this test is there for are found
     assert {"dot_test", "taylor_test", "data_load", "evolve.energy_monitor",
-            "forward_map", "sensitivity.derivative_apply_many"} <= {q for q, _, _ in found}
+            "forward_map", "sensitivity.derivative_apply_many", "SourceTerm.zero",
+            "parameter_pairing", "gradient_norm", "nodal_gradient", "y_norm"} <= {
+        q for q, _, _ in found
+    }
 
 
 def test_usage_examples_and_other_names_are_skipped():
@@ -92,4 +97,5 @@ def test_usage_examples_and_other_names_are_skipped():
     assert quoted_params("disc, point, *, like=None") == ["disc", "point", "like"]
     assert quoted_params("scale=1.0") == ["scale"]
     assert resolve("BumpSequence.certified_norms") is not None
+    assert resolve("SourceTerm.zero") is not None
     assert resolve("csr_matvec") is None and resolve("sin") is None

@@ -65,11 +65,12 @@ def test_forward_rates_are_the_recovery_formulas(instance):
 def test_backward_rates_are_the_recovery_formulas(instance, like):
     disc, point, f, base = instance
     timeline = base.solve.timeline
-    v = SourceTerm(np.random.default_rng(2).standard_normal(base.u.shape))
+    v = SourceTerm(np.random.default_rng(2).standard_normal(base.u.shape), disc, TIME_GRID)
     w = solve_backward(timeline, v, like=base if like else None)
     # the reversed initial-value problem, solved and recovered on its own
     reversed_source = v.values[::-1].copy()
-    back = wi.solve_forward(reverse_timeline(timeline), SourceTerm(reversed_source))
+    reversed_load = SourceTerm(reversed_source, disc, TIME_GRID)
+    back = wi.solve_forward(reverse_timeline(timeline), reversed_load)
     du, ddu = recovered(
         back.solve.timeline, reversed_source, back.u, back.solve.p, back.solve.c_factors
     )
@@ -112,17 +113,18 @@ def test_writes_into_the_inputs_do_not_reach_the_rates(instance):
     disc, point, f, base = instance
     names = wi.FIELD_NAMES[disc.problem]
     direction = smooth_direction(disc, TIME_GRID, names)
-    v = SourceTerm(np.random.default_rng(4).standard_normal(base.u.shape))
+    v = SourceTerm(np.random.default_rng(4).standard_normal(base.u.shape), disc, TIME_GRID)
     # read at once, on inputs nobody writes into
-    ref_base = wi.forward_map(disc, point.copy(), SourceTerm(f.values.copy()))
+    ref_base = wi.forward_map(disc, point.copy(), SourceTerm(f.values.copy(), disc, TIME_GRID))
     ref_eta = derivative_apply(
         disc, point, {n: h.copy() for n, h in direction.items()}, ref_base
     )
-    ref_w = solve_backward(ref_base.solve.timeline, SourceTerm(v.values.copy()), like=ref_base)
+    ref_v = SourceTerm(v.values.copy(), disc, TIME_GRID)
+    ref_w = solve_backward(ref_base.solve.timeline, ref_v, like=ref_base)
     wants = [(t.u, t.du, t.ddu) for t in (ref_base, ref_eta, ref_w)]
 
     given = f.values.copy()
-    source = SourceTerm(given)
+    source = SourceTerm(given, disc, TIME_GRID)
     fwd = wi.forward_map(disc, point, source)
     eta = derivative_apply(disc, point, direction, fwd)
     w = solve_backward(fwd.solve.timeline, v, like=fwd)
@@ -143,7 +145,7 @@ def test_writes_into_the_inputs_do_not_reach_the_rates(instance):
 def test_trajectories_die_with_their_last_name(instance, read):
     disc, point, f, base = instance
     direction = smooth_direction(disc, TIME_GRID, wi.FIELD_NAMES[disc.problem])
-    v = SourceTerm(np.ones(base.u.shape))
+    v = SourceTerm(np.ones(base.u.shape), disc, TIME_GRID)
     made = {
         "forward": lambda: wi.forward_map(disc, point, f),
         "derivative": lambda: derivative_apply(disc, point, direction, base),

@@ -151,7 +151,7 @@ def test_another_source_marches_from_its_first_change(wave_setup, work):
     n_steps = point.time_grid.size - 1
     late = f.values.copy()
     late[30:] *= 1.5
-    sources = (wi.SourceTerm(2.0 * f.values), wi.SourceTerm(late))
+    sources = tuple(wi.SourceTerm(x, disc, f.time_grid) for x in (2.0 * f.values, late))
     resumed = [forward_map(disc, point, source, like=base) for source in sources]
     built, marched = work
     assert built == []

@@ -118,13 +118,13 @@ def test_every_function_taking_a_direction_rejects_a_bad_one(wave_disc, time_gri
     point, f, base = wave_base(wave_disc, time_grid)
     n_el = wave_disc.elements.shape[0]
     grad = wi.GradientFields(
-        "wave1d", {n: np.ones((time_grid.size, n_el)) for n in wi.FIELD_NAMES["wave1d"]}, time_grid
+        wave_disc, {n: np.ones((time_grid.size, n_el)) for n in wi.FIELD_NAMES["wave1d"]}, time_grid
     )
     calls = {
         "assemble_direction": lambda h: wi.assemble_direction(wave_disc, point, [h]),
         "derivative_apply": lambda h: derivative_apply(wave_disc, point, h, base),
         "shift_point": lambda h: shift_point(point, h, 0.1),
-        "parameter_pairing": lambda h: parameter_pairing(wave_disc, grad, h),
+        "parameter_pairing": lambda h: parameter_pairing(grad, h),
         "direction_norm": lambda h: direction_norm(wave_disc, h, time_grid),
     }
     direction = BAD_DIRECTIONS[bad](time_grid.size, wave_disc.n_nodes, point)
@@ -143,7 +143,7 @@ def test_a_single_direction_where_a_list_goes_is_rejected(wave_disc, time_grid):
 
 def test_derivative_requires_cached_solve(wave_disc, time_grid):
     point, f, base = wave_base(wave_disc, time_grid)
-    bare = wi.Trajectory(base.u, base.du, base.ddu, base.time_grid)
+    bare = wi.Trajectory(base.u, base.du, base.ddu, base.time_grid, wave_disc)
     with pytest.raises(RequiresForwardSolveError):
         derivative_apply(
             wave_disc, point, smooth_direction(wave_disc, time_grid, ("a",)), bare
@@ -308,7 +308,7 @@ def test_parameter_pairing_oracle(wave_disc, time_grid):
     rng = np.random.default_rng(5)
     n_el = wave_disc.elements.shape[0]
     dens = rng.standard_normal((time_grid.size, n_el))
-    grad = wi.GradientFields("wave1d", {"a": dens}, time_grid)
+    grad = wi.GradientFields(wave_disc, {"a": dens}, time_grid)
     h = rng.standard_normal((time_grid.size, wave_disc.n_nodes))
     wts = wi.trapezoid_weights(time_grid)
     manual = float(
@@ -319,7 +319,7 @@ def test_parameter_pairing_oracle(wave_disc, time_grid):
             * wave_disc.element_means(h)
         )
     )
-    assert parameter_pairing(wave_disc, grad, {"a": h}) == pytest.approx(
+    assert parameter_pairing(grad, {"a": h}) == pytest.approx(
         manual, rel=1e-13
     )
 
@@ -328,12 +328,12 @@ def test_nodal_gradient_is_exact_riesz_representative(wave_disc, time_grid):
     rng = np.random.default_rng(6)
     n_el = wave_disc.elements.shape[0]
     grad = wi.GradientFields(
-        "wave1d",
+        wave_disc,
         {"a": rng.standard_normal((time_grid.size, n_el)),
          "q": rng.standard_normal((time_grid.size, n_el))},
         time_grid,
     )
-    nodal = nodal_gradient(wave_disc, grad)
+    nodal = nodal_gradient(grad)
     wts = wi.trapezoid_weights(time_grid)
     for _ in range(3):
         h = {name: rng.standard_normal((time_grid.size, wave_disc.n_nodes))
@@ -343,7 +343,7 @@ def test_nodal_gradient_is_exact_riesz_representative(wave_disc, time_grid):
                             wave_disc.lumped_node_measure))
             for name in ("a", "q")
         )
-        assert parameter_pairing(wave_disc, grad, h) == pytest.approx(
+        assert parameter_pairing(grad, h) == pytest.approx(
             nodal_side, rel=1e-12
         )
 
@@ -352,11 +352,11 @@ def test_pairing_cauchy_schwarz(wave_disc, time_grid):
     rng = np.random.default_rng(7)
     n_el = wave_disc.elements.shape[0]
     grad = wi.GradientFields(
-        "wave1d", {"b": rng.standard_normal((time_grid.size, n_el))}, time_grid
+        wave_disc, {"b": rng.standard_normal((time_grid.size, n_el))}, time_grid
     )
     h = {"b": rng.standard_normal((time_grid.size, wave_disc.n_nodes))}
-    lhs = abs(parameter_pairing(wave_disc, grad, h))
-    rhs = gradient_norm(wave_disc, grad) * direction_norm(wave_disc, h, time_grid)
+    lhs = abs(parameter_pairing(grad, h))
+    rhs = gradient_norm(grad) * direction_norm(wave_disc, h, time_grid)
     assert lhs <= rhs * (1.0 + 1e-12)
 
 

@@ -232,7 +232,7 @@ def test_dedup_stays_exact_under_any_fingerprint(discs, problem, monkeypatch):
     moved.fields[name].values = np.where((np.arange(tg.size) >= 6)[:, None], 1.01, 1.0) * (
         point.fields[name].values
     )
-    load = wi.SourceTerm(np.cos(np.outer(tg, np.arange(disc.n_free))))
+    load = wi.SourceTerm(np.cos(np.outer(tg, np.arange(disc.n_free))), disc, tg)
     built = []
 
     class CountedLU(evolve.BandLU):
