@@ -44,6 +44,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, ConstraintViolationError, ResolutionError, WaveinvError
 from .evolve import SourceTerm, compatibility_check, make_source, momentum_from_velocity
+from .evolve import solve_forward
 from .forward import DataVector, data_norm, forward_map, observe
 from .galerkin import (
     FIELD_NAMES,
@@ -197,10 +198,9 @@ def _build_field(name, fdef, disc, tg, base_dir):
             )
         return ParameterField(vals, tg)
     if kind == "bump":
-        t_end = float(tg[-1])
-        t0 = 0.5 * t_end if spec["t0"] is None else float(spec["t0"])
+        t0 = 0.5 * float(tg[-1]) if spec["t0"] is None else float(spec["t0"])
         try:
-            seq = bump_sequence(int(spec["r"]), t0, t_end, tg, [int(spec["j"])])
+            seq = bump_sequence(int(spec["r"]), t0, tg, [int(spec["j"])])
         except ResolutionError as exc:
             raise ConfigError(where, str(exc)) from exc
         shift = 0.5 * float(spec["delta"]) * seq.samples[int(spec["j"])]
@@ -329,7 +329,7 @@ def _run_taylor_test(disc, point, tg, f, opts, seed, base_dir):
 
 
 def _run_illposed(disc, point, tg, f, opts, seed, base_dir):
-    result = illposed_experiment(disc, point, f=f, **_arguments("illposed", opts))
+    result = illposed_experiment(point, f=f, **_arguments("illposed", opts))
     rows = np.array(result.rows())
     summary = {
         "target": result.target,
@@ -431,7 +431,7 @@ def _manufactured_error(n_elements, n_steps, t_end):
     timeline = assemble_operators(disc, point)
     free = disc.free_nodes
     u1 = momentum_from_velocity(timeline, np.sin(np.pi * disc.nodes[free]))
-    traj = forward_map(disc, point, f, u1=u1)
+    traj = solve_forward(timeline, f, u1=u1)
     exact = np.sin(np.pi * disc.nodes[free])[None, :] * np.sin(tg)[:, None]
     diff = traj.u - exact
     err = np.sqrt(np.einsum("ni,ij,nj->n", diff, disc.M.toarray(), diff))

@@ -101,9 +101,9 @@ class CGBreakdownError(WaveinvError, RuntimeError):
 
 
 class RequiresForwardSolveError(WaveinvError, RuntimeError):
-    """An adjoint/derivative sweep was asked to run without a forward solve at its point:
-    the base carries no solve record, or it was solved at another point, or the
-    point's fields were written after the solve."""
+    """A sweep or backward solve was asked to run without the forward solve it runs on:
+    the base carries no solve record, or (for a sweep) it was solved at another point,
+    or the point's fields were written after the solve."""
 
 
 class TooLargeError(WaveinvError, ValueError):

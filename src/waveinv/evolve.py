@@ -13,7 +13,7 @@ differentiated inside the stepper.
 Operators are value arrays on one sparsity pattern, so the step matrices
 S_n, T_n of a block of steps come out of a few array operations, and every
 product with a vector is one compiled CSR mat-vec
-(:meth:`~.galerkin.SparsityPattern.matvec`).  Each distinct step matrix and
+(:meth:`~.galerkin.SparsityPattern.apply`).  Each distinct step matrix and
 each distinct C(t_n) is factorized once by LAPACK (:class:`BandLU`) from
 values scattered into band storage: tridiagonal LU on the 1D meshes, band
 Cholesky wherever the matrix is positive definite, and band LU otherwise.
@@ -122,12 +122,17 @@ class Trajectory:
     base's ``u``, ``du`` and ``ddu``; a write into those arrays before the
     first read of ``du`` or ``ddu`` changes the rates.
 
-    ``disc`` is its mesh (its timeline's, base's or operands').  ``solve`` is the
+    ``disc`` is its mesh (its timeline's, base's or operands'), and ``u``, ``du`` and ``ddu``
+    are (time node x free DOF) of it (DirectionShapeError otherwise).  ``solve`` is the
     :class:`SolveRecord` of a forward solve, which the sweeps reuse; it is None
     for derivative, backward and difference trajectories, and never serialized.
     """
 
     def __init__(self, u, du, ddu, time_grid, disc, solve=None, *, recover=(None, None)):
+        shape = (np.size(time_grid), disc.n_free)
+        for name, x in (("u", u), ("du", du), ("ddu", ddu)):
+            if x is not None and np.shape(x) != shape:
+                raise DirectionShapeError(f"{name} has shape {np.shape(x)}, expected {shape}")
         self.u = u
         self.time_grid, self.disc = time_grid, disc
         self.solve = solve
@@ -168,15 +173,17 @@ def make_source(disc, time_grid, fn):
     n_nodes)`` for a vector one.  They are weighted by the mass rows so
     boundary-adjacent couplings are kept: one sparse product for all time
     nodes, which accumulates each entry in the order of a single mat-vec.
-    Values of any other shape raise DirectionShapeError.
+    Values of another shape, or not of one shape, raise DirectionShapeError.
     """
     tg = np.asarray(time_grid, dtype=float)
     axes = disc.axes
-    nodal = np.asarray([fn(t, *axes) for t in tg], dtype=float)
+    values = [fn(t, *axes) for t in tg]
     n, c = disc.n_nodes, disc.n_components
     shapes = [(n,)] * (c == 1) + [(n, c), (c, n)]
-    if nodal.shape[1:] not in shapes:
-        raise DirectionShapeError(f"source values have shape {nodal.shape[1:]}, not in {shapes}")
+    found = sorted({np.shape(one) for one in values})
+    if len(found) != 1 or found[0] not in shapes:
+        raise DirectionShapeError(f"source values have shapes {found}, not one of {shapes}")
+    nodal = np.asarray(values, dtype=float)
     if nodal.shape[1:] == (c, n):
         nodal = nodal.transpose(0, 2, 1)
     # component c of node j is DOF n_components * j + c
@@ -591,36 +598,34 @@ def reverse_timeline(timeline):
     return OperatorTimeline(timeline.disc, timeline.time_grid, values)
 
 
-def solve_backward(timeline, v, like=None):
-    """Solve the adjoint equation backward in time with end conditions zero.
+def solve_backward(base, v):
+    """Solve the adjoint equation on the timeline of the forward solve ``base``
+    backward in time with end conditions zero (RequiresForwardSolveError for a
+    base without a solve record).  ``v`` is the adjoint source in load form,
+    on the base's mesh and time grid (ResolutionError otherwise).  The
+    equation is reversed to an initial-value problem (see
+    :func:`reverse_timeline`), marched like :func:`solve_forward`, and the
+    output is flipped back; velocities change sign under the reversal.  Like
+    the forward solve, it recovers the velocity and acceleration at every
+    node the first time each is read.
 
-    ``v`` is the adjoint source in load form, on the timeline's mesh and
-    time grid (ResolutionError otherwise).  The equation is reversed to an
-    initial-value problem (see :func:`reverse_timeline`), marched like
-    :func:`solve_forward`, and the output is flipped back; velocities change
-    sign under the reversal.  Like the forward solve, it recovers the
-    velocity and acceleration at every node the first time each is read.
-
-    ``like`` is a forward solve on this same timeline.  The reversed march
-    then takes its factors and step values, in reverse order, wherever they
-    are the forward's bit for bit by construction: the factors of every
-    C(t_n), and the factors and the T_n values of every step when the B slot
-    is absent, since Q - dB is then Q itself.  It then makes only the C_h
-    values, a block of steps at a time, from the reversed C rows; a
-    half-node average is the same sum taken in the other order, so they are
-    the forward's bit for bit.
+    The reversed march takes the base's factors and step values, in reverse
+    order, wherever they are the forward's bit for bit by construction: the
+    factors of every C(t_n), and the factors and the T_n values of every
+    step when the B slot is absent, since Q - dB is then Q itself.  It then
+    makes only the C_h values, a block of steps at a time, from the reversed
+    C rows; a half-node average is the same sum taken in the other order, so
+    they are the forward's bit for bit.
     """
-    steps = c_factors = None
-    if like is not None:
-        record = like.solve
-        if record is None or record.timeline is not timeline:
-            raise RequiresForwardSolveError("like must be a forward solve on this timeline")
-        c_factors = record.c_factors[::-1]
-        if timeline.values["B"] is None:
-            steps = (record.factors[::-1], record.t_vals[::-1])
+    record = base.solve
+    if record is None:
+        raise RequiresForwardSolveError("the backward solve runs on a forward solve's factors")
+    timeline = record.timeline
+    shared = timeline.values["B"] is None  # then the reversed step matrices are the forward's
+    steps = (record.factors[::-1], record.t_vals[::-1]) if shared else None
     load = SourceTerm(v.values[::-1], v.disc, v.time_grid)
     back, _, (velocity, acceleration) = _solve(
-        reverse_timeline(timeline), load, None, None, steps, c_factors
+        reverse_timeline(timeline), load, None, None, steps, record.c_factors[::-1]
     )
     # -dw[::-1] is the reversed solve's own velocity again, bit for bit
     recover = (
@@ -712,7 +717,7 @@ def energy_monitor(trajectory):
     u, du = trajectory.u, trajectory.du
     n_time = u.shape[0]
     v = timeline.values
-    c_du = timeline.pattern.matvec(v["C"], du)
+    c_du = timeline.pattern.apply((v["C"], du))
     aq_u = timeline.pattern.apply((v["A"], u), (v["Q"], u))
     energies = 0.5 * (np.einsum("ni,ni->n", du, c_du) + np.einsum("ni,ni->n", u, aq_u))
     steps = np.diff(energies)

@@ -259,14 +259,9 @@ class SparsityPattern:
         """A CSR matrix (owning its arrays) with the given (nnz,) values."""
         return sp.csr_matrix((values, self.indices, self.indptr), shape=self.shape, copy=True)
 
-    def matvec(self, values, x):
-        """Row-wise products: (..., nnz) values times (..., n) vectors, same leading shape."""
-        out = np.zeros(x.shape)
-        self._add_products(out, values, x)
-        return out
-
     def apply(self, *terms):
-        """Sum of ``matvec(values, x)`` over (values, x) terms; None values add nothing."""
+        """Sum of the row-wise products over (values, x) terms: (..., nnz) values
+        times (..., n) vectors, same leading shape; None values add nothing."""
         out = np.zeros(terms[0][1].shape)
         for values, x in terms:
             if values is not None:
@@ -776,16 +771,15 @@ class OperatorTimeline:
     from :func:`assemble_direction`.  ``rate(slot)`` is its second-order time
     derivative, and ``matrix(slot, n)`` builds one node's CSR matrix from the
     first layout only, on the pattern of the mesh ``disc`` it was assembled
-    on.  ``point`` and ``directions`` are what it was assembled from, a copy
-    of a parameter point or checked direction tables, and None on any other
-    timeline.
+    on.  ``point`` is the copy of the parameter point that
+    :func:`assemble_operators` assembled it from, and None on any other timeline.
     """
 
-    def __init__(self, disc, time_grid, values, point=None, directions=None):
+    def __init__(self, disc, time_grid, values, point=None):
         self.disc = disc
         self.time_grid = read_only(time_grid)
         self.values = {slot: values.get(slot) for slot in SLOTS}
-        self.point, self.directions = point, directions
+        self.point = point
         self._rates = {}
 
     @property
@@ -887,8 +881,8 @@ def assemble_direction(disc, point, directions):
     of the (k * time node, element) coefficients of each form term; a field
     that only some of the directions have is zero in the others.
     """
-    tables, slots = _direction_slots(disc, point, directions)
-    return OperatorTimeline(disc, point.time_grid, slots(slice(None)), directions=tables)
+    _, slots = _direction_slots(disc, point, directions)
+    return OperatorTimeline(disc, point.time_grid, slots(slice(None)))
 
 
 def _direction_slots(disc, point, directions):

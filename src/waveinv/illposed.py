@@ -152,16 +152,17 @@ class BumpSequence:
         return out
 
 
-def bump_sequence(r, t0, t_end, time_grid, j_list):
+def bump_sequence(r, t0, time_grid, j_list):
     """Build the collapsing-support bump family on a simulation time grid.
 
-    Requires 0 < t0 < t_end, a nonempty ``j_list``, every j large enough that
-    the support [t0 - 1/j, t0 + 1/j] stays inside (0, t_end), and at least 8
-    grid nodes strictly inside the support of the narrowest bump — otherwise
-    the sampled profile would alias and the experiment would be meaningless.
+    With t_end the grid's last node, requires (ResolutionError otherwise) 0 < t0 < t_end,
+    a nonempty ``j_list``, every j large enough that the support [t0 - 1/j, t0 + 1/j]
+    stays inside (0, t_end), and at least 8 grid nodes strictly inside the support of
+    the narrowest bump, so that the sampled profile does not alias.
     """
     t0 = float(t0)
-    t_end = float(t_end)
+    time_grid = np.asarray(time_grid, dtype=float)
+    t_end = float(time_grid[-1]) if time_grid.size else 0.0
     if not 0.0 < t0 < t_end:
         raise ResolutionError(f"bump center must lie inside (0, {t_end}); got {t0}")
     j_list = [int(j) for j in j_list]
@@ -174,7 +175,6 @@ def bump_sequence(r, t0, t_end, time_grid, j_list):
                 f"index j={j} places the bump support outside (0, {t_end}); "
                 f"need j > {j_min_admissible:g}"
             )
-    time_grid = np.asarray(time_grid, dtype=float)
     for j in j_list:
         inside = np.count_nonzero(np.abs(time_grid - t0) * j < 1.0)
         if inside < 8:
@@ -286,7 +286,7 @@ class IllposedResult:
         ]
 
 
-def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
+def illposed_experiment(point, target, delta, j_list, f, k=2, t0=None):
     """Drive one parameter with collapsing bumps and tabulate both distances.
 
     The coefficient that the target feeds into its :data:`FORMS` term (the
@@ -299,11 +299,11 @@ def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
     k - 1.  Perturbed points that leave the admissible set raise a slack
     error suggesting a smaller delta.
 
-    The solves start from rest, and the output norm at level k - 1 needs the
-    regularity of level k: before any solve, ``k`` must be 1 or 2
-    (RegularityError otherwise) and the source must pass
-    :func:`~.evolve.compatibility_check` at level k (CompatibilityError
-    otherwise).
+    The solves run on the mesh of the source ``f`` and start from rest, and
+    the output norm at level k - 1 needs the regularity of level k: before
+    any solve, ``k`` must be 1 or 2 (RegularityError otherwise) and ``f``
+    must pass :func:`~.evolve.compatibility_check` at level k
+    (CompatibilityError otherwise).
 
     Each perturbed point differs from ``point`` only near the bump support
     [t0 - 1/j, t0 + 1/j], so its solve resumes from the base solve
@@ -311,6 +311,7 @@ def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
     copied, and only the step and C rows that changed are factorized.  The
     distances are the same bit for bit as with solves from t = 0.
     """
+    disc = f.disc
     if target not in FIELD_NAMES[disc.problem]:
         raise DirectionShapeError(f"problem '{disc.problem}' has no parameter '{target}'")
     if k not in (1, 2):
@@ -319,10 +320,9 @@ def illposed_experiment(disc, point, target, delta, j_list, f, k=2, t0=None):
     delta = float(delta)
     r = int(k) + 1
     tg = point.time_grid
-    t_end = float(tg[-1])
     if t0 is None:
-        t0 = 0.5 * t_end
-    bumps = bump_sequence(r, t0, t_end, tg, j_list)
+        t0 = 0.5 * float(tg[-1])
+    bumps = bump_sequence(r, t0, tg, j_list)
 
     base = forward_map(disc, point, f)
     fmap = next(term[3][0] for term in FORMS[disc.problem] if term[2] == target)

@@ -368,8 +368,8 @@ def adjoint_apply_continuous(disc, point, v, base):
     """Gradient densities via the backward adjoint equation.
 
     Solves the end-condition adjoint problem with the load of ``v``
-    (full-field only; :func:`~.forward.data_load`) on the base's factors (see
-    :func:`~.evolve.solve_backward`), then samples the classical densities
+    (full-field only; :func:`~.forward.data_load`) on the base's timeline and
+    factors, ``solve_backward(base, load)``, then samples the classical densities
     with the same per-element quadrature as the forward bilinear forms, so
     the pairing with a direction reproduces the defining integrals discretely.
     """
@@ -377,7 +377,7 @@ def adjoint_apply_continuous(disc, point, v, base):
         raise ObservationError("the continuous-mode adjoint supports full-field data only")
     timeline = _solve_at(base, disc, point).timeline
     load = SourceTerm(data_load(v, base), timeline.disc, timeline.time_grid)
-    w = solve_backward(timeline, load, like=base)
+    w = solve_backward(base, load)
 
     def pair(slot):
         # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C

@@ -108,3 +108,13 @@ def direction_timeline(disc, point, direction):
     tl = wi.assemble_direction(disc, point, [direction])
     values = {slot: None if v is None else v[:, 0] for slot, v in tl.values.items()}
     return wi.galerkin.OperatorTimeline(tl.disc, tl.time_grid, values)
+
+
+def reversed_forward(base, load):
+    """The backward solve of ``load`` on the timeline of ``base``, built from public
+    pieces and sharing nothing with ``base``: the forward solve of the reversed
+    timeline and load.  Flipped back, with its velocity negated, it is the
+    backward solve."""
+    tl = base.solve.timeline
+    flipped = wi.SourceTerm(load.values[::-1], tl.disc, tl.time_grid)
+    return wi.solve_forward(wi.evolve.reverse_timeline(tl), flipped)

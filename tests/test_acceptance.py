@@ -261,9 +261,7 @@ def test_criterion_6_vanishing_output_with_certified_distance():
                 tg = np.linspace(0.0, 1.0, n_steps + 1)
                 point = varied_point(disc, tg, amplitude=0.1)
                 f = modal_source(disc, tg)
-                res = illposed_experiment(
-                    disc, point, target, delta, j_list, f
-                )
+                res = illposed_experiment(point, target, delta, j_list, f)
                 lower = 0.5 * delta * res.gamma
                 ok = ok and bool(
                     res.param_lower_ok
@@ -401,7 +399,7 @@ def test_criterion_8_semiconvergence_and_discrepancy_stopping():
 
 def test_criterion_9_bumps_rank_one_and_compatibility():
     tg = np.linspace(0.0, 1.0, 513)
-    seq = bump_sequence(3, 0.5, 1.0, tg, [4, 8, 16, 32, 64])
+    seq = bump_sequence(3, 0.5, tg, [4, 8, 16, 32, 64])
     norms = seq.certified_norms()
     sandwich = all(seq.gamma <= norms[j] <= 1.05 for j in seq.j_values)
 

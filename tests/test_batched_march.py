@@ -3,7 +3,7 @@
 The oracles below are the recursions written as plain per-step loops: the
 forward march, the derivative sweep one direction at a time, and the
 backward loop of the discrete adjoint, each step a checked
-``SparsityPattern.matvec`` product and a factor solve.  The march kernel
+``SparsityPattern.apply`` product and a factor solve.  The march kernel
 keeps the order of every operation, so the forward solve, the batched
 derivative (any number of directions, in one block or several) and the
 adjoint must reproduce them bit for bit.
@@ -29,7 +29,9 @@ from waveinv.sensitivity import (
     derivative_apply_many,
 )
 
-from conftest import direction_timeline, modal_source, smooth_direction, varied_point
+from conftest import (
+    direction_timeline, modal_source, reversed_forward, smooth_direction, varied_point
+)
 
 MESHES = {"wave1d": 10, "elastic2d": 3, "maxwell1d": 10}
 
@@ -75,9 +77,9 @@ def loop_forward(timeline, f, u0, p0):
     u[0], p[0] = u0, p0
     loads = dt * 0.5 * (f.values[:-1] + f.values[1:])
     for n in range(n_time - 1):
-        rhs = pattern.matvec(t_vals[n], u[n]) + 2.0 * p[n] + loads[n]
+        rhs = pattern.apply((t_vals[n], u[n])) + 2.0 * p[n] + loads[n]
         u[n + 1] = factors[n].solve(rhs)
-        p[n + 1] = (2.0 / dt) * pattern.matvec(c_half[n], u[n + 1] - u[n]) - p[n]
+        p[n + 1] = (2.0 / dt) * pattern.apply((c_half[n], u[n + 1] - u[n])) - p[n]
     return u, p
 
 
@@ -98,8 +100,8 @@ def one_at_a_time_derivative(disc, point, direction, base):
     eta = np.zeros_like(u)
     pi = np.zeros_like(u)
     for n in range(n_steps):
-        eta[n + 1] = factors[n].solve(pattern.matvec(t_vals[n], eta[n]) + 2.0 * pi[n] + b[n])
-        pi[n + 1] = two_dt * pattern.matvec(c_half[n], eta[n + 1] - eta[n]) - pi[n] + c[n]
+        eta[n + 1] = factors[n].solve(pattern.apply((t_vals[n], eta[n])) + 2.0 * pi[n] + b[n])
+        pi[n + 1] = two_dt * pattern.apply((c_half[n], eta[n + 1] - eta[n])) - pi[n] + c[n]
     c_factors = record.c_factors
     vb, vh = timeline.values, tlh.values
     deta = solve_each(c_factors, pi - pattern.apply((vh["C"], base.du)))
@@ -129,11 +131,11 @@ def loop_adjoint(disc, point, v, base):
     beta = np.empty((n_steps, disc.n_free))
     gamma = np.empty((n_steps, disc.n_free))
     for n in range(n_steps - 1, -1, -1):
-        cq = pattern.matvec(c_vals[n], q)
+        cq = pattern.apply((c_vals[n], q))
         r = factors[n].solve(p + cq)
         beta[n] = r
         gamma[n] = q
-        p = seeds[n] + pattern.matvec(t_vals[n], r) - cq
+        p = seeds[n] + pattern.apply((t_vals[n], r)) - cq
         q = 2.0 * r - q
     du_step = u[1:] - u[:-1]
     su_step = u[:-1] + u[1:]
@@ -316,8 +318,8 @@ def test_row_block_edges_change_no_bit(problem, monkeypatch):
     def outputs():
         base = wi.forward_map(disc, point, f)
         resumed = wi.forward_map(disc, moved, f, like=base)
-        tl, load = base.solve.timeline, wi.SourceTerm(v.values, disc, tg)
-        back = (wi.solve_backward(tl, load), wi.solve_backward(tl, load, like=base))
+        load = wi.SourceTerm(v.values, disc, tg)
+        back = (reversed_forward(base, load), wi.solve_backward(base, load))
         solves = (base, resumed, *back)
         out = [getattr(t, rate) for t in solves for rate in ("u", "du", "ddu")]
         for adjoint in (adjoint_apply_discrete, adjoint_apply_continuous):

@@ -79,7 +79,7 @@ def test_mother_bump_compact_support():
 
 def test_bump_sequence_scaling_and_support():
     tg = np.linspace(0.0, 1.0, 513)
-    seq = bump_sequence(3, 0.5, 1.0, tg, [4, 8, 16])
+    seq = bump_sequence(3, 0.5, tg, [4, 8, 16])
     bump = seq.mother
     for j in (4, 8, 16):
         assert seq.profile(j, 0.5) == pytest.approx(float(j) ** (-3) * bump(np.array(0.0)))
@@ -90,7 +90,7 @@ def test_bump_sequence_scaling_and_support():
 
 def test_bump_sequence_certified_norm_sandwich():
     tg = np.linspace(0.0, 1.0, 513)
-    seq = bump_sequence(3, 0.5, 1.0, tg, [4, 8, 16, 32, 64])
+    seq = bump_sequence(3, 0.5, tg, [4, 8, 16, 32, 64])
     norms = seq.certified_norms()
     scaled = seq.certified_norms(scale=0.1)
     for j, norm in norms.items():
@@ -101,13 +101,17 @@ def test_bump_sequence_certified_norm_sandwich():
 def test_bump_sequence_preconditions():
     tg = np.linspace(0.0, 1.0, 513)
     with pytest.raises(ResolutionError):
-        bump_sequence(3, 1.5, 1.0, tg, [4])  # center outside the interval
+        bump_sequence(3, 1.5, tg, [4])  # center outside the interval
     with pytest.raises(ResolutionError):
-        bump_sequence(3, 0.5, 1.0, tg, [0])  # nonpositive index
+        bump_sequence(3, 0.5, tg, [0])  # nonpositive index
     with pytest.raises(RegularityError):
-        bump_sequence(-1, 0.5, 1.0, tg, [4])  # negative smoothness order
+        bump_sequence(-1, 0.5, tg, [4])  # negative smoothness order
     with pytest.raises(ResolutionError):
-        bump_sequence(3, 0.5, 1.0, np.linspace(0.0, 1.0, 33), [64])
+        bump_sequence(3, 0.5, np.linspace(0.0, 1.0, 33), [64])
+    with pytest.raises(ResolutionError):
+        bump_sequence(3, 0.9, tg, [4])  # the support [0.65, 1.15] passes the grid's end
+    with pytest.raises(ResolutionError):
+        bump_sequence(3, 0.5, np.array([]), [4])  # no grid to end
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,7 +121,7 @@ def test_bump_sequence_preconditions():
 )
 def test_bump_profile_translation_property(j, offset):
     tg = np.linspace(0.0, 1.0, 1025)
-    seq = bump_sequence(2, 0.5, 1.0, tg, [j])
+    seq = bump_sequence(2, 0.5, tg, [j])
     t = 0.5 + offset / j
     expected = float(j) ** (-2) * seq.mother(np.array(offset))
     assert seq.profile(j, t) == pytest.approx(expected, rel=1e-12, abs=1e-300)
@@ -182,7 +186,7 @@ def quick_instance(problem, n, n_steps):
 def test_illposed_experiment_structure():
     # 128 steps so the narrowest bump (j=16) still covers >= 8 grid nodes
     disc, tg, point, f = quick_instance("wave1d", 10, 128)
-    result = illposed_experiment(disc, point, "q", 0.4, [4, 8, 16], f)
+    result = illposed_experiment(point, "q", 0.4, [4, 8, 16], f)
     assert result.problem == "wave1d" and result.target == "q"
     assert len(result.rows()) == 3
     assert result.param_lower_ok
@@ -195,7 +199,7 @@ def test_illposed_experiment_structure():
     assert np.all(result.param_distances >= 0.4 * result.gamma / 2.0)
     # each is the norm of the perturbation profile (delta / 2) alpha_j on the fine grid
     fine = np.linspace(0.0, 1.0, illposed.FINE_INTERVALS + 1)
-    bumps = bump_sequence(3, 0.5, 1.0, tg, [4, 8, 16])
+    bumps = bump_sequence(3, 0.5, tg, [4, 8, 16])
     profiles = [wi.ParameterField(0.2 * bumps.profile(j, fine)[:, None], fine) for j in (4, 8, 16)]
     expected = [wi.galerkin.parameter_norm(profile, 2) for profile in profiles]
     assert np.array_equal(result.param_distances, expected)
@@ -206,8 +210,8 @@ def test_illposed_param_distance_same_for_additive_and_reciprocal_targets():
     # so its certified norm must agree across problems and targets
     disc_w, tg, point_w, f_w = quick_instance("wave1d", 8, 64)
     disc_m, _, point_m, f_m = quick_instance("maxwell1d", 8, 64)
-    res_w = illposed_experiment(disc_w, point_w, "a", 0.3, [4, 8], f_w)
-    res_m = illposed_experiment(disc_m, point_m, "mu", 0.3, [4, 8], f_m)
+    res_w = illposed_experiment(point_w, "a", 0.3, [4, 8], f_w)
+    res_m = illposed_experiment(point_m, "mu", 0.3, [4, 8], f_m)
     assert np.allclose(res_w.param_distances, res_m.param_distances, rtol=1e-12)
 
 
@@ -216,7 +220,7 @@ def test_illposed_experiment_slack_error():
     # rejected; the normalized bump peak is ~2e-3, hence the large delta
     disc, tg, point, f = quick_instance("elastic2d", 3, 32)
     with pytest.raises(SlackError) as info:
-        illposed_experiment(disc, point, "mu", 1e6, [4], f)
+        illposed_experiment(point, "mu", 1e6, [4], f)
     assert info.value.delta == pytest.approx(1e6)
     assert "delta" in str(info.value)
 
@@ -250,23 +254,23 @@ def test_illposed_experiment_checks_its_data_before_solving(monkeypatch, k, trac
     # from rest: k is 1 or 2, and at k = 2 the source must vanish at t = 0
     disc, point, f, calls = counted_instance(monkeypatch, trace)
     with pytest.raises(error, match=re.escape(message)):
-        illposed_experiment(disc, point, "a", 0.3, [4, 8], f, k=k)
+        illposed_experiment(point, "a", 0.3, [4, 8], f, k=k)
     assert calls == []
 
 
 def test_an_empty_index_list_is_rejected_before_solving(monkeypatch):
     disc, point, f, calls = counted_instance(monkeypatch, 0.0)
     with pytest.raises(ResolutionError, match="at least one index j"):
-        illposed_experiment(disc, point, "a", 0.3, [], f)
+        illposed_experiment(point, "a", 0.3, [], f)
     assert calls == []
     with pytest.raises(ResolutionError, match="at least one index j"):
-        bump_sequence(3, 0.5, 1.0, np.linspace(0.0, 1.0, 65), [])
+        bump_sequence(3, 0.5, np.linspace(0.0, 1.0, 65), [])
 
 
 def test_illposed_experiment_at_level_1_takes_a_source_trace(monkeypatch):
     # level 1 asks only for rest at t = 0, which every solve here starts from
     disc, point, f, calls = counted_instance(monkeypatch, 1.0)
-    result = illposed_experiment(disc, point, "a", 0.3, [4, 8], f, k=1)
+    result = illposed_experiment(point, "a", 0.3, [4, 8], f, k=1)
     assert len(calls) == 3 and result.param_lower_ok
 
 
@@ -308,7 +312,7 @@ def test_svd_probe_guards(wave_disc):
     with pytest.raises(DirectionShapeError, match="space_knots must give one entry or one per"):
         svd_probe(wave_disc, point, "a", f, space_knots=[3, 3])
     with pytest.raises(DirectionShapeError, match="no parameter 'lam'"):
-        illposed_experiment(wave_disc, point, "lam", 0.1, [4], f)
+        illposed_experiment(point, "lam", 0.1, [4], f)
 
 
 @pytest.mark.parametrize(

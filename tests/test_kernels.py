@@ -1,14 +1,15 @@
 """Operator products, band storage, factor routes and the backward sweep's sharing.
 
-``SparsityPattern.matvec`` must give what a scipy CSR matrix of the same
+``SparsityPattern.apply`` must give what a scipy CSR matrix of the same
 values gives, one row at a time or a whole stack at once, also for strided
 inputs such as the reversed timelines of the backward sweep; ``band`` and
 ``lower_band`` must give the LAPACK band storages built straight from the
 dense matrix; ``BandLU`` must take band Cholesky wherever the pattern is not
 tridiagonal and the matrix is positive definite, and band LU where it is
 not; and the backward sweep on a forward solve's factors and step values
-must give exactly what it gives when it builds them on its own, while
-computing nothing the forward solve already has.
+must give exactly what the forward solve of the reversed timeline gives,
+which builds them on its own, while computing nothing the forward solve
+already has.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from waveinv.evolve import midpoint_values
 from waveinv.errors import RequiresForwardSolveError
 from waveinv.sensitivity import adjoint_apply_continuous
 
-from conftest import modal_source, varied_point
+from conftest import modal_source, reversed_forward, varied_point
 
 # (problem, mesh size, free DOFs, half-bandwidth); the last two are too small
 # for the tridiagonal LU and take the general band LU
@@ -66,15 +67,15 @@ def test_matvec_matches_csr_matrix(operators):
             continue
         want = csr_products(pattern, values, x)
         for n in (0, values.shape[0] // 2, values.shape[0] - 1):
-            assert_close(pattern.matvec(values[n], x[n]), want[n])
-        assert_close(pattern.matvec(values, x), want)
+            assert_close(pattern.apply((values[n], x[n])), want[n])
+        assert_close(pattern.apply((values, x)), want)
         # a reversed timeline and strided vectors, as the backward sweep has them
         reversed_values, x_f = values[::-1], np.asfortranarray(x)
         want_reversed = csr_products(pattern, reversed_values, x)
-        assert_close(pattern.matvec(reversed_values, x), want_reversed)
-        assert_close(pattern.matvec(reversed_values, x_f), want_reversed)
-        assert_close(pattern.matvec(reversed_values[3], x_f[3]), want_reversed[3])
-        assert_close(pattern.matvec(values[::2], x[::2]), want[::2])
+        assert_close(pattern.apply((reversed_values, x)), want_reversed)
+        assert_close(pattern.apply((reversed_values, x_f)), want_reversed)
+        assert_close(pattern.apply((reversed_values[3], x_f[3])), want_reversed[3])
+        assert_close(pattern.apply((values[::2], x[::2])), want[::2])
 
 
 def test_apply_sums_the_products(operators):
@@ -91,7 +92,7 @@ def test_matvec_rejects_mismatched_shapes(operators):
     values = tl.values["C"]
     for bad in ((values[:-1], x), (values[0], x), (values, x[0]), (values[:, :-1], x)):
         with pytest.raises(ValueError):
-            pattern.matvec(*bad)
+            pattern.apply(bad)
 
 
 def test_band_matches_dense_band_storage(operators):
@@ -217,12 +218,11 @@ def varied_base(problem, n):
 
 
 def assert_backward_unchanged_by_sharing(base, v):
-    tl = base.solve.timeline
-    load = wi.SourceTerm(v.values, tl.disc, v.time_grid)
-    shared = wi.solve_backward(tl, load, like=base)
-    alone = wi.solve_backward(tl, load)
-    for name in ("u", "du", "ddu"):
-        assert np.array_equal(getattr(shared, name), getattr(alone, name)), name
+    load = wi.SourceTerm(v.values, base.disc, v.time_grid)
+    shared = wi.solve_backward(base, load)
+    alone = reversed_forward(base, load)
+    for name, sign in (("u", 1.0), ("du", -1.0), ("ddu", 1.0)):
+        assert np.array_equal(getattr(shared, name), sign * getattr(alone, name)[::-1]), name
 
 
 @pytest.mark.parametrize(
@@ -262,8 +262,5 @@ def test_continuous_adjoint_with_damping_factorizes_only_its_steps(
 
 def test_backward_sharing_needs_the_same_timeline():
     disc, point, base, v = varied_base("maxwell1d", 12)
-    other = wi.assemble_operators(disc, point)
     with pytest.raises(RequiresForwardSolveError):
-        wi.solve_backward(other, wi.SourceTerm(v.values, disc, v.time_grid), like=base)
-    with pytest.raises(RequiresForwardSolveError):
-        wi.solve_backward(other, wi.SourceTerm(v.values, disc, v.time_grid), like=base - base)
+        wi.solve_backward(base - base, wi.SourceTerm(v.values, disc, v.time_grid))

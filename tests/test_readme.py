@@ -86,7 +86,8 @@ def test_readme_quotes_the_signatures_of_the_code():
     # the quotes that this test is there for are found
     assert {"dot_test", "taylor_test", "data_load", "evolve.energy_monitor",
             "forward_map", "sensitivity.derivative_apply_many", "SourceTerm.zero",
-            "parameter_pairing", "gradient_norm", "nodal_gradient", "y_norm"} <= {
+            "parameter_pairing", "gradient_norm", "nodal_gradient", "y_norm",
+            "solve_backward", "illposed_experiment", "bump_sequence"} <= {
         q for q, _, _ in found
     }
 

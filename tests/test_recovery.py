@@ -61,12 +61,11 @@ def test_forward_rates_are_the_recovery_formulas(instance):
     assert_same(base, base.u, du, ddu)
 
 
-@pytest.mark.parametrize("like", [False, True], ids=["alone", "like-base"])
-def test_backward_rates_are_the_recovery_formulas(instance, like):
+def test_backward_rates_are_the_recovery_formulas(instance):
     disc, point, f, base = instance
     timeline = base.solve.timeline
     v = SourceTerm(np.random.default_rng(2).standard_normal(base.u.shape), disc, TIME_GRID)
-    w = solve_backward(timeline, v, like=base if like else None)
+    w = solve_backward(base, v)
     # the reversed initial-value problem, solved and recovered on its own
     reversed_source = v.values[::-1].copy()
     reversed_load = SourceTerm(reversed_source, disc, TIME_GRID)
@@ -120,14 +119,14 @@ def test_writes_into_the_inputs_do_not_reach_the_rates(instance):
         disc, point, {n: h.copy() for n, h in direction.items()}, ref_base
     )
     ref_v = SourceTerm(v.values.copy(), disc, TIME_GRID)
-    ref_w = solve_backward(ref_base.solve.timeline, ref_v, like=ref_base)
+    ref_w = solve_backward(ref_base, ref_v)
     wants = [(t.u, t.du, t.ddu) for t in (ref_base, ref_eta, ref_w)]
 
     given = f.values.copy()
     source = SourceTerm(given, disc, TIME_GRID)
     fwd = wi.forward_map(disc, point, source)
     eta = derivative_apply(disc, point, direction, fwd)
-    w = solve_backward(fwd.solve.timeline, v, like=fwd)
+    w = solve_backward(fwd, v)
     # what the library keeps is read-only, and it copied the caller's arrays
     for kept in (source.values, v.values, *(field.values for field in point.fields.values())):
         with pytest.raises(ValueError, match="read-only"):
@@ -149,8 +148,7 @@ def test_trajectories_die_with_their_last_name(instance, read):
     made = {
         "forward": lambda: wi.forward_map(disc, point, f),
         "derivative": lambda: derivative_apply(disc, point, direction, base),
-        "backward": lambda: solve_backward(base.solve.timeline, v),
-        "backward-like": lambda: solve_backward(base.solve.timeline, v, like=base),
+        "backward": lambda: solve_backward(base, v),
         "difference": lambda: base - wi.forward_map(disc, point, f),
     }
     gc.collect()

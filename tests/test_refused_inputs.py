@@ -75,7 +75,7 @@ MISMATCHES = [
      lambda s: wi.forward_map(s.disc, s.point, wi.make_source(s.disc, 2.0 * TG, load)),
      ResolutionError),
     ("solve_backward", "load made on mesh B",
-     lambda s: wi.solve_backward(s.base.solve.timeline, wi.make_source(s.B, TG, load)),
+     lambda s: wi.solve_backward(s.base, wi.make_source(s.B, TG, load)),
      ResolutionError),
     ("y_norm", "mesh B where the level goes, as in y_norm(traj, B) before",
      lambda s: wi.y_norm(s.base, s.B), RegularityError),
@@ -88,6 +88,8 @@ MISMATCHES = [
      lambda s: s.base - s.other, ResolutionError),
     ("nodal_gradient", "gradient put on mesh C, as in nodal_gradient(C, g) before",
      lambda s: nodal_gradient(moved_to(s.C, s.grad)), DirectionShapeError),
+    ("Trajectory", "a solve's arrays put on mesh C",
+     lambda s: wi.Trajectory(s.base.u, s.base.du, s.base.ddu, TG, s.C), DirectionShapeError),
 ]
 
 
@@ -104,6 +106,9 @@ def test_a_value_from_another_mesh_or_time_grid_is_refused(at, call, error):
 BAD_INPUTS = [
     ("make_source", "one number for all nodes",
      lambda s: wi.make_source(s.disc, TG, lambda t, x: 1.0), DirectionShapeError),
+    ("make_source", "fewer nodes after t = 0.5",
+     lambda s: wi.make_source(s.disc, TG, lambda t, x: x if t < 0.5 else x[:3]),
+     DirectionShapeError),
     *[
         ("taylor_test", f"s_values {s_values}",
          lambda s, s_values=s_values: taylor_test({"a": np.ones((TG.size, s.disc.n_nodes))},

@@ -83,7 +83,7 @@ def test_illposed_experiment_resumes_exactly(problem, target, monkeypatch):
     tg = np.linspace(0.0, 1.0, n_steps + 1)
     point = varied_point(disc, tg, amplitude=0.1)
     f = modal_source(disc, tg)
-    args = (disc, point, target, 0.2, [4, 8, 16, 32, 64], f)
+    args = (point, target, 0.2, [4, 8, 16, 32, 64], f)
     resumed = illposed_experiment(*args)
 
     compared = []

@@ -17,7 +17,9 @@ from waveinv import evolve, galerkin
 from waveinv.errors import SolverFailureError
 from waveinv.evolve import _rows_differ, factorize_rows
 
-from conftest import direction_timeline, modal_source, smooth_direction, varied_point
+from conftest import (
+    direction_timeline, modal_source, reversed_forward, smooth_direction, varied_point
+)
 
 SIZES = {"wave1d": 12, "elastic2d": 3, "maxwell1d": 12}
 SLOTS = ("A", "B", "C", "Q")
@@ -221,8 +223,9 @@ def held_then_ramped(disc, tg):
 @pytest.mark.parametrize("problem", sorted(SIZES))
 def test_dedup_stays_exact_under_any_fingerprint(discs, problem, monkeypatch):
     # with every row's fingerprint the same, and then also in one-row blocks,
-    # where every match is confirmed against a remade row, a fresh, a resumed
-    # and a backward solve give the same bits from the same factorizations
+    # where every match is confirmed against a remade row, a fresh, a resumed,
+    # a reversed-timeline and a backward solve give the same bits from the same
+    # factorizations
     disc = discs[problem]
     tg = time_grid()
     point = held_then_ramped(disc, tg)
@@ -247,8 +250,8 @@ def test_dedup_stays_exact_under_any_fingerprint(discs, problem, monkeypatch):
         for call in (
             lambda: wi.forward_map(disc, point, f),
             lambda: wi.forward_map(disc, moved, f, like=base),
-            lambda: wi.solve_backward(base.solve.timeline, load),
-            lambda: wi.solve_backward(base.solve.timeline, load, like=base),
+            lambda: reversed_forward(base, load),
+            lambda: wi.solve_backward(base, load),
         ):
             built.clear()
             traj = call()
@@ -288,7 +291,7 @@ def test_rows_with_one_fingerprint_get_their_own_factors(discs, problem):
     rhs = np.arange(1.0, pattern.n + 1.0)
     for row, factor in zip(rows, factors):
         x = factor.solve(rhs)
-        assert np.allclose(pattern.matvec(row, x), rhs, rtol=1e-12, atol=0.0)
+        assert np.allclose(pattern.apply((row, x)), rhs, rtol=1e-12, atol=0.0)
 
 
 def test_rows_differ_gives_an_empty_mask_for_no_rows():
