@@ -61,11 +61,13 @@ def test_forward_rates_are_the_recovery_formulas(instance):
     assert_same(base, base.u, du, ddu)
 
 
-def test_backward_rates_are_the_recovery_formulas(instance):
+@pytest.mark.parametrize("first", ["du", "ddu"], ids=["velocity-first", "acceleration-first"])
+def test_backward_rates_are_the_recovery_formulas(instance, first):
     disc, point, f, base = instance
     timeline = base.solve.timeline
     v = SourceTerm(np.random.default_rng(2).standard_normal(base.u.shape), disc, TIME_GRID)
     w = solve_backward(base, v)
+    getattr(w, first)  # the flipped recoveries give the same rates in either order
     # the reversed initial-value problem, solved and recovered on its own
     reversed_source = v.values[::-1].copy()
     reversed_load = SourceTerm(reversed_source, disc, TIME_GRID)
