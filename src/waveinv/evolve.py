@@ -13,23 +13,22 @@ differentiated inside the stepper.
 Operators are value arrays on one sparsity pattern, so the step matrices
 S_n, T_n of a block of steps come out of a few array operations, and every
 product with a vector is one compiled CSR mat-vec
-(:meth:`~.galerkin.SparsityPattern.apply`).  Each distinct step matrix and
-each distinct C(t_n) is factorized once by LAPACK (:class:`BandLU`) from
-values scattered into band storage: tridiagonal LU on the 1D meshes, band
-Cholesky wherever the matrix is positive definite, and band LU otherwise.
-Every step matrix is symmetric, so a factor solves with the transpose as
-well.  A forward solve keeps its timeline, factors, T_n values and source
-in one :class:`SolveRecord`, the trajectory's ``solve``, for the adjoint
-sweeps and diagnostics in :mod:`.sensitivity`; its timeline holds the mesh
-and (from :func:`~.galerkin.assemble_operators`) the point, which those read
-from it, and the sweeps check that they linearize there.  The (step x nnz)
-values that a sweep uses and does not keep, S_n and C_h, are made a block of
-steps at a time (:func:`~.galerkin._row_blocks`).
+(:meth:`~.galerkin.SparsityPattern.apply`).  Each distinct step matrix of a
+solve, and C(t_n) of a recovery pass, is factorized once by LAPACK
+(:class:`BandLU`) from values scattered into band storage: tridiagonal LU on
+the 1D meshes, band Cholesky wherever the matrix is positive definite, and
+band LU otherwise.  Every step matrix is symmetric, so a factor solves with
+the transpose as well.  A forward solve keeps its timeline, step factors,
+T_n values and source in one :class:`SolveRecord`, the trajectory's
+``solve``, for the adjoint sweeps and diagnostics in :mod:`.sensitivity`;
+its timeline holds the mesh and (from :func:`~.galerkin.assemble_operators`)
+the point, which those read from it, and the sweeps check that they
+linearize there.  What a sweep uses and does not keep, the S_n and C_h
+values and the C(t_n) factors of a first read of a trajectory's rates
+(:func:`_recover`), is made a block of time rows at a time.
 The backward adjoint march (:func:`solve_backward`) reuses a forward solve's
 factors and step values in reverse order wherever its matrices are the same
-by construction.  A solve recovers the velocity and acceleration the first
-time each is read (see :class:`Trajectory`), so a sweep that reads only the
-state runs none of those recovery solves.
+by construction.
 
 One march kernel, :func:`_march`, advances both the forward recursion and
 the linearized one of :mod:`.sensitivity`,
@@ -95,16 +94,14 @@ class SolveRecord:
 
     ``timeline`` is the solved timeline, with its mesh and point, ``factors``
     the factor of every step matrix S_n, ``t_vals`` the (step x nnz) values of
-    T_n, and ``c_factors`` the factor of every C(t_n).  ``p`` holds the
-    momentum at every node and ``source`` the :class:`SourceTerm` of the
-    solve.  The C_h values are not kept: a sweep makes them again from the
-    timeline's C rows (:func:`half_node`), a block of steps at a time.
+    T_n, ``p`` the momentum at every node and ``source`` the :class:`SourceTerm`
+    of the solve.  Neither C_h nor the C(t_n) factors are kept: the sweeps and
+    the recoveries make them again, a block of time nodes at a time.
     """
 
     timeline: OperatorTimeline
     factors: list
     t_vals: np.ndarray
-    c_factors: list
     p: np.ndarray
     source: SourceTerm
 
@@ -113,14 +110,14 @@ class Trajectory:
     """Node samples of the state, its velocity, and its acceleration.
 
     ``du`` and ``ddu`` are given as arrays, or recovered the first time each
-    is read, and only once, by ``recover = (velocity, acceleration)``:
-    ``velocity()`` returns du and ``acceleration(u, du)`` returns ddu.  The
-    solves pass recoveries that hold no trajectory, so a trajectory never
-    sits in a reference cycle.  The recoveries read the solve's own arrays,
-    which stay writable, when they run: a forward or backward trajectory's
-    ``u`` (and a forward one's ``solve.p``), and a derivative trajectory's
-    base's ``u``, ``du`` and ``ddu``; a write into those arrays before the
-    first read of ``du`` or ``ddu`` changes the rates.
+    is read, and only once, by ``recover(du, acceleration)``, whose first two
+    items are du (made if given None) and ddu (if ``acceleration``), so a
+    first read of ``ddu`` recovers both in one pass.  The solves pass recoveries
+    that hold no trajectory, so a trajectory never sits in a reference cycle.
+    The recoveries read the solve's own arrays, which stay writable, when
+    they run: a forward or backward trajectory's ``u`` and momenta, and a
+    derivative trajectory's base's ``u``, ``du`` and ``ddu``; a write into
+    those arrays before the first read of ``du`` or ``ddu`` changes the rates.
 
     ``disc`` is its mesh (its timeline's, base's or operands'), and ``u``, ``du`` and ``ddu``
     are (time node x free DOF) of it (DirectionShapeError otherwise).  ``solve`` is the
@@ -128,7 +125,7 @@ class Trajectory:
     for derivative, backward and difference trajectories, and never serialized.
     """
 
-    def __init__(self, u, du, ddu, time_grid, disc, solve=None, *, recover=(None, None)):
+    def __init__(self, u, du, ddu, time_grid, disc, solve=None, *, recover=None):
         shape = (np.size(time_grid), disc.n_free)
         for name, x in (("u", u), ("du", du), ("ddu", ddu)):
             if x is not None and np.shape(x) != shape:
@@ -137,26 +134,26 @@ class Trajectory:
         self.time_grid, self.disc = time_grid, disc
         self.solve = solve
         self._du, self._ddu = du, ddu
-        self._velocity, self._acceleration = recover
+        self._recover = recover
 
     @property
     def du(self):
         if self._du is None:
-            self._du, self._velocity = self._velocity(), None
+            self._du = self._recover(None, False)[0]
         return self._du
 
     @property
     def ddu(self):
         if self._ddu is None:
-            self._ddu, self._acceleration = self._acceleration(self.u, self.du), None
+            self._du, self._ddu = self._recover(self._du, True)[:2]
+            self._recover = None
         return self._ddu
 
     def __sub__(self, other):
         if not _fits(other, self):
             raise ResolutionError("trajectories on different meshes or time grids do not subtract")
-        return Trajectory(
-            self.u - other.u, self.du - other.du, self.ddu - other.ddu, self.time_grid, self.disc
-        )
+        ddu = self.ddu - other.ddu  # first, so that each recovers both rates in one pass
+        return Trajectory(self.u - other.u, self.du - other.du, ddu, self.time_grid, self.disc)
 
 
 def _fits(value, home):
@@ -173,14 +170,17 @@ def make_source(disc, time_grid, fn):
     n_nodes)`` for a vector one.  They are weighted by the mass rows so
     boundary-adjacent couplings are kept: one sparse product for all time
     nodes, which accumulates each entry in the order of a single mat-vec.
-    Values of another shape, or not of one shape, raise DirectionShapeError.
+    Values of another shape, not of one shape, or ragged raise DirectionShapeError.
     """
     tg = np.asarray(time_grid, dtype=float)
     axes = disc.axes
     values = [fn(t, *axes) for t in tg]
     n, c = disc.n_nodes, disc.n_components
     shapes = [(n,)] * (c == 1) + [(n, c), (c, n)]
-    found = sorted({np.shape(one) for one in values})
+    try:
+        found = sorted({np.shape(one) for one in values})
+    except ValueError:  # a ragged value has no shape
+        found = ["ragged"]
     if len(found) != 1 or found[0] not in shapes:
         raise DirectionShapeError(f"source values have shapes {found}, not one of {shapes}")
     nodal = np.asarray(values, dtype=float)
@@ -307,6 +307,67 @@ def solve_each(factors, rhs):
     return out
 
 
+def _recover(pattern, c_rows, job):
+    """Run ``job(rows, solve)`` on each :func:`~.galerkin._row_blocks` block
+    ``rows`` of the C rows' nodes, ``solve`` being :func:`solve_each` on the
+    block's factors, which are freed before the next block's are made; the
+    last is kept for an equal row of the next block, so a pass holds one
+    block of factors and one more."""
+    seen = {}
+    for n0, n1 in _row_blocks(len(c_rows), pattern.nnz * 8):
+        factors = factorize_rows(pattern, c_rows[n0:n1], None, seen, n0, c_rows.__getitem__)
+        seen = {key: last for key, last in seen.items() if last[0] == n1 - 1}
+        job(slice(n0, n1), partial(solve_each, factors))
+        del factors  # before the next block's are made
+
+
+def _at(x, rows):
+    return None if x is None else x[rows]
+
+
+class _Rates:
+    """The ``recover`` of a forward or backward solve's :class:`Trajectory`:
+    C(t_n) x_n = p_n with du = ``sign`` x, and C(t_n) ddu_n = f_n - B_n x_n -
+    (A_n + Q_n) u_n - (dC)_n x_n at each node n of the time grid (of ``u``,
+    ``p``, ``f``); a backward solve (``flip``) reads its reversed timeline
+    backwards.  A call gives (du, ddu, velocities) from one pass: du if given
+    None, ddu if ``acceleration``, and the velocities of ``du`` if made and
+    of the ``others``, solves on the same C rows, as columns of one solve."""
+
+    def __init__(self, timeline, u, p, f, flip=False):
+        self.timeline, self.u, self.p, self.f = timeline, u, p, f
+        self.order, self.sign = slice(None, None, -1 if flip else 1), -1.0 if flip else 1.0
+
+    def __call__(self, du, acceleration, *others):
+        todo = [self] * (du is None) + list(others)
+        out = [np.empty_like(r.u) for r in todo]
+        du = out[0] if du is None else du
+        ddu = np.empty_like(self.u) if acceleration else None
+        v = {slot: _at(x, self.order) for slot, x in self.timeline.values.items()}
+
+        def job(rows, solve):
+            if todo:
+                x = solve(np.stack([r.p[rows] for r in todo], axis=1))
+                for j, r in enumerate(todo):
+                    np.multiply(x[:, j], r.sign, out=out[j][rows])
+            if acceleration:
+                x, u, rate = self.sign * du[rows], self.u[rows], self.timeline.rate("C")
+                terms = ((v["B"], x), (v["A"], u), (v["Q"], u), (rate[self.order], x))
+                rates = self.timeline.pattern.apply(*((_at(a, rows), y) for a, y in terms))
+                ddu[rows] = solve(self.f[rows] - rates)
+
+        _recover(self.timeline.pattern, v["C"], job)
+        return du, ddu, out
+
+
+def _velocities(*trajectories):
+    """Recover in one pass the unread velocities of solves on one timeline (:class:`_Rates`)."""
+    todo = [t for t in trajectories if t._du is None]
+    out = todo[0]._recover(None, False, *(t._recover for t in todo[1:]))[2] if todo else []
+    for t, du in zip(todo, out):
+        t._du = du
+
+
 def half_node(x):
     """The averages 0.5 (x_n + x_{n+1}) of consecutive node rows, one per step
     between them, in one new array; None stays None."""
@@ -374,18 +435,19 @@ def solve_forward(timeline, f, u0=None, u1=None, *, like=None):
         or with other data.  The solve then resumes from it (see
         :func:`_reuse`): the output is the same bit for bit, but the steps
         before the first change are copied rather than marched, and every
-        step matrix and C(t_n) whose values are those of ``like`` takes its
-        factor.  Raises RequiresForwardSolveError for any other ``like``.
+        step matrix whose values are those of ``like`` takes its factor.
+        Raises RequiresForwardSolveError for any other ``like``.
 
     Returns
     -------
     Trajectory
         With velocity ``du`` recovered from C(t_n) du = p_n and acceleration
         ``ddu`` from the residual C ddu = f - B du - (A + Q) u - (dC) du,
-        each at every node the first time it is read.  Its ``solve`` is
-        the :class:`SolveRecord` of this solve.
+        each at every node the first time it is read, and both in one pass
+        when ``ddu`` is read first.  Its ``solve`` is this solve's :class:`SolveRecord`.
     """
-    u, record, recover = _solve(timeline, f, u0, u1, like=like)
+    u, record = _solve(timeline, f, u0, u1, like=like)
+    recover = _Rates(timeline, u, record.p, f.values)
     return Trajectory(u, None, None, timeline.time_grid, timeline.disc, record, recover=recover)
 
 
@@ -399,13 +461,13 @@ def _reuse(timeline, like, u, p, f):
     """What a solve of ``timeline`` takes from the forward solve ``like``.
 
     ``u`` and ``p`` are the new solve's states, holding the initial data,
-    and ``f`` its source.  Returns ``(m0, known_steps, known_c)``: the
-    states up to node m0 are the same as in ``like``, and the two lists
-    give ``like``'s factor for each step matrix and each C(t_n) whose
-    values are the same, None for the others.  Step n couples nodes n and
-    n + 1, so it is the same when every slot row at both nodes is the same,
-    bit for bit; m0 is the first step that is not, or earlier the first
-    step with a source row that differs, or 0 when the initial data differ.
+    and ``f`` its source.  Returns ``(m0, known_steps)``: the states up to
+    node m0 are the same as in ``like``, and ``like``'s factor of each step
+    matrix whose values are the same, None for the others.  Step n couples
+    nodes n and n + 1, so it is the same when every slot row at both nodes
+    is the same, bit for bit; m0 is the first step that is not, or earlier
+    the first step with a source row that differs, or 0 when the initial
+    data differ.
     Raises RequiresForwardSolveError unless ``like`` is a forward solve on
     the same mesh and time grid.
     """
@@ -426,35 +488,29 @@ def _reuse(timeline, like, u, p, f):
     if _rows_differ(u[:1], like.u[:1])[0] or _rows_differ(p[:1], record.p[:1])[0]:
         m0 = 0
     known_steps = [None if moved else f for moved, f in zip(step, record.factors)]
-    c_moved = _rows_differ(new["C"], old["C"])
-    known_c = [None if moved else f for moved, f in zip(c_moved, record.c_factors)]
-    return m0, known_steps, known_c
+    return m0, known_steps
 
 
-def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
-    """:func:`solve_forward`, taking the step factors and T_n values and the
-    C(t_n) factors of ``timeline`` from ``steps = (factors, t_vals)`` and
-    ``c_factors`` where they are given (see :func:`solve_backward`).
+def _solve(timeline, f, u0, u1, steps=None, like=None):
+    """:func:`solve_forward`'s march, taking the step factors and T_n values
+    of ``timeline`` from ``steps = (factors, t_vals)`` where they are given
+    (see :func:`solve_backward`).
 
-    Returns the states u, the :class:`SolveRecord` and the
-    ``(velocity, acceleration)`` recovery of a :class:`Trajectory`.  The
-    steps go in the blocks of :func:`~.galerkin._row_blocks` of (nnz,) rows:
-    a block's S_n, T_n and C_h values are made from its slot rows (only C_h
-    where ``steps`` are given), its T_n kept, its distinct S_n factorized,
-    with one table for all blocks that holds no row, and the block marched
-    and dropped before the next block's are made.  With ``like``, the states
-    up to node m0 of :func:`_reuse` are copied from it and only the steps
-    after m0 are marched; only the step matrices and C(t_n) whose values
-    differ from ``like``'s are factorized.
-    The velocity and acceleration are recovered at every node, so each of
-    them is exact node by node.
+    Returns the states u and the :class:`SolveRecord`.  The steps go in the
+    blocks of :func:`~.galerkin._row_blocks` of (nnz,) rows: a block's S_n,
+    T_n and C_h values are made from its slot rows (only C_h where ``steps``
+    are given), its T_n kept, its distinct S_n factorized, with one table for
+    all blocks that holds no row, and the block marched and dropped before
+    the next block's are made.  With ``like``, the states up to node m0 of
+    :func:`_reuse` are copied from it and only the steps after m0 are
+    marched; only the step matrices whose values differ from ``like``'s are
+    factorized.  No C(t_n) is factorized here.
     """
     tg = timeline.time_grid
     dt = timeline.dt
     pattern = timeline.pattern
     if not _fits(f, timeline):
         raise ResolutionError("the source was made on another mesh or time grid than the timeline")
-    fv = f.values
 
     u = np.zeros((tg.size, pattern.n))
     p = np.zeros((tg.size, pattern.n))
@@ -466,11 +522,11 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
         states[0] = data
         if not np.all(np.isfinite(states[0])):
             raise DirectionShapeError(f"{name} contains non-finite entries")
-    loads = dt * 0.5 * (fv[:-1] + fv[1:])
+    loads = dt * 0.5 * (f.values[:-1] + f.values[1:])
 
-    m0, known_steps, known_c = 0, None, None
+    m0, known_steps = 0, None
     if like is not None:
-        m0, known_steps, known_c = _reuse(timeline, like, u, p, f)
+        m0, known_steps = _reuse(timeline, like, u, p, f)
         u[1 : m0 + 1] = like.u[1 : m0 + 1]
         p[1 : m0 + 1] = like.solve.p[1 : m0 + 1]
     v = timeline.values
@@ -478,7 +534,7 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     factors, t_vals = ([], np.empty((n_steps, pattern.nnz))) if steps is None else steps
 
     def ends(n0, n1):  # the slot rows of steps n0 .. n1 - 1
-        return {slot: None if x is None else x[n0 : n1 + 1] for slot, x in v.items()}
+        return {slot: _at(x, slice(n0, n1 + 1)) for slot, x in v.items()}
 
     def remake(n):  # S_n again, bit for bit, from the rows of its two nodes
         return midpoint_values(ends(n, n + 1), dt)[0][0]
@@ -501,16 +557,7 @@ def _solve(timeline, f, u0, u1, steps=None, c_factors=None, like=None):
     bad = ~np.all(np.isfinite(u), axis=1)
     if bad.any():
         raise SolverFailureError(int(np.argmax(bad)), "midpoint solve produced non-finite values")
-
-    if c_factors is None:
-        c_factors = factorize_rows(pattern, v["C"], known_c)
-
-    def acceleration(u, du):
-        rates = pattern.apply((v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du))
-        return solve_each(c_factors, fv - rates)
-
-    record = SolveRecord(timeline, factors, t_vals, c_factors, p, f)
-    return u, record, (partial(solve_each, c_factors, p), acceleration)
+    return u, SolveRecord(timeline, factors, t_vals, p, f)
 
 
 def _march(pattern, factors, t_vals, c_half, two_dt, x, y, b, c=None):
@@ -588,13 +635,9 @@ def reverse_timeline(timeline):
     are the values as they are.
     """
     v = timeline.values
-
-    def flip(values):
-        return None if values is None else values[::-1]
-
     b_rate = None if v["B"] is None else time_difference(v["B"], timeline.dt)
     q_t = combine((1.0, v["Q"]), (-1.0, b_rate))
-    values = {"A": flip(v["A"]), "B": flip(v["B"]), "C": flip(v["C"]), "Q": flip(q_t)}
+    values = {slot: _at(x, slice(None, None, -1)) for slot, x in {**v, "Q": q_t}.items()}
     return OperatorTimeline(timeline.disc, timeline.time_grid, values)
 
 
@@ -607,32 +650,26 @@ def solve_backward(base, v):
     :func:`reverse_timeline`), marched like :func:`solve_forward`, and the
     output is flipped back; velocities change sign under the reversal.  Like
     the forward solve, it recovers the velocity and acceleration at every
-    node the first time each is read.
+    node the first time each is read, on the base's C(t_n) rows in the same
+    order, so that one pass can recover both solves' velocities
+    (:func:`_velocities`).
 
-    The reversed march takes the base's factors and step values, in reverse
-    order, wherever they are the forward's bit for bit by construction: the
-    factors of every C(t_n), and the factors and the T_n values of every
-    step when the B slot is absent, since Q - dB is then Q itself.  It then
-    makes only the C_h values, a block of steps at a time, from the reversed
-    C rows; a half-node average is the same sum taken in the other order, so
+    When the B slot is absent, Q - dB is Q itself, and the reversed march
+    takes the base's step factors and T_n values in reverse order.  It makes
+    only the C_h values, a block of steps at a time, from the reversed C
+    rows; a half-node average is the same sum taken in the other order, so
     they are the forward's bit for bit.
     """
     record = base.solve
     if record is None:
         raise RequiresForwardSolveError("the backward solve runs on a forward solve's factors")
     timeline = record.timeline
-    shared = timeline.values["B"] is None  # then the reversed step matrices are the forward's
-    steps = (record.factors[::-1], record.t_vals[::-1]) if shared else None
+    steps = (record.factors[::-1], record.t_vals[::-1]) if timeline.values["B"] is None else None
+    reverse = reverse_timeline(timeline)
     load = SourceTerm(v.values[::-1], v.disc, v.time_grid)
-    back, _, (velocity, acceleration) = _solve(
-        reverse_timeline(timeline), load, None, None, steps, record.c_factors[::-1]
-    )
-    # -dw[::-1] is the reversed solve's own velocity again, bit for bit
-    recover = (
-        lambda: -velocity()[::-1],
-        lambda w, dw: acceleration(w[::-1], -dw[::-1])[::-1].copy(),
-    )
+    back, back_record = _solve(reverse, load, None, None, steps)
     u = back[::-1].copy()
+    recover = _Rates(reverse, u, back_record.p[::-1], v.values, flip=True)
     return Trajectory(u, None, None, timeline.time_grid, timeline.disc, recover=recover)
 
 
@@ -749,7 +786,8 @@ def y_norm(trajectory, k=0):
         return float(np.sqrt(np.maximum(prods, 0.0)).max())
 
     disc = trajectory.disc
+    ddu = trajectory.ddu if k == 1 else None  # first, so that both rates come from one pass
     total = sup_norm(trajectory.u, disc.K_V) + sup_norm(trajectory.du, disc.M)
     if k == 1:
-        total += sup_norm(trajectory.du, disc.K_V) + sup_norm(trajectory.ddu, disc.M)
+        total += sup_norm(trajectory.du, disc.K_V) + sup_norm(ddu, disc.M)
     return total

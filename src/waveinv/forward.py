@@ -4,7 +4,7 @@ Composes operator assembly with the midpoint solver and provides the data
 space: observation extraction, the trapezoidal/mass-weighted inner product,
 distances, and the adjoints' data load.  A forward solve returns its
 trajectory with the solve record (:class:`~.evolve.SolveRecord`: the timeline,
-which holds the mesh and the point, and the factorizations) as ``solve``, so
+which holds the mesh and the point, and the step factorizations) as ``solve``, so
 derivative and adjoint sweeps at that point can reuse it.  Data are compared,
 subtracted or loaded into an adjoint (on the solve's own mesh) only once
 their observation specs, shapes and time grids agree.
@@ -102,15 +102,15 @@ def forward_map(disc, point, f, u0=None, u1=None, *, like=None):
     Assembles the operator timeline (validating the fields' shapes and
     admissibility) and runs the midpoint solver; it checks no compatibility
     condition (``compatibility_check(f, u0, u1, k).require()`` does).  The
-    trajectory's ``solve`` keeps the timeline, with the point, and the
+    trajectory's ``solve`` keeps the timeline, with the point, and the step
     factorizations for reuse.
 
     ``like`` is a forward solve on the same mesh and time grid, typically at
     a point that differs from ``point`` only on a time window.  The solve
     then resumes from it (see :func:`~.evolve.solve_forward`): the output is
     the same bit for bit as without ``like``, but the steps before the first
-    change are copied and only the step and C rows that differ from
-    ``like``'s are factorized.  A ``like`` on another mesh or time grid, or
+    change are copied and only the step rows that differ from ``like``'s
+    are factorized.  A ``like`` on another mesh or time grid, or
     without a solve record, raises RequiresForwardSolveError.
     """
     return solve_forward(assemble_operators(disc, point), f, u0=u0, u1=u1, like=like)

@@ -308,7 +308,7 @@ def illposed_experiment(point, target, delta, j_list, f, k=2, t0=None):
     Each perturbed point differs from ``point`` only near the bump support
     [t0 - 1/j, t0 + 1/j], so its solve resumes from the base solve
     (``forward_map(..., like=base)``): the steps before the support are
-    copied, and only the step and C rows that changed are factorized.  The
+    copied, and only the step rows that changed are factorized.  The
     distances are the same bit for bit as with solves from t = 0.
     """
     disc = f.disc

@@ -17,12 +17,13 @@ with the extra terms b_n and c_n, so it runs on the same march kernel
 (:func:`~.evolve._march`).  ``derivative_apply_many`` carries k directions
 through one march as the k columns of its states, assembling them and
 forming their b_n and c_n together; the first read of any of their
-velocities or accelerations recovers those of all k together.  One fixed
-byte budget, :data:`~.galerkin._BLOCK_BYTES`, bounds the sweep's working
-set: the directions go in blocks whose (k, time node, nnz) value arrays
-would each stay within it, and a block's direction slots, step terms and
-C_h are made a block of time steps at a time and marched before the next
-block's are made.  ``derivative_apply`` is its one-direction case.
+velocities or accelerations recovers those of all k together, in one pass
+over the C(t_n) (:func:`~.evolve._recover`).  One fixed byte budget,
+:data:`~.galerkin._BLOCK_BYTES`, bounds the sweep's working set: the
+directions go in blocks whose (k, time node, nnz) value arrays would each
+stay within it, and a block's direction slots, step terms and C_h are made
+a block of time steps at a time and marched before the next block's are
+made.  ``derivative_apply`` is its one-direction case.
 
 Two adjoints are provided: ``adjoint_apply_discrete`` reverses the recursion
 above (dot test exact to rounding at any step size), while
@@ -32,14 +33,15 @@ with end conditions and assembles the classical gradient densities
 on the base solve's band factors: the step matrices are symmetric, so the
 discrete adjoint solves its transposed systems with them as they are, and the
 backward equation reuses them in reverse order wherever its matrices equal
-the forward's by construction (see :func:`~.evolve.solve_backward`).  The
-(2/dt) C_h values of the discrete adjoint and the gradient densities of both
-are made a block of time steps at a time.  All operator products are the
-pattern's compiled CSR mat-vec.  Every sweep takes
+the forward's by construction (see :func:`~.evolve.solve_backward`); the
+continuous adjoint recovers both velocities as two columns of one solve per
+C(t_n) factor.  The (2/dt) C_h values of the discrete adjoint and the
+gradient densities of both are made a block of time steps at a time.  All
+operator products are the pattern's compiled CSR mat-vec.  Every sweep takes
 the mesh, the point and its forward solve ``base``, and raises
-RequiresForwardSolveError unless the base was solved on that very mesh at that
-point as it is now.  Everything else reads the mesh, point, source and initial
-data from the solve.
+RequiresForwardSolveError unless the base was solved on that very mesh at
+that point as it is now.  Everything else reads the mesh, point, source and
+initial data from the solve.
 
 Gradient fields are per-element densities g(n, e) paired with nodal parameter
 directions h through
@@ -57,7 +59,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from . import galerkin
+from . import evolve, galerkin
 from .errors import (
     DegenerateTestError,
     DirectionShapeError,
@@ -71,7 +73,6 @@ from .evolve import (
     half_node,
     midpoint_values,
     solve_backward,
-    solve_each,
 )
 from .forward import (
     DataVector,
@@ -243,8 +244,8 @@ class _BlockRates:
         self._rates = None
 
     def column(self, j):
-        """The ``(velocity, acceleration)`` recovery of the j-th trajectory."""
-        return (lambda: self._take(0, j)), (lambda u, du: self._take(1, j))
+        """The ``recover`` of the j-th trajectory, which gives both of its rates."""
+        return lambda du, acceleration: (self._take(0, j), self._take(1, j))
 
     def _take(self, which, j):
         if self._rates is None:
@@ -256,27 +257,27 @@ class _BlockRates:
 
 def _recover_block(tables, base, eta, pi):
     """(deta, ddeta), (time, k, dof) each: the exact derivatives of the base
-    recovery formulas along the k directions ``tables``."""
+    recovery formulas along the k directions ``tables``, in one pass."""
     timeline = base.solve.timeline
     pattern = timeline.pattern
     tlh = assemble_direction(timeline.disc, timeline.point, tables)
     k = len(tables)
-    c_factors = base.solve.c_factors
     vb, vh = timeline.values, tlh.values
-    du = _per_direction(base.du, k)
-    deta = solve_each(c_factors, pi - pattern.apply((vh["C"], du)))
-    resid = -pattern.apply(
-        (vh["A"], _per_direction(base.u, k)),
-        (vh["B"], du),
-        (vh["Q"], _per_direction(base.u, k)),
-        (vh["C"], _per_direction(base.ddu, k)),
-        (_per_direction(vb["A"], k), eta),
-        (_per_direction(vb["B"], k), deta),
-        (_per_direction(vb["Q"], k), eta),
-        (tlh.rate("C"), du),
+    ddu, du, u = (_per_direction(x, k) for x in (base.ddu, base.du, base.u))  # ddu first: one pass
+    deta, ddeta = np.empty(eta.shape), np.empty(eta.shape)
+    terms = [
+        (vh["A"], u), (vh["B"], du), (vh["Q"], u), (vh["C"], ddu),
+        (_per_direction(vb["A"], k), eta), (_per_direction(vb["B"], k), deta),
+        (_per_direction(vb["Q"], k), eta), (tlh.rate("C"), du),
         (_per_direction(timeline.rate("C"), k), deta),
-    )
-    return deta, solve_each(c_factors, resid)
+    ]
+
+    def job(rows, solve):  # deta's rows of the block are made before ddeta's read them
+        deta[rows] = solve(pi[rows] - pattern.apply((evolve._at(vh["C"], rows), du[rows])))
+        ddeta[rows] = solve(-pattern.apply(*((evolve._at(a, rows), x[rows]) for a, x in terms)))
+
+    evolve._recover(pattern, vb["C"], job)
+    return deta, ddeta
 
 
 def _steps_to_nodes(step_density):
@@ -378,6 +379,7 @@ def adjoint_apply_continuous(disc, point, v, base):
     timeline = _solve_at(base, disc, point).timeline
     load = SourceTerm(data_load(v, base), timeline.disc, timeline.time_grid)
     w = solve_backward(base, load)
+    evolve._velocities(base, w)  # as the two columns of one solve per C(t_n) factor
 
     def pair(slot):
         # densities of the slots: -(u, w) for A and Q, -(u', w) for B, (u', w') for C

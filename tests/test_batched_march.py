@@ -102,7 +102,7 @@ def one_at_a_time_derivative(disc, point, direction, base):
     for n in range(n_steps):
         eta[n + 1] = factors[n].solve(pattern.apply((t_vals[n], eta[n])) + 2.0 * pi[n] + b[n])
         pi[n + 1] = two_dt * pattern.apply((c_half[n], eta[n + 1] - eta[n])) - pi[n] + c[n]
-    c_factors = record.c_factors
+    c_factors = factorize_rows(pattern, timeline.values["C"])
     vb, vh = timeline.values, tlh.values
     deta = solve_each(c_factors, pi - pattern.apply((vh["C"], base.du)))
     resid = -pattern.apply(
@@ -163,7 +163,9 @@ def test_forward_march_matches_loop(instance):
     disc, point, f, u0, p0, base = instance
     u, p = loop_forward(base.solve.timeline, f, u0, p0)
     assert np.array_equal(base.u, u)
-    assert np.array_equal(base.du, solve_each(base.solve.c_factors, p))
+    timeline = base.solve.timeline
+    c_factors = factorize_rows(timeline.pattern, timeline.values["C"])
+    assert np.array_equal(base.du, solve_each(c_factors, p))
 
 
 def test_derivative_apply_many_matches_one_at_a_time(instance):

@@ -244,7 +244,6 @@ def test_solver_cache_exposed(wave_disc, time_grid, wave_point):
     record = traj.solve
     assert record.timeline is tl
     assert len(record.factors) == len(record.t_vals) == time_grid.size - 1
-    assert len(record.c_factors) == time_grid.size
 
 
 # ---------------------------------------------------------------------------

@@ -228,20 +228,24 @@ def assert_backward_unchanged_by_sharing(base, v):
 @pytest.mark.parametrize(
     "problem, n", [("elastic2d", 3), ("maxwell1d", 12), ("elastic2d", 2), ("maxwell1d", 2)]
 )
-def test_continuous_adjoint_without_damping_factorizes_nothing(
+def test_continuous_adjoint_without_damping_factorizes_only_c_rows(
     problem, n, counted_factors, counted_step_values
 ):
     disc, point, base, v = varied_base(problem, n)
+    c_rows = base.solve.timeline.values["C"]
     assert base.solve.timeline.values["B"] is None
     counted_factors.clear()
     counted_step_values.clear()
     adjoint_apply_continuous(disc, point, v, base)
-    assert counted_factors == []
+    # no step matrix, and each distinct C(t_n) once, for both velocities
+    made = np.stack([args[1] for args in counted_factors])
+    distinct = np.unique(c_rows, axis=0)
+    assert len(made) == len(distinct) and np.array_equal(np.unique(made, axis=0), distinct)
     assert counted_step_values == []
     assert_backward_unchanged_by_sharing(base, v)
 
 
-def test_continuous_adjoint_with_damping_factorizes_only_its_steps(
+def test_continuous_adjoint_with_damping_factorizes_only_its_steps_and_c_rows(
     counted_factors, counted_step_values
 ):
     disc, point, base, v = varied_base("wave1d", 12)
@@ -254,7 +258,8 @@ def test_continuous_adjoint_with_damping_factorizes_only_its_steps(
     counted_factors.clear()
     counted_step_values.clear()
     adjoint_apply_continuous(disc, point, v, base)
-    assert len(counted_factors) == distinct
+    # each step matrix of the reversed march and each C(t_n) once
+    assert len(counted_factors) == distinct + tl.time_grid.size
     # the step values of every step are built once
     assert sum(counted_step_values) == steps.shape[0]
     assert_backward_unchanged_by_sharing(base, v)

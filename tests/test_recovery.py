@@ -5,10 +5,13 @@ only when they are read, and only once.  The values must be those of the
 recovery formulas bit for bit, a write into the caller's source, point or
 direction after the call must raise or not reach them, no trajectory may
 sit in a reference cycle, and a sweep that reads only the state must run
-no recovery solve at all.
+no recovery solve at all.  The C(t_n) are factorized only by the recovery,
+a block of nodes at a time, once per distinct row for every rate that one
+pass recovers.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,10 +19,15 @@ import pytest
 
 import waveinv as wi
 from waveinv import evolve, sensitivity
-from waveinv.evolve import SourceTerm, reverse_timeline, solve_backward, solve_each
+from waveinv.evolve import (
+    SourceTerm, factorize_rows, reverse_timeline, solve_backward, solve_each
+)
+from waveinv.forward import data_load
 from waveinv.illposed import svd_probe
-from waveinv.inversion import InversionConfig, landweber
-from waveinv.sensitivity import derivative_apply, derivative_apply_many
+from waveinv.inversion import InversionConfig, cgne, landweber
+from waveinv.sensitivity import (
+    adjoint_apply_continuous, derivative_apply, derivative_apply_many, dot_test
+)
 
 from conftest import modal_source, smooth_direction, varied_point
 
@@ -38,9 +46,11 @@ def instance(request):
     return disc, point, f, base
 
 
-def recovered(timeline, source, u, p, c_factors):
-    """du from C(t_n) du = p_n and ddu from C ddu = f - B du - (A + Q) u - (dC) du."""
+def recovered(timeline, source, u, p):
+    """du from C(t_n) du = p_n and ddu from C ddu = f - B du - (A + Q) u - (dC) du,
+    on a factor of every C(t_n) of the timeline."""
     v = timeline.values
+    c_factors = factorize_rows(timeline.pattern, v["C"])
     du = solve_each(c_factors, p)
     resid = source - timeline.pattern.apply(
         (v["B"], du), (v["A"], u), (v["Q"], u), (timeline.rate("C"), du)
@@ -57,7 +67,7 @@ def assert_same(traj, u, du, ddu):
 def test_forward_rates_are_the_recovery_formulas(instance):
     disc, point, f, base = instance
     record = base.solve
-    du, ddu = recovered(record.timeline, f.values, base.u, record.p, record.c_factors)
+    du, ddu = recovered(record.timeline, f.values, base.u, record.p)
     assert_same(base, base.u, du, ddu)
 
 
@@ -72,9 +82,7 @@ def test_backward_rates_are_the_recovery_formulas(instance, first):
     reversed_source = v.values[::-1].copy()
     reversed_load = SourceTerm(reversed_source, disc, TIME_GRID)
     back = wi.solve_forward(reverse_timeline(timeline), reversed_load)
-    du, ddu = recovered(
-        back.solve.timeline, reversed_source, back.u, back.solve.p, back.solve.c_factors
-    )
+    du, ddu = recovered(back.solve.timeline, reversed_source, back.u, back.solve.p)
     assert_same(w, back.u[::-1], -du[::-1], ddu[::-1])
 
 
@@ -177,7 +185,6 @@ def recoveries(monkeypatch):
         return solve_each(factors, rhs)
 
     monkeypatch.setattr(evolve, "solve_each", counted)
-    monkeypatch.setattr(sensitivity, "solve_each", counted)
     return calls
 
 
@@ -201,3 +208,99 @@ def test_sweeps_that_read_only_the_state_recover_nothing(wave_disc, recoveries):
     history, _ = landweber(wave_disc, point, data, f, InversionConfig(max_iterations=1))
     assert history.n_iterations == 1
     assert recoveries == []
+
+
+@pytest.fixture
+def c_factorizations(monkeypatch):
+    """The node of every C(t_n) factorized since the fixture was set up: every
+    BandLU built inside a recovery pass, the one place that factorizes C."""
+    made, passes = [], []
+    recover = evolve._recover
+
+    class CountedLU(evolve.BandLU):
+        def __init__(self, pattern, values, node):
+            if passes:
+                made.append(node)
+            super().__init__(pattern, values, node)
+
+    def counted(*args):
+        passes.append(args)
+        try:
+            return recover(*args)
+        finally:
+            passes.pop()
+
+    monkeypatch.setattr(evolve, "BandLU", CountedLU)
+    monkeypatch.setattr(evolve, "_recover", counted)
+    return made
+
+
+def distinct_c_rows(traj):
+    return len(np.unique(traj.solve.timeline.values["C"], axis=0))
+
+
+def test_sweeps_that_read_no_rate_factorize_no_c_row(wave_disc, c_factorizations):
+    point = varied_point(wave_disc, TIME_GRID, amplitude=0.1)
+    f = modal_source(wave_disc, TIME_GRID)
+    base = wi.forward_map(wave_disc, point, f)
+    data = wi.observe(wi.forward_map(wave_disc, varied_point(wave_disc, TIME_GRID), f))
+    svd_probe(wave_disc, point, "a", f, time_knots=3, space_knots=3)
+    for method in (landweber, cgne):
+        config = InversionConfig(method=method.__name__, max_iterations=1)
+        assert method(wave_disc, point, data, f, config)[0].n_iterations == 1
+    direction = smooth_direction(wave_disc, TIME_GRID, wi.FIELD_NAMES["wave1d"])
+    dot_test(direction, data, "discrete", base=base)
+    assert c_factorizations == []
+
+
+def test_reading_ddu_first_recovers_both_rates_in_one_pass(instance, c_factorizations):
+    disc, point, f, base = instance
+    want = (base.du, base.ddu)  # one pass each
+    c_factorizations.clear()
+    traj = wi.forward_map(disc, point, f, u0=base.u[0])
+    traj.ddu
+    assert len(c_factorizations) == distinct_c_rows(traj)
+    assert np.array_equal(traj.du, want[0]) and np.array_equal(traj.ddu, want[1])
+    assert len(c_factorizations) == distinct_c_rows(traj)
+
+
+def test_continuous_adjoint_recovers_both_velocities_in_one_pass(
+    instance, c_factorizations, monkeypatch
+):
+    disc, point, f, base = instance
+    v = wi.DataVector(np.random.default_rng(3).standard_normal(base.u.shape), TIME_GRID)
+    alone = solve_backward(base, SourceTerm(data_load(v, base), disc, TIME_GRID))
+    want = (base.du, alone.du)  # recovered one after the other
+    backward = []
+
+    def kept(*args):
+        backward.append(solve_backward(*args))
+        return backward[-1]
+
+    monkeypatch.setattr(sensitivity, "solve_backward", kept)
+    joint = wi.forward_map(disc, point, f, u0=base.u[0])
+    c_factorizations.clear()
+    adjoint_apply_continuous(disc, point, v, joint)
+    assert len(c_factorizations) == distinct_c_rows(joint)
+    assert np.array_equal(joint.du, want[0]) and np.array_equal(backward[0].du, want[1])
+    assert len(c_factorizations) == distinct_c_rows(joint)
+
+
+def test_velocity_recovery_never_holds_all_c_factors():
+    # elastic2d at the size of the benchmark's sweeps, where the C(t_n)
+    # factors are about a third of what a forward solve would hold with them
+    disc = wi.build_grid("elastic2d", 16)
+    tg = np.linspace(0.0, 1.0, 101)
+    traj = wi.forward_map(disc, varied_point(disc, tg), modal_source(disc, tg))
+    factors = evolve.factorize_rows(disc.pattern, traj.solve.timeline.values["C"])
+    held = {id(a): a.nbytes for one in factors for a in one.lapack_solve.args
+            if isinstance(a, np.ndarray)}
+    del factors
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj.du
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(held.values())

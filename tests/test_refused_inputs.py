@@ -109,6 +109,8 @@ BAD_INPUTS = [
     ("make_source", "fewer nodes after t = 0.5",
      lambda s: wi.make_source(s.disc, TG, lambda t, x: x if t < 0.5 else x[:3]),
      DirectionShapeError),
+    ("make_source", "a ragged value",
+     lambda s: wi.make_source(s.disc, TG, lambda t, x: [x[:3], x[:4]]), DirectionShapeError),
     *[
         ("taylor_test", f"s_values {s_values}",
          lambda s, s_values=s_values: taylor_test({"a": np.ones((TG.size, s.disc.n_nodes))},

@@ -192,18 +192,33 @@ def test_singular_step_matrix_names_its_node(discs, problem):
 
 
 @pytest.mark.parametrize("problem", sorted(SIZES))
-def test_constant_point_factorizes_once(discs, problem):
+def test_constant_point_factorizes_once(discs, problem, monkeypatch):
     disc = discs[problem]
     tg = time_grid()
     constants = {"a": 1.0, "b": 0.2, "q": 0.5, "rho": 1.0, "lam": 1.0, "mu": 1.0, "eps": 1.0}
     point = wi.ParameterPoint.from_constants(
         problem, tg, disc.n_nodes, **{name: constants[name] for name in wi.FIELD_NAMES[problem]}
     )
-    traj = wi.forward_map(disc, point, modal_source(disc, tg))
-    record = traj.solve
+    f = modal_source(disc, tg)
+    record = wi.forward_map(disc, point, f).solve
     assert len(record.factors) == tg.size - 1
     assert len({id(factor) for factor in record.factors}) == 1
-    assert len({id(factor) for factor in record.c_factors}) == 1
+    # the recovery of both rates factorizes the one C once, also in one-node
+    # blocks, where each block takes the factor of the block before
+    built = []
+
+    class CountedLU(evolve.BandLU):
+        def __init__(self, pattern, values, node):
+            built.append(node)
+            super().__init__(pattern, values, node)
+
+    monkeypatch.setattr(evolve, "BandLU", CountedLU)
+    for budget in (galerkin._BLOCK_BYTES, 1):
+        monkeypatch.setattr(galerkin, "_BLOCK_BYTES", budget)
+        traj = wi.forward_map(disc, point, f)
+        built.clear()
+        traj.ddu
+        assert built == [0]
 
 
 def held_then_ramped(disc, tg):
@@ -256,6 +271,7 @@ def test_dedup_stays_exact_under_any_fingerprint(discs, problem, monkeypatch):
             built.clear()
             traj = call()
             base = traj if base is None else base
+            traj.ddu  # both rates in one pass
             counts.append(len(built))
             out += [traj.u, traj.du, traj.ddu]
         return out, counts
